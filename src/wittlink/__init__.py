@@ -4,9 +4,11 @@ mod-8 signature obstruction, with knot-theoretic and Diophantine front ends.
 
 from .forms import (DiagonalRationalForm, FormReport, IntegerSymmetricForm,
                     determinant, diagonalize, direct_sum, form_from_rows,
-                    is_even, report, signature)
+                    is_even, pivot_minors, report, signature,
+                    signature_from_minors)
 from .witt import (FiniteWittClass, PrimeFactorization, WittClassQ,
-                   boundary_at_prime, boundary_is_zero, factorize,
+                   boundary_at_prime, boundary_is_zero,
+                   boundary_zero_from_minors, factorize,
                    finite_witt_add, finite_witt_from_units, finite_witt_is_zero,
                    finite_witt_zero, is_prime, quadratic_residue,
                    rational_witt_class, relevant_primes, square_free_part,
@@ -15,6 +17,7 @@ from .witt import (FiniteWittClass, PrimeFactorization, WittClassQ,
 from .discriminant import (DiscriminantForm, GaussSumValue, MainTheoremReport,
                            cyclotomic_polynomial, discriminant_form,
                            find_metabolizer, gauss_sum, gauss_sum_check,
+                           gauss_sum_matches,
                            hermite_basis, linking_is_nondegenerate,
                            linking_value, overlattice_from_metabolizer,
                            smith_normal_form, verify_main_theorem)

@@ -6,8 +6,6 @@ here ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def identity(n, one=1):
     return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
@@ -27,21 +25,3 @@ def mat_mul(a, b):
 def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
-
-def invert_rational(m):
-    """Exact inverse of a nonsingular matrix via Gauss-Jordan over Fractions."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

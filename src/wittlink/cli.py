@@ -3,8 +3,8 @@
 All numeric output is exact (rationals rendered as "num/den" strings);
 floating approximations appear only behind --approx.  Reports are JSON with
 sorted keys so identical invocations are byte-identical; dioph emits CSV
-records.  Exit codes: 0 success, 1 domain error (with a machine-readable
-error object on stdout), 2 usage error.
+records.  Exit codes: 0 success, 1 domain or internal error (with a
+machine-readable error object on stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -109,10 +109,9 @@ def _cmd_disc(args) -> int:
 def _cmd_gauss(args) -> int:
     f = _load_gram(args.gram)
     g = discriminant.gauss_sum(f, enum_bound=args.bound_det, jobs=args.jobs)
-    ok = discriminant.gauss_sum_check(f, enum_bound=args.bound_det)
     out = {"denominator": g.denominator,
            "terms": [[r, c] for r, c in g.terms],
-           "check": ok}
+           "check": discriminant.gauss_sum_matches(f, g)}
     if args.approx:
         z = g.approx()
         out["approx"] = [z.real, z.imag]
@@ -237,6 +236,12 @@ def main(argv=None) -> int:
         return 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _emit({"error": {"type": "input", "message": str(exc)}})
+        return 1
+    except ArithmeticError as exc:
+        # A failed internal consistency check (rho exhausted, a theorem
+        # contradicted, a non-integral overlattice) is a defect, not bad
+        # input, but it is still reported as structured output.
+        _emit({"error": {"type": "internal", "message": str(exc)}})
         return 1
 
 

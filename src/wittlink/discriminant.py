@@ -20,11 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 
-from ._mat import identity, invert_rational, mat_mul, mat_vec, transpose
+from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
-from .forms import IntegerSymmetricForm, determinant, form_from_rows, is_even, signature
-from .witt import boundary_is_zero, factorize, rational_witt_class
+from .forms import (IntegerSymmetricForm, determinant, form_from_rows, is_even,
+                    pivot_minors, signature_from_minors)
+from .witt import boundary_zero_from_minors, factorize
 
 DEFAULT_GROUP_BOUND = 10 ** 4
 DEFAULT_DET_BOUND = 10 ** 6
@@ -186,30 +187,25 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
 
     The cokernel of the Gram matrix B is read off the Smith normal form
     U B V = D; the generator of the i-th cyclic factor lifts to column i of
-    B^-1 U^-1, a rational vector in the dual lattice.  Unit factors are
-    dropped.
+    B^-1 U^-1 = V D^-1, that is column i of V divided by d_i, a rational
+    vector in the dual lattice.  Unit factors are dropped.
     """
     b = f.rows()
-    u, d, _ = smith_normal_form(b)
-    binv = invert_rational(b) if f.n else []
-    uinv = [[int(x) for x in row] for row in invert_rational(u)] if f.n else []
-    gens = []
-    orders = []
-    for i in range(f.n):
-        if d[i] == 1:
-            continue
-        orders.append(d[i])
-        col = [Fraction(uinv[r][i]) for r in range(f.n)]
-        gens.append(tuple(mat_vec(binv, col)))
+    _, d, v = smith_normal_form(b)
+    orders = [d[i] for i in range(f.n) if d[i] != 1]
+    cols = [[v[r][i] for r in range(f.n)] for i in range(f.n) if d[i] != 1]
+    gens = [tuple(Fraction(x, di) for x in col) for col, di in zip(cols, orders)]
     k = len(orders)
     linking = [[Fraction(0)] * k for _ in range(k)]
     quad = [Fraction(0)] * k
     for i in range(k):
-        bi = mat_vec(b, gens[i])
+        bi = mat_vec(b, cols[i])
         for j in range(i, k):
-            val = sum(x * y for x, y in zip(bi, gens[j]))
+            val = Fraction(sum(x * y for x, y in zip(bi, cols[j])),
+                           orders[i] * orders[j])
             linking[i][j] = linking[j][i] = val % 1
-        quad[i] = sum(x * y for x, y in zip(bi, gens[i])) % 2
+            if j == i:
+                quad[i] = val % 2
     return DiscriminantForm(orders=tuple(orders),
                             linking=tuple(tuple(r) for r in linking),
                             quad_diag=tuple(quad),
@@ -440,7 +436,7 @@ def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
     return GaussSumValue(denominator=n, terms=tuple(sorted(counts.items())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial.
 
@@ -516,15 +512,20 @@ def _reduce_mod_cyclotomic(coeffs: dict, n: int) -> tuple[int, ...]:
 def gauss_sum_check(f: IntegerSymmetricForm,
                     enum_bound: int = DEFAULT_DET_BOUND,
                     jobs: int = 1) -> bool:
-    """Does the computed Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?
+    """Does the computed Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?"""
+    return gauss_sum_matches(f, gauss_sum(f, enum_bound=enum_bound, jobs=jobs))
+
+
+def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
+    """Does ``g``, the Gauss sum of f, equal sqrt|det| * e^(2 pi i sigma / 8)?
 
     When |det| is a perfect square m^2 both sides live in a cyclotomic ring
     and the comparison is exact (canonical reduction there); otherwise both
     sides are evaluated numerically and compared at absolute tolerance 1e-9.
     """
-    g = gauss_sum(f, enum_bound=enum_bound, jobs=jobs)
-    sig = signature(f)
-    adet = abs(determinant(f))
+    minors = pivot_minors(f)
+    sig = signature_from_minors(minors)
+    adet = abs(minors[-1])
     m = math.isqrt(adet)
     if m * m == adet:
         two_n = 2 * g.denominator
@@ -608,17 +609,24 @@ def verify_main_theorem(f: IntegerSymmetricForm,
                         group_bound: int = DEFAULT_GROUP_BOUND) -> MainTheoremReport:
     """Assemble the hypothesis checks and the signature verdict for a form.
 
-    The metabolizer witness is only searched for when the discriminant group
-    is within ``group_bound``; its absence never changes ``theorem_applies``,
-    which relies on the residue criterion.
+    det, signature and the residue test all come from one pass of
+    ``pivot_minors``.  The metabolizer witness is only searched for when the
+    discriminant group is within ``group_bound`` and could have one: |G| =
+    |det| must be a square, and for odd |G| a linking form is metabolic
+    exactly when it is Witt-zero, which the residue test has decided.  Its
+    absence never changes ``theorem_applies``, which relies on the residue
+    criterion.
     """
     even = is_even(f)
-    det = determinant(f)
+    minors = pivot_minors(f)
+    det = minors[-1]
     det_odd = det % 2 != 0
-    boundary_zero = boundary_is_zero(rational_witt_class(f))
-    sig = signature(f)
+    boundary_zero = boundary_zero_from_minors(minors)
+    sig = signature_from_minors(minors)
     metabolizer = None
-    if abs(det) <= group_bound:
+    adet = abs(det)
+    if (adet <= group_bound and math.isqrt(adet) ** 2 == adet
+            and (boundary_zero or not det_odd)):
         found = find_metabolizer(discriminant_form(f), bound=group_bound)
         metabolizer = tuple(found) if found is not None else None
     applies = even and det_odd and boundary_zero

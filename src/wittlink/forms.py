@@ -1,9 +1,10 @@
 """Symmetric bilinear forms on integer lattices, with exact arithmetic.
 
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
-computed over Z or Q with arbitrary precision: the determinant by
-fraction-free Bareiss elimination, the signature by exact congruence
-diagonalization.  No floating point anywhere.
+computed over Z or Q with arbitrary precision: the determinant and the
+leading minors of the diagonalization by fraction-free Bareiss elimination,
+the diagonalization itself (with its transition matrix) over Q.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -160,8 +161,54 @@ def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
                                 transition=tuple(tuple(row) for row in p))
 
 
+def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
+    """The leading minors (1, D_1, ..., D_n) of the diagonalization, in Z.
+
+    Symmetric fraction-free (Bareiss) elimination with the pivot policy of
+    :func:`diagonalize`: the same swaps and the same e_k -> e_k + e_j step,
+    so entry k of ``diagonalize(f)`` is exactly D_k / D_(k-1), whose square
+    class is that of the integer D_k * D_(k-1), and D_n is the determinant.
+    Entries of the trailing block are D_k times those of diagonalize's
+    trailing block, so the pivot tests agree; every division is exact.
+    """
+    n = f.n
+    a = f.rows()
+    minors = [1]
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise DegenerateError("trailing block is degenerate")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a[k:]:
+                    row[k] += row[j]
+        rk = a[k]
+        piv, prev = rk[k], minors[-1]
+        # Only the upper triangle is updated and mirrored; columns < k stay
+        # stale and are never read again.
+        for i in range(k + 1, n):
+            ri, c = a[i], rk[i]
+            for j in range(i, n):
+                ri[j] = a[j][i] = (ri[j] * piv - c * rk[j]) // prev
+        minors.append(piv)
+    return tuple(minors)
+
+
+def signature_from_minors(minors) -> int:
+    """Jacobi's rule: a diagonal entry D_k / D_(k-1) is positive exactly when
+    consecutive minors have the same sign."""
+    return sum(1 if (a > 0) == (b > 0) else -1
+               for a, b in zip(minors, minors[1:]))
+
+
 def signature(f: IntegerSymmetricForm) -> int:
-    return sum(1 if e > 0 else -1 for e in diagonalize(f).entries)
+    return signature_from_minors(pivot_minors(f))
 
 
 def direct_sum(f1: IntegerSymmetricForm, f2: IntegerSymmetricForm) -> IntegerSymmetricForm:

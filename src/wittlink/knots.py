@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from .errors import (DegenerateParameterError, InvalidSeifertError,
                      NotSquareError)
 from .forms import (IntegerSymmetricForm, _bareiss_det, determinant,
-                    form_from_rows, signature)
-from .witt import WittClassQ, boundary_is_zero, rational_witt_class, witt_from_diagonal
+                    form_from_rows, pivot_minors, signature,
+                    signature_from_minors)
+from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,12 @@ def murasugi_check(s: SeifertMatrix) -> bool:
 
 
 def analyze_knot(s: SeifertMatrix) -> KnotReport:
-    """Full pipeline: symmetrize, diagonalize, residue-test, report."""
-    f = symmetrize(s)
-    sig = signature(f)
-    det = determinant(f)
-    bz = boundary_is_zero(rational_witt_class(f))
-    return KnotReport(signature=sig, determinant=det,
+    """Full pipeline: symmetrize, take the pivot minors, residue-test,
+    report."""
+    minors = pivot_minors(symmetrize(s))
+    sig = signature_from_minors(minors)
+    bz = boundary_zero_from_minors(minors)
+    return KnotReport(signature=sig, determinant=minors[-1],
                       murasugi_class=sig % 4, boundary_zero=bz,
                       signature_mod_8=sig % 8 if bz else None)
 

@@ -90,7 +90,7 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed on {n}")  # unreachable in practice
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _factor_magnitude(n: int) -> tuple[tuple[int, int], ...]:
     out = {}
     d = 2
@@ -257,8 +257,12 @@ def boundary_at_prime(c: WittClassQ, p: int) -> FiniteWittClass:
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+    return _residue(c.entries, p)
+
+
+def _residue(entries, p: int) -> FiniteWittClass:
     units = []
-    for e in c.entries:
+    for e in entries:
         frac = Fraction(e)
         v = _valuation(frac.numerator, p) - _valuation(frac.denominator, p)
         if v % 2 == 0:
@@ -292,6 +296,27 @@ def relevant_primes(c: WittClassQ) -> list[int]:
 
 def boundary_is_zero(c: WittClassQ) -> bool:
     return all(boundary_at_prime(c, p).zero for p in relevant_primes(c))
+
+
+def boundary_zero_from_minors(minors) -> bool:
+    """Whether every residue of the form with leading minors ``minors``
+    (``forms.pivot_minors``: 1, D_1, ..., D_n) vanishes.
+
+    Equal to ``boundary_is_zero(rational_witt_class(f))``, but factors only
+    sqrt|det|.  Entry k is in the square class of the integer D_k * D_(k-1),
+    and the residue at p has rank parity v_p(det) mod 2, so a vanishing
+    boundary needs |det| to be a square; at p = 2 the rank parity alone
+    decides, so nothing more is needed there.  A form unimodular at p has
+    zero residue at p (Milnor-Husemoller, Symmetric Bilinear Forms, ch. IV),
+    so only the odd primes of sqrt|det| are tested.
+    """
+    adet = abs(minors[-1])
+    root = math.isqrt(adet)
+    if root * root != adet:
+        return False
+    entries = [a * b for a, b in zip(minors, minors[1:])]
+    return all(_residue(entries, p).zero
+               for p in factorize(root).primes() if p != 2)
 
 
 def witt_q_is_zero(c: WittClassQ) -> bool:

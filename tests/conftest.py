@@ -232,3 +232,68 @@ def random_seifert_rows(rng, genus, shears=6):
 def rng():
     import random
     return random.Random(20240811)
+
+
+def random_mixed_even_rows(rng, max_rank=14):
+    """Random nondegenerate even forms of four kinds, in turn by draw:
+
+    - dense, entries in [-2, 2];
+    - zero diagonal, so pivoting starts with the e_k -> e_k + e_j step;
+    - X + (-X), whose boundary vanishes, or X + X, whose determinant is a
+      square while its boundary need not vanish;
+    - hyperbolic planes summed with a dense block.
+
+    The last two are scrambled by a unimodular congruence (symmetric shears).
+    """
+    from wittlink import form_from_rows
+    from wittlink.errors import DegenerateError
+
+    def dense(n, zero_diag=False):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 0 if zero_diag else 2 * rng.randint(-1, 1)
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        return rows
+
+    def block_sum(*blocks):
+        n = sum(len(b) for b in blocks)
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                rows[at + i][at:at + len(b)] = row
+            at += len(b)
+        return rows
+
+    def scramble(rows):
+        n = len(rows)
+        for _ in range(2 * n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                continue
+            c = rng.choice((-1, 1))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += c * row[j]
+        return rows
+
+    kind = rng.randrange(4)
+    while True:
+        if kind == 0:
+            rows = dense(rng.randint(1, max_rank))
+        elif kind == 1:
+            rows = dense(rng.randint(2, max_rank), zero_diag=True)
+        elif kind == 2:
+            x = dense(rng.randint(1, max_rank // 2))
+            sign = rng.choice((-1, 1))
+            rows = scramble(block_sum(x, [[sign * v for v in row] for row in x]))
+        else:
+            planes = rng.randint(1, max_rank // 4 + 1)
+            rows = scramble(block_sum(*[HYPERBOLIC] * planes,
+                                      dense(rng.randint(0, max_rank - 2 * planes))))
+        try:
+            form_from_rows(rows)
+        except DegenerateError:
+            continue
+        return rows

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -203,3 +204,95 @@ def test_error_exit_codes(tmp_path):
     code, out, _ = run_cli("pretzel", "2", "3", "4")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "degenerate_parameter"
+
+
+def test_analyze_skips_search_when_no_metabolizer_exists(tmp_path):
+    # A2^7 + (-A2): |G| = 3^8 is a square and odd, but the boundary does not
+    # vanish, so no metabolizer exists; the exhaustive search over this group
+    # runs for minutes, the residue test answers at once.
+    a2 = [[2, -1], [-1, 2]]
+    blocks = [a2] * 7 + [[[-x for x in row] for row in a2]]
+    rows = [[0] * 16 for _ in range(16)]
+    for k, block in enumerate(blocks):
+        for i in range(2):
+            rows[2 * k + i][2 * k:2 * k + 2] = block[i]
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"gram": rows}))
+    start = time.perf_counter()
+    code, out, _ = run_cli("analyze", "--gram", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["det"] == 3 ** 8 and rep["signature"] == 12
+    assert rep["boundary_zero"] is False and rep["metabolizer"] is None
+
+
+# A dense rank-24 even form, entries in [-3, 3].  Square-free parts of its
+# diagonal entries have cofactors above the Miller-Rabin certification bound.
+DENSE_24 = [
+    [0, -3, 1, 1, 3, 3, 3, 3, 1, 2, 2, 1, -2, -1, 2, -1, 0, -3, 2, 0, 2, -3, 3, -2],
+    [-3, 2, 1, -1, 2, 3, 1, 3, 0, -1, 0, 2, 0, 2, 3, 1, -1, -2, -1, -1, 2, -1, 3, -1],
+    [1, 1, -4, 0, 3, -2, 3, 2, -2, 3, -3, -2, 2, -3, -2, -1, -3, -3, -3, 2, 0, 2, 3, -3],
+    [1, -1, 0, 2, 0, 3, -2, 3, -3, -1, -3, 2, 2, 0, -2, -1, -2, -3, 2, -2, -1, -1, -2, 3],
+    [3, 2, 3, 0, -4, -2, -2, 3, 1, -2, -2, 1, 2, 1, -3, -1, 1, 2, 0, -2, 0, -2, 1, -1],
+    [3, 3, -2, 3, -2, -4, -1, 3, 3, -3, 0, 2, 0, -1, 1, 3, 2, -2, -2, -2, -1, -1, 0, 1],
+    [3, 1, 3, -2, -2, -1, -6, 0, 0, -3, -2, 3, -3, -3, -2, -1, -3, -2, 3, 1, 0, 2, -1, -2],
+    [3, 3, 2, 3, 3, 3, 0, 2, -1, 1, 0, 3, 2, 2, -1, 1, -2, 0, -3, 1, 2, 2, 2, -3],
+    [1, 0, -2, -3, 1, 3, 0, -1, -4, 2, -2, 0, -2, 2, -3, 0, 2, 3, 2, -2, 1, 3, -3, -3],
+    [2, -1, 3, -1, -2, -3, -3, 1, 2, 0, 1, 1, -2, -3, -1, -1, -1, -2, 1, 2, 1, -1, -2, 2],
+    [2, 0, -3, -3, -2, 0, -2, 0, -2, 1, -2, -2, 0, 1, -3, 1, -2, 2, -1, -3, -1, 1, -3, -2],
+    [1, 2, -2, 2, 1, 2, 3, 3, 0, 1, -2, 2, 3, 2, 0, 2, -3, 3, -2, 2, 1, 3, -2, -3],
+    [-2, 0, 2, 2, 2, 0, -3, 2, -2, -2, 0, 3, 6, 0, 1, 0, -2, 1, 3, 3, -3, 0, 3, -2],
+    [-1, 2, -3, 0, 1, -1, -3, 2, 2, -3, 1, 2, 0, -4, 1, -1, 3, -2, 0, -1, -2, -3, -3, -2],
+    [2, 3, -2, -2, -3, 1, -2, -1, -3, -1, -3, 0, 1, 1, 2, 1, 1, 0, 0, 0, 0, 2, 0, 1],
+    [-1, 1, -1, -1, -1, 3, -1, 1, 0, -1, 1, 2, 0, -1, 1, 4, -1, 3, -3, -1, -3, 0, 0, -1],
+    [0, -1, -3, -2, 1, 2, -3, -2, 2, -1, -2, -3, -2, 3, 1, -1, -6, 1, -1, -1, 2, -1, -3, 3],
+    [-3, -2, -3, -3, 2, -2, -2, 0, 3, -2, 2, 3, 1, -2, 0, 3, 1, 2, 1, 3, 1, -1, 2, -2],
+    [2, -1, -3, 2, 0, -2, 3, -3, 2, 1, -1, -2, 3, 0, 0, -3, -1, 1, -6, -2, -1, 1, 0, -1],
+    [0, -1, 2, -2, -2, -2, 1, 1, -2, 2, -3, 2, 3, -1, 0, -1, -1, 3, -2, -4, -1, -2, -1, 3],
+    [2, 2, 0, -1, 0, -1, 0, 2, 1, 1, -1, 1, -3, -2, 0, -3, 2, 1, -1, -1, -6, -3, -3, -3],
+    [-3, -1, 2, -1, -2, -1, 2, 2, 3, -1, 1, 3, 0, -3, 2, 0, -1, -1, 1, -2, -3, 4, -3, 0],
+    [3, 3, 3, -2, 1, 0, -1, 2, -3, -2, -3, -2, 3, -3, 0, 0, -3, 2, 0, -1, -3, -3, 0, 3],
+    [-2, -1, -3, 3, -1, 1, -2, -3, -3, 2, -2, -3, -2, -2, 1, -1, 3, -2, -1, 3, -3, 0, 3, 2]]
+
+
+def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
+    from wittlink import determinant, diagonalize, form_from_rows
+    path = tmp_path / "dense24.json"
+    path.write_text(json.dumps({"gram": DENSE_24}))
+    code, out, _ = run_cli("analyze", "--gram", str(path))
+    assert code == 0, out
+    rep = json.loads(out)
+    f = form_from_rows(DENSE_24)
+    assert rep["det"] == determinant(f)
+    assert rep["signature"] == sum(1 if e > 0 else -1
+                                   for e in diagonalize(f).entries)
+    assert rep["boundary_zero"] is False
+
+
+def test_gauss_enumerates_once(a8_json, monkeypatch, capsys):
+    from wittlink import cli, discriminant
+    calls = []
+    real = discriminant.gauss_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discriminant, "gauss_sum", counted)
+    assert cli.main(["gauss", "--gram", a8_json]) == 0
+    assert json.loads(capsys.readouterr().out)["check"] is True
+    assert len(calls) == 1
+
+
+def test_internal_error_is_structured(a8_json, monkeypatch, capsys):
+    from wittlink import cli, discriminant
+
+    def contradiction(*args, **kwargs):
+        raise ArithmeticError("signature 4 not divisible by 8")
+
+    monkeypatch.setattr(discriminant, "verify_main_theorem", contradiction)
+    assert cli.main(["analyze", "--gram", a8_json]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "internal",
+                   "message": "signature 4 not divisible by 8"}

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, cofactor_det,
-                      random_even_form_rows)
+                      random_even_form_rows, random_mixed_even_rows)
 from wittlink import (boundary_is_zero, cyclotomic_polynomial, determinant,
-                      diagonalize, discriminant_form, find_metabolizer,
+                      diagonalize, direct_sum, discriminant_form, find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
+                      gauss_sum_matches,
                       hermite_basis, linking_is_nondegenerate, linking_value,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
@@ -383,3 +384,86 @@ def test_gauss_sum_check_hyperbolic_scaled():
     f = form_from_rows([[0, 4], [4, 0]])
     assert gauss_sum_check(f)
     assert abs(gauss_sum(f).approx() - 4) < 1e-12  # sqrt(16) * e^0
+
+
+def _inverse(m):
+    """Exact inverse by Gauss-Jordan elimination over Fractions."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def test_discriminant_generators_match_inverse_oracle(rng):
+    """Generator i is column i of B^-1 U^-1 for U B V = D; the linking and
+    quadratic values are b(g_i, g_j) mod 1 and b(g_i, g_i) mod 2."""
+    for _ in range(200):
+        rows = random_mixed_even_rows(rng, max_rank=8)
+        n = len(rows)
+        u, d, _ = smith_normal_form(rows)
+        binv, uinv = _inverse(rows), _inverse(u)
+        expected = [tuple(sum(binv[r][c] * uinv[c][i] for c in range(n))
+                          for r in range(n)) for i in range(n) if d[i] != 1]
+        disc = discriminant_form(form_from_rows(rows))
+        assert list(disc.generators) == expected
+        assert disc.orders == tuple(x for x in d if x != 1)
+
+        def b(x, y):
+            return sum(x[i] * rows[i][j] * y[j]
+                       for i in range(n) for j in range(n))
+        for i, gi in enumerate(expected):
+            assert disc.quad_diag[i] == b(gi, gi) % 2
+            for j, gj in enumerate(expected):
+                assert disc.linking[i][j] == b(gi, gj) % 1
+
+
+def test_metabolizer_skip_agrees_with_exhaustive_search():
+    """For odd det, verify_main_theorem skips the search when the residue
+    test fails; the exhaustive search finds nothing on those forms either."""
+    a2 = [[2, -1], [-1, 2]]
+    five = [[2, 1], [1, 3]]
+
+    def neg(x):
+        return [[-v for v in row] for row in x]
+
+    def block_sum(*blocks):
+        f = form_from_rows(blocks[0])
+        for x in blocks[1:]:
+            f = direct_sum(f, form_from_rows(x))
+        return f
+
+    skipped = 0
+    for x in (a2, five):
+        for blocks in ((x, x), (x, neg(x)), (x, x, x, neg(x)),
+                       (x, x, neg(x), neg(x)), (x, x, x, x)):
+            f = block_sum(*blocks)
+            rep = verify_main_theorem(f)
+            found = find_metabolizer(discriminant_form(f))
+            assert rep.det_odd
+            assert rep.boundary_zero == (found is not None)
+            assert rep.metabolizer == (tuple(found) if found is not None else None)
+            skipped += not rep.boundary_zero
+    assert skipped >= 2
+
+
+def test_gauss_sum_matches_takes_computed_value():
+    for rows in (E8, A8_NEG, DIAG_2_M2, HYPERBOLIC, [[2, 1], [1, 4]]):
+        f = form_from_rows(rows)
+        assert gauss_sum_matches(f, gauss_sum(f)) == gauss_sum_check(f)
+    wrong = gauss_sum(form_from_rows([[2, 1], [1, 2]]))
+    assert not gauss_sum_matches(form_from_rows(A8_NEG), wrong)
+
+
+def test_cyclotomic_cache_is_bounded():
+    limit = cyclotomic_polynomial.cache_info().maxsize
+    assert limit is not None
+    for n in range(1, limit + 50):
+        cyclotomic_polynomial(n)
+    assert cyclotomic_polynomial.cache_info().currsize <= limit

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, alt_pivot_signs,
-                      cofactor_det, is_rational_square, random_even_form_rows)
+                      cofactor_det, is_rational_square, random_even_form_rows,
+                      random_mixed_even_rows)
 from wittlink import (determinant, diagonalize, direct_sum, form_from_rows,
-                      is_even, report, signature)
+                      is_even, pivot_minors, report, signature)
 from wittlink.errors import DegenerateError, NotSquareError, NotSymmetricError
 
 
@@ -156,3 +157,25 @@ def test_direct_sum_properties(rng):
 def test_report():
     rep = report(form_from_rows(A8_NEG))
     assert (rep.rank, rep.determinant, rep.signature, rep.is_even) == (8, 9, -8, True)
+
+
+def test_pivot_minors_match_diagonalize(rng):
+    """diagonalize stays the reference: entry k is D_k / D_(k-1), det is
+    D_n and the signature counts the positive entries."""
+    zero_diagonal = 0
+    for _ in range(250):
+        f = form_from_rows(random_mixed_even_rows(rng))
+        minors = pivot_minors(f)
+        entries = diagonalize(f).entries
+        assert minors[0] == 1 and len(minors) == f.n + 1
+        assert tuple(Fraction(b, a) for a, b in zip(minors, minors[1:])) == entries
+        assert minors[-1] == determinant(f)
+        assert signature(f) == sum(1 if e > 0 else -1 for e in entries)
+        zero_diagonal += all(f.gram[i][i] == 0 for i in range(f.n))
+    assert zero_diagonal >= 30  # the e_k -> e_k + e_j branch is exercised
+
+
+def test_pivot_minors_small_cases():
+    assert pivot_minors(form_from_rows([])) == (1,)
+    assert pivot_minors(form_from_rows(HYPERBOLIC)) == (1, 2, -1)
+    assert pivot_minors(form_from_rows(A8_NEG)) == (1, -2, 3, -4, 5, -6, 7, -8, 9)

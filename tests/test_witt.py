@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from conftest import NINE_ONE_SYM, witt_zero_bruteforce
-from wittlink import (boundary_at_prime, boundary_is_zero, factorize,
+from conftest import NINE_ONE_SYM, random_mixed_even_rows, witt_zero_bruteforce
+from wittlink import (boundary_at_prime, boundary_is_zero,
+                      boundary_zero_from_minors, factorize,
                       finite_witt_add, finite_witt_from_units,
                       finite_witt_is_zero, finite_witt_zero, form_from_rows,
-                      is_prime, quadratic_residue, rational_witt_class,
+                      is_prime, pivot_minors, quadratic_residue,
+                      rational_witt_class,
                       square_free_part, witt_from_diagonal, witt_negate,
                       witt_q_equal, witt_q_is_zero, witt_sum)
 from wittlink.errors import (NotCoprimeError, NotPrimeError,
@@ -207,3 +210,29 @@ def test_negate():
     c = witt_from_diagonal([2, -6])
     assert witt_negate(c).entries == (-2, 6)
     assert witt_q_is_zero(witt_sum(c, witt_negate(c)))
+
+
+def test_boundary_from_minors_matches_residue_test(rng):
+    """The full square-free residue test stays the reference."""
+    vanishing = square_only = 0
+    for _ in range(220):
+        f = form_from_rows(random_mixed_even_rows(rng, max_rank=10))
+        minors = pivot_minors(f)
+        expected = boundary_is_zero(rational_witt_class(f))
+        assert boundary_zero_from_minors(minors) == expected
+        vanishing += expected
+        adet = abs(minors[-1])
+        square_only += not expected and math.isqrt(adet) ** 2 == adet
+    # both outcomes of the residue test behind the square gate are seen
+    assert vanishing >= 30 and square_only >= 5
+    assert boundary_zero_from_minors(pivot_minors(form_from_rows([])))
+    assert boundary_zero_from_minors(pivot_minors(form_from_rows(NINE_ONE_SYM)))
+
+
+def test_factor_cache_is_bounded():
+    from wittlink.witt import _factor_magnitude
+    limit = _factor_magnitude.cache_info().maxsize
+    assert limit is not None
+    for n in range(10 ** 6, 10 ** 6 + limit + 100):
+        factorize(n)
+    assert _factor_magnitude.cache_info().currsize <= limit
