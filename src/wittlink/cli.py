@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import sys
 
@@ -152,13 +152,9 @@ def _cmd_dioph(args) -> int:
         return 1
     records = diophantine.search(w, args.sign, jobs=args.jobs,
                                  dedupe=args.dedupe)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "q", "r", "m", "sign", "p_plus_q_mod_8"])
-    for rec in records:
-        writer.writerow([rec.p, rec.q, rec.r, rec.m, rec.sign,
-                         rec.p_plus_q_mod_8])
-    sys.stdout.write(buf.getvalue())
+    sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n" + "".join(
+        f"{rec.p},{rec.q},{rec.r},{rec.m},{rec.sign},{rec.p_plus_q_mod_8}\n"
+        for rec in records))
     return 0
 
 
@@ -221,14 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check p+q = 0 mod 8 over all sign=-1 solutions")
     p.add_argument("--dedupe", action="store_true",
                    help="keep only records with p <= q")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the search runs in one process")
     p.set_defaults(func=_cmd_dioph)
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to main, not at import: parsing leaves the
+    # parser unchanged, so a long-lived caller of main reuses it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except WittLinkError as exc:

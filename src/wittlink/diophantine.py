@@ -8,10 +8,7 @@ mod 8 and realizes both.  Searches are exhaustive over finite windows.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .errors import NotFoundError
 
@@ -54,53 +51,76 @@ def _parity_values(lo: int, hi: int, parity: int):
     return range(start, hi + 1, 2)
 
 
-def _search_chunk(args):
-    p_values, q_range, r_range, m_max, sign = args
-    out = []
-    for p in p_values:
-        for q in _parity_values(*q_range, 1):
-            base = p * q
-            s = p + q
-            for r in _parity_values(*r_range, 0):
-                t = base + r * s
-                v = sign * t
-                if v <= 0:
-                    continue
-                m = math.isqrt(v)
-                if m * m == v and m % 2 == 1 and m <= m_max:
-                    out.append(SolutionRecord(p=p, q=q, r=r, m=m, sign=sign,
-                                              p_plus_q_mod_8=s % 8))
-    return out
+def _odd_roots(mod: int, m_max: int) -> dict[int, list[int]]:
+    """Map each residue x mod ``mod`` to the odd m <= m_max with m^2 = x."""
+    table = {}
+    for m in range(1, m_max + 1, 2):
+        table.setdefault(m * m % mod, []).append(m)
+    return table
+
+
+def _solve(w: SearchWindow, sign: int, pairs):
+    """Yield (p, q, [(r, m), ...]) for each pair with a solution in w.
+
+    For s = p + q != 0 the equation reads r = (sign*m^2 - pq)/s, and r is
+    an even integer exactly when m^2 = sign*pq (mod 2|s|): each pair is one
+    lookup in a table of odd roots built once per modulus 2|s|.  For s = 0
+    it reads -p^2 = sign*m^2, which holds for every r when sign = -1 and
+    m = |p|.  Pairs keep their order and rows come in increasing r.
+    """
+    r_lo, r_hi = w.r_range
+    tables = {}
+    for p, q in pairs:
+        s = p + q
+        if not s:
+            if sign == -1 and abs(p) <= w.m_max:
+                yield p, q, [(r, abs(p)) for r in _parity_values(r_lo, r_hi, 0)]
+            continue
+        mod = 2 * abs(s)
+        table = tables.get(mod)
+        if table is None:
+            table = tables[mod] = _odd_roots(mod, w.m_max)
+        ms = table.get(sign * p * q % mod)
+        if not ms:
+            continue
+        pq = p * q
+        rows = [(r, m) for m in ms
+                if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
+        if rows:
+            if sign * s < 0:
+                rows.reverse()
+            yield p, q, rows
 
 
 def search(w: SearchWindow, sign: int, jobs: int = 1,
            dedupe: bool = False) -> list[SolutionRecord]:
     """All (p,q,r) in the window with pq+pr+qr = sign*m^2, m odd <= m_max.
 
-    Records are sorted lexicographically by (p,q,r), so the output does not
-    depend on how the (p,q) grid was partitioned across workers.  With
-    ``dedupe`` only representatives with p <= q are kept.
+    Records are sorted lexicographically by (p,q,r).  With ``dedupe`` only
+    representatives with p <= q are kept.  ``jobs`` is accepted for
+    compatibility and ignored: one process solving for r is faster than a
+    pool of workers.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    p_values = list(_parity_values(*w.p_range, 1))
-    if jobs > 1 and len(p_values) > 1:
-        step = -(-len(p_values) // jobs)
-        chunks = [(p_values[i:i + step], w.q_range, w.r_range, w.m_max, sign)
-                  for i in range(0, len(p_values), step)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_search_chunk, chunks)
-        records = list(itertools.chain.from_iterable(parts))
-    else:
-        records = _search_chunk((p_values, w.q_range, w.r_range, w.m_max, sign))
-    if dedupe:
-        records = [rec for rec in records if rec.p <= rec.q]
-    return sorted(records, key=lambda rec: (rec.p, rec.q, rec.r, rec.m))
+    q_lo, q_hi = w.q_range
+    pairs = ((p, q) for p in _parity_values(*w.p_range, 1)
+             for q in _parity_values(max(p, q_lo) if dedupe else q_lo,
+                                     q_hi, 1))
+    return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
+            for p, q, rows in _solve(w, sign, pairs) for r, m in rows]
 
 
 def verify_negative_restriction(w: SearchWindow, jobs: int = 1) -> bool:
-    """Every solution of pq+pr+qr = -m^2 in the window has p+q = 0 mod 8."""
-    return all(rec.p_plus_q_mod_8 == 0 for rec in search(w, -1, jobs=jobs))
+    """Every solution of pq+pr+qr = -m^2 in the window has p+q = 0 mod 8.
+
+    Only pairs with p + q != 0 mod 8 can violate it, so only those are
+    solved, and the first solution found answers False.  ``jobs`` is
+    ignored.
+    """
+    pairs = ((p, q) for p in _parity_values(*w.p_range, 1)
+             for q in _parity_values(*w.q_range, 1) if (p + q) % 8)
+    return next(_solve(w, -1, pairs), None) is None
 
 
 def residue_prefilter(sign: int) -> set[int]:

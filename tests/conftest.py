@@ -152,16 +152,26 @@ def witt_zero_bruteforce(units, p):
     return extend([])
 
 
-def naive_window_search(bound, sign, m_max):
-    """Triple loop plus an explicit loop over m; no perfect-square fast path."""
+def naive_window_search(bound, sign, m_max, r_bound=None, p_range=None,
+                        q_range=None, r_range=None):
+    """Triple loop plus an explicit loop over m; no perfect-square fast path.
+
+    |p|, |q| <= bound and |r| <= r_bound (default: bound), unless an
+    inclusive ``p_range``, ``q_range`` or ``r_range`` is given instead.
+    """
+    if r_bound is None:
+        r_bound = bound
+    p_lo, p_hi = p_range or (-bound, bound)
+    q_lo, q_hi = q_range or (-bound, bound)
+    r_lo, r_hi = r_range or (-r_bound, r_bound)
     out = []
-    for p in range(-bound, bound + 1):
+    for p in range(p_lo, p_hi + 1):
         if p % 2 == 0:
             continue
-        for q in range(-bound, bound + 1):
+        for q in range(q_lo, q_hi + 1):
             if q % 2 == 0:
                 continue
-            for r in range(-bound, bound + 1, 1):
+            for r in range(r_lo, r_hi + 1, 1):
                 if r % 2 != 0:
                     continue
                 t = p * q + p * r + q * r

@@ -296,3 +296,57 @@ def test_internal_error_is_structured(a8_json, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err == {"type": "internal",
                    "message": "signature 4 not divisible by 8"}
+
+
+def test_main_reuses_one_parser_without_carrying_options(a8_json, monkeypatch,
+                                                          capsys):
+    from wittlink import cli
+
+    def fresh(argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        return capsys.readouterr().out
+
+    builds = []
+    real_build = cli.build_parser
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real_build())
+    # Each flag is set in one call and left out of the next call of the
+    # same subcommand.
+    sequence = [
+        ["dioph", "--sign", "1", "--pq", "7", "--r", "6", "--m", "9",
+         "--dedupe", "--jobs", "2"],
+        ["dioph", "--sign", "1", "--pq", "7", "--r", "6", "--m", "9"],
+        ["gauss", "--gram", a8_json, "--approx", "--jobs", "2"],
+        ["diag", "--gram", a8_json, "--approx"],
+        ["gauss", "--gram", a8_json],
+        ["dioph", "--pq", "9", "--r", "10", "--m", "9", "--verify"],
+        ["diag", "--gram", a8_json],
+        ["dioph", "--pq", "5", "--r", "4", "--m", "3"],
+        ["analyze", "--gram", a8_json, "--bound-group", "1"],
+        ["analyze", "--gram", a8_json],
+    ]
+    outputs = []
+    for argv in sequence:
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "build_parser", real_build)
+    for argv, out in zip(sequence, outputs):
+        assert out == fresh(argv)
+    assert outputs[0] != outputs[1]
+    assert outputs[2] != outputs[4]
+    assert outputs[5] == "restriction holds\n" != outputs[7]
+    assert outputs[8] != outputs[9]
+
+
+def test_gauss_check_holds_for_non_square_det_near_a_million(tmp_path):
+    # det 599999: the plain float sum misses sqrt|det| * e^(2 pi i sigma/8)
+    # by about 1.3e-9, an exactly reduced fsum by about 2e-11.
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps({"gram": [[600, 1], [1, 1000]]}))
+    code, out, _ = run_cli("gauss", "--gram", str(path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["denominator"] == 599999 and rep["check"] is True

@@ -86,3 +86,47 @@ def test_window_validation():
         SearchWindow((1, 1), (1, 1), (0, 0), 0)
     with pytest.raises(ValueError):
         search(symmetric_window(3, 2, 1), 0)
+
+
+# (p_range, q_range, r_range, m_max): asymmetric windows, m_max below and
+# above the window, with and without pairs p + q = 0.
+ORACLE_WINDOWS = [
+    ((-13, 7), (-5, 15), (-9, 12), 11),
+    ((-13, 7), (-5, 15), (-9, 12), 3),
+    ((1, 15), (3, 17), (-20, 4), 31),
+    ((-15, -3), (-11, -1), (-6, 18), 25),
+    ((-7, 9), (-9, 7), (2, 14), 5),
+    ((-9, 9), (-9, 9), (-12, -2), 45),
+    ((4, 4), (-11, 11), (-10, 10), 13),
+]
+
+
+def test_search_matches_naive_oracle_on_asymmetric_windows():
+    for p_range, q_range, r_range, m_max in ORACLE_WINDOWS:
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        for sign in (1, -1):
+            want = naive_window_search(None, sign, m_max, p_range=p_range,
+                                       q_range=q_range, r_range=r_range)
+            got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
+            assert got == want
+            deduped = [(r.p, r.q, r.r, r.m)
+                       for r in search(w, sign, dedupe=True)]
+            assert deduped == [row for row in want if row[0] <= row[1]]
+
+
+def test_search_separate_r_bound_matches_naive_oracle():
+    for bound, r_bound, m_max in ((11, 4, 21), (7, 20, 9)):
+        for sign in (1, -1):
+            got = [(r.p, r.q, r.r, r.m)
+                   for r in search(symmetric_window(bound, r_bound, m_max),
+                                   sign)]
+            assert got == naive_window_search(bound, sign, m_max, r_bound)
+
+
+def test_verify_agrees_with_search_on_random_windows(rng):
+    for _ in range(100):
+        lo_hi = [sorted((rng.randint(-40, 40), rng.randint(-40, 40)))
+                 for _ in range(3)]
+        w = SearchWindow(*map(tuple, lo_hi), rng.randint(1, 60))
+        assert verify_negative_restriction(w) == all(
+            r.p_plus_q_mod_8 == 0 for r in search(w, -1))
