@@ -19,7 +19,8 @@ from .discriminant import (DiscriminantForm, GaussSumValue, MainTheoremReport,
                            find_metabolizer, gauss_sum, gauss_sum_check,
                            gauss_sum_matches,
                            hermite_basis, linking_is_nondegenerate,
-                           linking_value, overlattice_from_metabolizer,
+                           linking_value, metabolizer_may_exist,
+                           overlattice_from_metabolizer,
                            smith_normal_form, verify_main_theorem)
 from .knots import (KnotReport, PretzelKnot, SeifertMatrix, analyze_knot,
                     knot_determinant, knot_signature, murasugi_check,

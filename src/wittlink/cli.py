@@ -94,7 +94,7 @@ def _cmd_disc(args) -> int:
     f = _load_gram(args.gram)
     d = discriminant.discriminant_form(f)
     meta = None
-    if d.group_order() <= args.bound_group:
+    if discriminant.metabolizer_may_exist(f, args.bound_group):
         found = discriminant.find_metabolizer(d, bound=args.bound_group)
         meta = [list(g) for g in found] if found is not None else None
     out = {"orders": list(d.orders),

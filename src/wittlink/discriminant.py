@@ -24,7 +24,7 @@ from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
 from .forms import (IntegerSymmetricForm, determinant, form_from_rows, is_even,
-                    pivot_minors, signature_from_minors)
+                    signature_from_minors)
 from .witt import boundary_zero_from_minors, factorize
 
 DEFAULT_GROUP_BOUND = 10 ** 4
@@ -290,6 +290,15 @@ def _component_metabolizer(d, elements, target, depth_cap):
     return extend([], zero, 0)
 
 
+def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
+    """Whether the discriminant group G of f is within ``bound`` and could
+    have a metabolizer: |G| = |det| is a square and, when it is odd, the
+    residues vanish (an odd linking form is metabolic iff Witt-zero)."""
+    adet = abs(f.minors[-1])
+    return (adet <= bound and math.isqrt(adet) ** 2 == adet
+            and (adet % 2 == 0 or boundary_zero_from_minors(f.minors)))
+
+
 def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
     """Search for a subgroup H with |H|^2 = |G| and vanishing linking form.
 
@@ -524,7 +533,7 @@ def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
     sides are evaluated numerically, the sum by ``_fsum_value``, and
     compared at absolute tolerance 1e-9.
     """
-    minors = pivot_minors(f)
+    minors = f.minors
     sig = signature_from_minors(minors)
     adet = abs(minors[-1])
     m = math.isqrt(adet)
@@ -623,24 +632,17 @@ def verify_main_theorem(f: IntegerSymmetricForm,
                         group_bound: int = DEFAULT_GROUP_BOUND) -> MainTheoremReport:
     """Assemble the hypothesis checks and the signature verdict for a form.
 
-    det, signature and the residue test all come from one pass of
-    ``pivot_minors``.  The metabolizer witness is only searched for when the
-    discriminant group is within ``group_bound`` and could have one: |G| =
-    |det| must be a square, and for odd |G| a linking form is metabolic
-    exactly when it is Witt-zero, which the residue test has decided.  Its
-    absence never changes ``theorem_applies``, which relies on the residue
-    criterion.
+    det, signature and the residue test read the minors that validated f.
+    The metabolizer is searched for only when :func:`metabolizer_may_exist`;
+    its absence never changes ``theorem_applies``, which rests on residues.
     """
     even = is_even(f)
-    minors = pivot_minors(f)
-    det = minors[-1]
+    det = f.minors[-1]
     det_odd = det % 2 != 0
-    boundary_zero = boundary_zero_from_minors(minors)
-    sig = signature_from_minors(minors)
+    boundary_zero = boundary_zero_from_minors(f.minors)
+    sig = signature_from_minors(f.minors)
     metabolizer = None
-    adet = abs(det)
-    if (adet <= group_bound and math.isqrt(adet) ** 2 == adet
-            and (boundary_zero or not det_odd)):
+    if metabolizer_may_exist(f, group_bound):
         found = find_metabolizer(discriminant_form(f), bound=group_bound)
         metabolizer = tuple(found) if found is not None else None
     applies = even and det_odd and boundary_zero

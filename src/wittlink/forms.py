@@ -1,16 +1,17 @@
 """Symmetric bilinear forms on integer lattices, with exact arithmetic.
 
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
-computed over Z or Q with arbitrary precision: the determinant and the
-leading minors of the diagonalization by fraction-free Bareiss elimination,
-the diagonalization itself (with its transition matrix) over Q.  No
-floating point anywhere.
+exact: one symmetric fraction-free (Bareiss) elimination validates a form
+and gives the leading minors, which yield its determinant, signature and
+rational diagonal; the diagonalization over Q, with its transition matrix,
+is computed only for display.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._mat import identity
 from .errors import DegenerateError, NotSquareError, NotSymmetricError
@@ -29,6 +30,11 @@ class IntegerSymmetricForm:
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.gram]
+
+    @cached_property
+    def minors(self) -> tuple[int, ...]:
+        """:func:`pivot_minors` of the form, computed once, by validation."""
+        return pivot_minors(self)
 
 
 @dataclass(frozen=True)
@@ -67,37 +73,13 @@ def form_from_rows(rows) -> IntegerSymmetricForm:
                 raise NotSymmetricError(
                     f"gram[{i}][{j}] = {rows[i][j]} != gram[{j}][{i}] = {rows[j][i]}")
     gram = tuple(tuple(int(x) for x in row) for row in rows)
-    if _bareiss_det(gram) == 0:
-        raise DegenerateError("Gram matrix has determinant 0")
-    return IntegerSymmetricForm(n=n, gram=gram)
+    f = IntegerSymmetricForm(n=n, gram=gram)
+    f.minors  # the elimination raises DegenerateError when det is 0
+    return f
 
 
 def determinant(f: IntegerSymmetricForm) -> int:
-    return _bareiss_det(f.gram)
-
-
-def _bareiss_det(gram) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(gram)
-    if n == 0:
-        return 1
-    m = [list(row) for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return f.minors[-1]
 
 
 def is_even(f: IntegerSymmetricForm) -> bool:
@@ -170,6 +152,8 @@ def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
     class is that of the integer D_k * D_(k-1), and D_n is the determinant.
     Entries of the trailing block are D_k times those of diagonalize's
     trailing block, so the pivot tests agree; every division is exact.
+    Raises DegenerateError exactly when det is 0: every pivot kept is
+    nonzero, and a trailing block with a zero row is singular.
     """
     n = f.n
     a = f.rows()
@@ -184,7 +168,7 @@ def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
             else:
                 j = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if j is None:
-                    raise DegenerateError("trailing block is degenerate")
+                    raise DegenerateError("Gram matrix has determinant 0")
                 a[k] = [x + y for x, y in zip(a[k], a[j])]
                 for row in a[k:]:
                     row[k] += row[j]
@@ -208,7 +192,7 @@ def signature_from_minors(minors) -> int:
 
 
 def signature(f: IntegerSymmetricForm) -> int:
-    return signature_from_minors(pivot_minors(f))
+    return signature_from_minors(f.minors)
 
 
 def direct_sum(f1: IntegerSymmetricForm, f2: IntegerSymmetricForm) -> IntegerSymmetricForm:

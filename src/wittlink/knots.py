@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateParameterError, InvalidSeifertError,
                      NotSquareError)
-from .forms import (IntegerSymmetricForm, _bareiss_det, determinant,
-                    form_from_rows, pivot_minors, signature,
-                    signature_from_minors)
+from .forms import (IntegerSymmetricForm, determinant, form_from_rows,
+                    signature, signature_from_minors)
 from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
 
 
@@ -53,6 +52,23 @@ class KnotReport:
     murasugi_class: int
     boundary_zero: bool
     signature_mod_8: int | None
+
+
+def _bareiss_det(rows) -> int:
+    """Fraction-free determinant of an integer matrix, symmetric or not."""
+    m = [list(row) for row in rows]
+    sign = prev = 1
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
 def seifert_from_rows(rows) -> SeifertMatrix:
@@ -97,17 +113,17 @@ def knot_determinant(s: SeifertMatrix) -> int:
 def murasugi_check(s: SeifertMatrix) -> bool:
     """Signature mod 4 is forced by the determinant: 0 when |det| = 1 mod 4,
     2 when |det| = 3 mod 4.  True for every valid Seifert matrix."""
-    det = knot_determinant(s)
-    sig = knot_signature(s)
+    f = symmetrize(s)
+    det, sig = determinant(f), signature(f)
     if abs(det) % 4 == 1:
         return sig % 4 == 0
     return sig % 4 == 2
 
 
 def analyze_knot(s: SeifertMatrix) -> KnotReport:
-    """Full pipeline: symmetrize, take the pivot minors, residue-test,
-    report."""
-    minors = pivot_minors(symmetrize(s))
+    """Full pipeline: symmetrize, read the pivot minors its validation
+    computed, residue-test, report."""
+    minors = symmetrize(s).minors
     sig = signature_from_minors(minors)
     bz = boundary_zero_from_minors(minors)
     return KnotReport(signature=sig, determinant=minors[-1],

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
                      PrimeMismatchError, ZeroEntryError)
-from .forms import IntegerSymmetricForm, diagonalize
+from .forms import IntegerSymmetricForm
 
 _TRIAL_LIMIT = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -178,7 +178,9 @@ def witt_negate(c: WittClassQ) -> WittClassQ:
 
 
 def rational_witt_class(f: IntegerSymmetricForm) -> WittClassQ:
-    return witt_from_diagonal(diagonalize(f).entries)
+    """Witt class over Q of the diagonal D_k / D_(k-1) of f's minors."""
+    m = f.minors
+    return witt_from_diagonal(Fraction(b, a) for a, b in zip(m, m[1:]))
 
 
 @dataclass(frozen=True)
@@ -241,12 +243,13 @@ def finite_witt_is_zero(x: FiniteWittClass) -> bool:
     return x.zero
 
 
-def _valuation(n: int, p: int) -> int:
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v, u) with n = u * p^v and u prime to p; n must be nonzero."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 def boundary_at_prime(c: WittClassQ, p: int) -> FiniteWittClass:
@@ -264,16 +267,10 @@ def _residue(entries, p: int) -> FiniteWittClass:
     units = []
     for e in entries:
         frac = Fraction(e)
-        v = _valuation(frac.numerator, p) - _valuation(frac.denominator, p)
-        if v % 2 == 0:
-            continue
-        num = frac.numerator
-        den = frac.denominator
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-        units.append((num * den) % p)
+        vn, num = _split(frac.numerator, p)
+        vd, den = _split(frac.denominator, p)
+        if (vn - vd) % 2:
+            units.append(num * den % p)
     if p == 2:
         return FiniteWittClass(prime=2, rank_parity=len(units) % 2,
                                disc_is_square=None)

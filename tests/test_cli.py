@@ -350,3 +350,96 @@ def test_gauss_check_holds_for_non_square_det_near_a_million(tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["denominator"] == 599999 and rep["check"] is True
+
+
+def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
+    # The form of test_analyze_skips_search_when_no_metabolizer_exists:
+    # disc shares analyze's gate, so it answers without the exhaustive search.
+    rows = [[0] * 16 for _ in range(16)]
+    for k in range(8):
+        s = 1 if k < 7 else -1
+        rows[2 * k][2 * k:2 * k + 2] = [2 * s, -s]
+        rows[2 * k + 1][2 * k:2 * k + 2] = [-s, 2 * s]
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"gram": rows}))
+    proc = subprocess.run([sys.executable, "-m", "wittlink", "disc", "--gram",
+                           str(path)], capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)
+    assert rep["orders"] == [3] * 8 and rep["metabolizer"] is None
+
+
+def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
+    """Validation runs the one symmetric elimination; every command reads
+    its minors, and only diag runs the rational diagonalization."""
+    from collections import Counter
+
+    from wittlink import cli, forms, knots
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(forms, "pivot_minors")
+    count(forms, "diagonalize")
+    count(knots, "_bareiss_det")
+    # det 9 (odd square) and det -4 (even square): analyze and disc both
+    # search for a metabolizer on these.
+    for i, rows in enumerate((A8_NEG, [[0, 2], [2, 0]])):
+        path = tmp_path / f"form{i}.json"
+        path.write_text(json.dumps({"gram": rows}))
+        for cmd in ("analyze", "gauss", "boundary", "disc", "diag"):
+            calls.clear()
+            assert cli.main([cmd, "--gram", str(path)]) == 0
+            assert calls == Counter(pivot_minors=1,
+                                    diagonalize=int(cmd == "diag")), cmd
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"seifert": NINE_ONE_SEIFERT}))
+    calls.clear()
+    assert cli.main(["knot", "--seifert", str(path)]) == 0
+    assert calls == Counter(pivot_minors=1, _bareiss_det=1)
+    capsys.readouterr()
+
+
+RUN_EVERY_COMMAND = """
+import sys
+before = {id(m) for m in sys.modules.values()}
+import wittlink
+from wittlink.cli import main
+gram, seifert = sys.argv[1:]
+for argv in (["analyze", "--gram", gram], ["diag", "--gram", gram],
+             ["boundary", "--gram", gram], ["disc", "--gram", gram],
+             ["gauss", "--gram", gram], ["knot", "--seifert", seifert],
+             ["pretzel", "3", "5", "-2"], ["dioph", "--pq", "5", "--r", "4",
+                                          "--m", "5", "--dedupe"],
+             ["dioph", "--pq", "5", "--r", "4", "--m", "5", "--verify"]):
+    assert main(argv) == 0, argv
+# Aliases such as multiprocessing's __mp_main__ name modules loaded before.
+print(*sorted({name.partition(".")[0] for name, m in sys.modules.items()
+               if id(m) not in before}), file=sys.stderr)
+"""
+
+
+def test_runtime_loads_only_the_standard_library(tmp_path):
+    import os
+    from pathlib import Path
+    gram = tmp_path / "g.json"
+    gram.write_text(json.dumps({"gram": A8_NEG}))
+    seifert = tmp_path / "s.json"
+    seifert.write_text(json.dumps({"seifert": TREFOIL_SEIFERT}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", RUN_EVERY_COMMAND, str(gram),
+                           str(seifert)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stderr.split()
+    assert "wittlink" in loaded
+    assert [m for m in loaded
+            if m != "wittlink" and m not in sys.stdlib_module_names] == []

@@ -179,3 +179,39 @@ def test_pivot_minors_small_cases():
     assert pivot_minors(form_from_rows([])) == (1,)
     assert pivot_minors(form_from_rows(HYPERBOLIC)) == (1, 2, -1)
     assert pivot_minors(form_from_rows(A8_NEG)) == (1, -2, 3, -4, 5, -6, 7, -8, 9)
+
+
+def test_form_from_rows_rejects_exactly_the_singular(rng):
+    """Validation is the symmetric elimination: it raises DegenerateError
+    exactly when the cofactor determinant is 0.  Two draws in three are made
+    singular by a duplicated row and column; one in three has a zero
+    diagonal, so pivoting starts with e_k -> e_k + e_j, and the others start
+    with a swap whenever the first diagonal entry is 0."""
+    seen = {"singular": 0, "regular": 0, "add_first": 0, "swap_first": 0}
+    for draw in range(300):
+        n = rng.randint(2, 6)
+        zero_diagonal = draw % 3 == 0
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 0 if zero_diagonal else rng.randint(-1, 1)
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+        if draw % 3 != 2:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = list(rows[i])
+            for row in rows:
+                row[j] = row[i]
+        det = cofactor_det(rows)
+        if det == 0:
+            seen["singular"] += 1
+            with pytest.raises(DegenerateError,
+                               match="^Gram matrix has determinant 0$"):
+                form_from_rows(rows)
+        else:
+            seen["regular"] += 1
+            assert determinant(form_from_rows(rows)) == det
+        if rows[0][0] == 0 and any(rows[k][k] for k in range(1, n)):
+            seen["swap_first"] += det == 0
+        elif zero_diagonal and any(rows[0][1:]):
+            seen["add_first"] += det == 0
+    assert min(seen.values()) >= 30, seen

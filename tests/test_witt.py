@@ -236,3 +236,12 @@ def test_factor_cache_is_bounded():
     for n in range(10 ** 6, 10 ** 6 + limit + 100):
         factorize(n)
     assert _factor_magnitude.cache_info().currsize <= limit
+
+
+def test_rational_witt_class_matches_diagonalize(rng):
+    # The entries come from the pivot minors; diagonalize is the reference.
+    from wittlink import diagonalize
+    for _ in range(150):
+        f = form_from_rows(random_mixed_even_rows(rng, max_rank=10))
+        assert (rational_witt_class(f).entries
+                == witt_from_diagonal(diagonalize(f).entries).entries)
