@@ -7,8 +7,8 @@ here ever touches floating point.
 from __future__ import annotations
 
 
-def identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def transpose(m):

@@ -3,8 +3,9 @@
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
 exact: one symmetric fraction-free (Bareiss) elimination validates a form
 and gives the leading minors, which yield its determinant, signature and
-rational diagonal; the diagonalization over Q, with its transition matrix,
-is computed only for display.  No floating point anywhere.
+rational diagonal.  The same elimination, run once more on an identity
+matrix, gives the transition matrix of the diagonalization over Q for
+display.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -88,75 +89,44 @@ def is_even(f: IntegerSymmetricForm) -> bool:
 
 
 def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
-    """Diagonalize over Q by simultaneous symmetric row/column elimination.
+    """Diagonalize over Q: P * B * P^T = diag(entries), deterministically.
 
-    Pivot policy: at step k use the smallest-index nonzero diagonal entry
-    among positions >= k (swapped into place).  If the whole remaining
-    diagonal is zero, the replacement e_i -> e_i + e_j with b(e_i,e_j) != 0
-    creates a nonzero diagonal first; such a pair exists by nondegeneracy.
-    The output is deterministic.
+    Runs the elimination of :func:`pivot_minors` on an integer identity Q
+    as well; entry k is D_k / D_(k-1) and row k of P is Q_k / D_(k-1).
     """
-    n = f.n
-    b = [[Fraction(x) for x in row] for row in f.gram]
-    p = identity(n, one=Fraction(1))
-
-    def swap(i, j):
-        b[i], b[j] = b[j], b[i]
-        for row in b:
-            row[i], row[j] = row[j], row[i]
-        p[i], p[j] = p[j], p[i]
-
-    def add_row(i, j):
-        # e_i -> e_i + e_j
-        b[i] = [x + y for x, y in zip(b[i], b[j])]
-        for row in b:
-            row[i] = row[i] + row[j]
-        p[i] = [x + y for x, y in zip(p[i], p[j])]
-
-    for k in range(n):
-        if b[k][k] == 0:
-            for j in range(k + 1, n):
-                if b[j][j] != 0:
-                    swap(k, j)
-                    break
-            else:
-                # Whole trailing diagonal is zero: row k still pairs with some
-                # later basis vector (nondegeneracy), so e_k -> e_k + e_j gives
-                # b[k][k] = 2*b[k][j] != 0.
-                for j in range(k + 1, n):
-                    if b[k][j] != 0:
-                        add_row(k, j)
-                        break
-                else:
-                    raise DegenerateError("trailing block is degenerate")
-        for i in range(k + 1, n):
-            if b[i][k] == 0:
-                continue
-            t = b[i][k] / b[k][k]
-            b[i] = [x - t * y for x, y in zip(b[i], b[k])]
-            for row in b:
-                row[i] = row[i] - t * row[k]
-            p[i] = [x - t * y for x, y in zip(p[i], p[k])]
-
-    entries = tuple(b[i][i] for i in range(n))
-    return DiagonalRationalForm(entries=entries,
-                                transition=tuple(tuple(row) for row in p))
+    q = identity(f.n)
+    minors = _eliminate(f.rows(), q)
+    return DiagonalRationalForm(
+        entries=tuple(Fraction(b, a) for a, b in zip(minors, minors[1:])),
+        transition=tuple(tuple(Fraction(x, d) for x in row)
+                         for row, d in zip(q, minors)))
 
 
 def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
     """The leading minors (1, D_1, ..., D_n) of the diagonalization, in Z.
 
-    Symmetric fraction-free (Bareiss) elimination with the pivot policy of
-    :func:`diagonalize`: the same swaps and the same e_k -> e_k + e_j step,
-    so entry k of ``diagonalize(f)`` is exactly D_k / D_(k-1), whose square
-    class is that of the integer D_k * D_(k-1), and D_n is the determinant.
-    Entries of the trailing block are D_k times those of diagonalize's
-    trailing block, so the pivot tests agree; every division is exact.
-    Raises DegenerateError exactly when det is 0: every pivot kept is
-    nonzero, and a trailing block with a zero row is singular.
+    Symmetric fraction-free (Bareiss) elimination.  Pivot policy: at step k
+    use the smallest-index nonzero diagonal entry among positions >= k,
+    swapped into place.  If the whole remaining diagonal is zero, the
+    replacement e_k -> e_k + e_j with the smallest j > k and b(e_k,e_j) != 0
+    makes b(e_k,e_k) = 2 b(e_k,e_j) nonzero first.  Entry k of the rational
+    diagonalization is then D_k / D_(k-1), whose square class is that of the
+    integer D_k * D_(k-1), and D_n is the determinant.  After the pivot D_k
+    the trailing block is D_k times the rational one, so every division is
+    exact.  Raises DegenerateError exactly when det is 0: every pivot kept
+    is nonzero, and a trailing block with a zero row is singular.
     """
-    n = f.n
-    a = f.rows()
+    return _eliminate(f.rows())
+
+
+def _eliminate(a, q=None) -> tuple[int, ...]:
+    """The elimination of :func:`pivot_minors` on the rows ``a``, in place.
+
+    When ``q`` is given, the same row operations act on it: the swaps, the
+    e_k -> e_k + e_j step and the exact update, so its row k, once row k is
+    the pivot, is D_(k-1) times row k of the rational transition matrix.
+    """
+    n = len(a)
     minors = [1]
     for k in range(n):
         if a[k][k] == 0:
@@ -165,6 +135,8 @@ def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
                 a[k], a[j] = a[j], a[k]
                 for row in a[k:]:
                     row[k], row[j] = row[j], row[k]
+                if q is not None:
+                    q[k], q[j] = q[j], q[k]
             else:
                 j = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if j is None:
@@ -172,6 +144,8 @@ def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
                 a[k] = [x + y for x, y in zip(a[k], a[j])]
                 for row in a[k:]:
                     row[k] += row[j]
+                if q is not None:
+                    q[k] = [x + y for x, y in zip(q[k], q[j])]
         rk = a[k]
         piv, prev = rk[k], minors[-1]
         # Only the upper triangle is updated and mirrored; columns < k stay
@@ -180,6 +154,11 @@ def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
             ri, c = a[i], rk[i]
             for j in range(i, n):
                 ri[j] = a[j][i] = (ri[j] * piv - c * rk[j]) // prev
+        if q is not None:
+            qk = q[k]
+            for i in range(k + 1, n):
+                c = rk[i]
+                q[i] = [(x * piv - c * y) // prev for x, y in zip(q[i], qk)]
         minors.append(piv)
     return tuple(minors)
 

@@ -76,6 +76,10 @@ def seifert_from_rows(rows) -> SeifertMatrix:
     for row in rows:
         if len(row) != n:
             raise NotSquareError(f"expected {n} columns, got {len(row)}")
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InvalidSeifertError(f"non-integer Seifert entry {x!r}")
     anti = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
     if _bareiss_det(anti) != 1:
         raise InvalidSeifertError("det(S - S^T) must be 1")

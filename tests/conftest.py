@@ -1,9 +1,10 @@
 """Shared fixtures: reference matrices and independent oracles.
 
 The oracles here (cofactor determinants, brute-force isotropic-subspace
-search, alternate-pivot diagonalization, naive window search) deliberately
-reimplement functionality along different paths so the library can be
-checked against them.
+search, diagonalization in Fractions with the library's and with the
+opposite pivot policy, naive window search) deliberately reimplement
+functionality along different paths so the library can be checked against
+them.
 """
 
 from fractions import Fraction
@@ -59,6 +60,54 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def fraction_diagonalize(rows):
+    """Congruence diagonalization P B P^T = D in Fractions, with the pivot
+    policy of ``wittlink.pivot_minors`` but no fraction-free arithmetic:
+    the smallest-index nonzero diagonal entry is swapped into place, and a
+    zero trailing diagonal is repaired by e_k -> e_k + e_j first."""
+    from wittlink.forms import DiagonalRationalForm
+
+    n = len(rows)
+    b = [[Fraction(x) for x in row] for row in rows]
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        b[i], b[j] = b[j], b[i]
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+        p[i], p[j] = p[j], p[i]
+
+    def add_row(i, j):
+        # e_i -> e_i + e_j
+        b[i] = [x + y for x, y in zip(b[i], b[j])]
+        for row in b:
+            row[i] = row[i] + row[j]
+        p[i] = [x + y for x, y in zip(p[i], p[j])]
+
+    for k in range(n):
+        if b[k][k] == 0:
+            for j in range(k + 1, n):
+                if b[j][j] != 0:
+                    swap(k, j)
+                    break
+            else:
+                # Row k pairs with some later basis vector (nondegeneracy),
+                # so e_k -> e_k + e_j gives b[k][k] = 2*b[k][j] != 0.
+                j = next(j for j in range(k + 1, n) if b[k][j] != 0)
+                add_row(k, j)
+        for i in range(k + 1, n):
+            if b[i][k] == 0:
+                continue
+            t = b[i][k] / b[k][k]
+            b[i] = [x - t * y for x, y in zip(b[i], b[k])]
+            for row in b:
+                row[i] = row[i] - t * row[k]
+            p[i] = [x - t * y for x, y in zip(p[i], p[k])]
+
+    return DiagonalRationalForm(entries=tuple(b[i][i] for i in range(n)),
+                                transition=tuple(tuple(row) for row in p))
 
 
 def alt_pivot_signs(gram):
@@ -210,6 +259,25 @@ def random_even_form_rows(rng, rank, entry_bound=8, odd_det=False,
         if odd_det and det % 2 == 0:
             continue
         if max_abs_det is not None and abs(det) > max_abs_det:
+            continue
+        return rows
+
+
+def random_dense_even_rows(rng, rank, entry_bound=3):
+    """Random dense nondegenerate even forms of any rank: rejection-sampled
+    through ``form_from_rows``, since the cofactor oracle is exponential."""
+    from wittlink import form_from_rows
+    from wittlink.errors import DegenerateError
+
+    while True:
+        rows = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            rows[i][i] = 2 * rng.randint(-entry_bound // 2, entry_bound // 2)
+            for j in range(i + 1, rank):
+                rows[i][j] = rows[j][i] = rng.randint(-entry_bound, entry_bound)
+        try:
+            form_from_rows(rows)
+        except DegenerateError:
             continue
         return rows
 

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from conftest import A8_NEG, NINE_ONE_SEIFERT, TREFOIL_SEIFERT
+from conftest import (A8_NEG, NINE_ONE_SEIFERT, TREFOIL_SEIFERT,
+                      fraction_diagonalize)
 
 
 def run_cli(*args):
@@ -257,7 +258,7 @@ DENSE_24 = [
 
 
 def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
-    from wittlink import determinant, diagonalize, form_from_rows
+    from wittlink import determinant, form_from_rows
     path = tmp_path / "dense24.json"
     path.write_text(json.dumps({"gram": DENSE_24}))
     code, out, _ = run_cli("analyze", "--gram", str(path))
@@ -265,8 +266,8 @@ def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
     rep = json.loads(out)
     f = form_from_rows(DENSE_24)
     assert rep["det"] == determinant(f)
-    assert rep["signature"] == sum(1 if e > 0 else -1
-                                   for e in diagonalize(f).entries)
+    entries = fraction_diagonalize(DENSE_24).entries
+    assert rep["signature"] == sum(1 if e > 0 else -1 for e in entries)
     assert rep["boundary_zero"] is False
 
 
@@ -372,7 +373,8 @@ def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
 
 def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
     """Validation runs the one symmetric elimination; every command reads
-    its minors, and only diag runs the rational diagonalization."""
+    its minors, and only diag runs the elimination a second time, on an
+    identity, for the transition matrix."""
     from collections import Counter
 
     from wittlink import cli, forms, knots
@@ -389,6 +391,7 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
 
     count(forms, "pivot_minors")
     count(forms, "diagonalize")
+    count(forms, "_eliminate")
     count(knots, "_bareiss_det")
     # det 9 (odd square) and det -4 (even square): analyze and disc both
     # search for a metabolizer on these.
@@ -399,12 +402,13 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
             calls.clear()
             assert cli.main([cmd, "--gram", str(path)]) == 0
             assert calls == Counter(pivot_minors=1,
-                                    diagonalize=int(cmd == "diag")), cmd
+                                    diagonalize=int(cmd == "diag"),
+                                    _eliminate=1 + (cmd == "diag")), cmd
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"seifert": NINE_ONE_SEIFERT}))
     calls.clear()
     assert cli.main(["knot", "--seifert", str(path)]) == 0
-    assert calls == Counter(pivot_minors=1, _bareiss_det=1)
+    assert calls == Counter(pivot_minors=1, _bareiss_det=1, _eliminate=1)
     capsys.readouterr()
 
 

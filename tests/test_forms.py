@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, alt_pivot_signs,
-                      cofactor_det, is_rational_square, random_even_form_rows,
+                      cofactor_det, fraction_diagonalize, is_rational_square,
+                      random_dense_even_rows, random_even_form_rows,
                       random_mixed_even_rows)
 from wittlink import (determinant, diagonalize, direct_sum, form_from_rows,
                       is_even, pivot_minors, report, signature)
@@ -94,10 +95,11 @@ def test_diagonalize_repeated_zero_diagonal():
 def _check_transition(rows, d):
     n = len(rows)
     p = d.transition
+    pb = [[sum(p[i][a] * rows[a][b] for a in range(n)) for b in range(n)]
+          for i in range(n)]
     for i in range(n):
         for j in range(n):
-            val = sum(p[i][a] * rows[a][b] * p[j][b]
-                      for a in range(n) for b in range(n))
+            val = sum(x * y for x, y in zip(pb[i], p[j]))
             assert val == (d.entries[i] if i == j else 0)
 
 
@@ -109,6 +111,8 @@ def test_transition_is_exact_congruence(rng):
     for _ in range(15):
         rows = random_even_form_rows(rng, rng.randint(1, 5))
         _check_transition(rows, diagonalize(form_from_rows(rows)))
+    rows = random_dense_even_rows(rng, 24)
+    _check_transition(rows, diagonalize(form_from_rows(rows)))
 
 
 def test_det_class_invariance(rng):
@@ -160,19 +164,35 @@ def test_report():
 
 
 def test_pivot_minors_match_diagonalize(rng):
-    """diagonalize stays the reference: entry k is D_k / D_(k-1), det is
-    D_n and the signature counts the positive entries."""
+    """The Fraction diagonalization stays the reference: entry k is
+    D_k / D_(k-1), det is D_n and the signature counts the positive
+    entries."""
     zero_diagonal = 0
     for _ in range(250):
         f = form_from_rows(random_mixed_even_rows(rng))
         minors = pivot_minors(f)
-        entries = diagonalize(f).entries
+        entries = fraction_diagonalize(f.rows()).entries
         assert minors[0] == 1 and len(minors) == f.n + 1
         assert tuple(Fraction(b, a) for a, b in zip(minors, minors[1:])) == entries
         assert minors[-1] == determinant(f)
         assert signature(f) == sum(1 if e > 0 else -1 for e in entries)
         zero_diagonal += all(f.gram[i][i] == 0 for i in range(f.n))
     assert zero_diagonal >= 30  # the e_k -> e_k + e_j branch is exercised
+
+
+def test_diagonalize_matches_fraction_oracle(rng):
+    """The fraction-free pass on an identity gives exactly the entries and
+    the transition matrix of the Fraction elimination."""
+    zero_diagonal = 0
+    for _ in range(260):
+        rows = random_mixed_even_rows(rng)
+        assert diagonalize(form_from_rows(rows)) == fraction_diagonalize(rows)
+        zero_diagonal += all(rows[i][i] == 0 for i in range(len(rows)))
+    assert zero_diagonal >= 30  # the e_k -> e_k + e_j branch is exercised
+    for rank in (24, 32):
+        rows = random_dense_even_rows(rng, rank)
+        assert diagonalize(form_from_rows(rows)) == fraction_diagonalize(rows)
+    assert diagonalize(form_from_rows([])) == fraction_diagonalize([])
 
 
 def test_pivot_minors_small_cases():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import (NINE_ONE_SEIFERT, NINE_ONE_SYM, SEIFERT_6_3,
@@ -12,7 +14,8 @@ from wittlink.errors import (DegenerateParameterError, InvalidSeifertError,
                              NotSquareError)
 
 
-def test_seifert_validation():
+def test_seifert_validation(tmp_path, capsys):
+    from wittlink import cli
     seifert_from_rows(TREFOIL_SEIFERT)
     with pytest.raises(InvalidSeifertError):
         seifert_from_rows([[1, 0], [0, 1]])  # symmetric: det(S-S^T) = 0
@@ -20,6 +23,15 @@ def test_seifert_validation():
         seifert_from_rows([[0, 2], [0, 0]])  # det(S-S^T) = 4
     with pytest.raises(NotSquareError):
         seifert_from_rows([[1, 2]])
+    # det(S - S^T) = 1 holds for both, so only the entry check rejects them
+    for i, rows in enumerate(([[0.5, 1], [0, 1.9]], [[True, 1], [0, -1]])):
+        with pytest.raises(InvalidSeifertError, match="non-integer"):
+            seifert_from_rows(rows)
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps({"seifert": rows}))
+        assert cli.main(["knot", "--seifert", str(path)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "invalid_seifert", err
 
 
 def test_symmetrize_examples():

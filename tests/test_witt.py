@@ -239,9 +239,10 @@ def test_factor_cache_is_bounded():
 
 
 def test_rational_witt_class_matches_diagonalize(rng):
-    # The entries come from the pivot minors; diagonalize is the reference.
-    from wittlink import diagonalize
+    # The entries come from the pivot minors; the Fraction diagonalization
+    # is the reference.
+    from conftest import fraction_diagonalize
     for _ in range(150):
         f = form_from_rows(random_mixed_even_rows(rng, max_rank=10))
-        assert (rational_witt_class(f).entries
-                == witt_from_diagonal(diagonalize(f).entries).entries)
+        expected = witt_from_diagonal(fraction_diagonalize(f.rows()).entries)
+        assert rational_witt_class(f).entries == expected.entries
