@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = gram_cmd("gauss", "exact Gauss sum and the signature identity check")
     p.add_argument("--bound-det", type=int,
                    default=discriminant.DEFAULT_DET_BOUND)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: the enumeration runs in one "
+                        "process")
     p.add_argument("--approx", action="store_true")
     p.set_defaults(func=_cmd_gauss)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import Pool
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
@@ -386,40 +386,19 @@ def _coset_tables(d: DiscriminantForm):
     return n, quad, link
 
 
-def _gauss_chunk(args):
-    orders, n, quad, link, lo, hi = args
-    k = len(orders)
-    counts = {}
-    mod = 2 * n
-    for flat in range(lo, hi):
-        c = []
-        rem = flat
-        for di in reversed(orders):
-            c.append(rem % di)
-            rem //= di
-        c.reverse()
-        val = 0
-        for i in range(k):
-            ci = c[i]
-            if not ci:
-                continue
-            val += ci * ci * quad[i]
-            row = link[i]
-            for j in range(i + 1, k):
-                if c[j]:
-                    val += 2 * ci * c[j] * row[j]
-        val %= mod
-        counts[val] = counts.get(val, 0) + 1
-    return counts
-
-
 def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
               jobs: int = 1) -> GaussSumValue:
     """Enumerate the discriminant group and accumulate e^(pi i b(u,u)).
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
-    and |det| <= enum_bound.  With jobs > 1 the coset range is partitioned
-    across worker processes; the merged result is identical.
+    and |det| <= enum_bound.  ``jobs`` is accepted and ignored: the
+    enumeration runs in one process.
+
+    The Smith orders form a divisor chain, so the last factor d_k is the
+    largest.  For u = (c', t) with t the coefficient on that factor,
+    N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N, so the loop runs
+    over the first k - 1 coefficients and walks t through range(d_k).
+    A unimodular form counts its one element as the factor of order 1.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -428,20 +407,23 @@ def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
         raise DeterminantTooLargeError(
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
-    size = d.group_order()
     n, quad, link = _coset_tables(d)
-    if jobs > 1 and size >= 4 * jobs:
-        step = -(-size // jobs)
-        chunks = [(d.orders, n, quad, link, lo, min(lo + step, size))
-                  for lo in range(0, size, step)]
-        with Pool(jobs) as pool:
-            partials = pool.map(_gauss_chunk, chunks)
-    else:
-        partials = [_gauss_chunk((d.orders, n, quad, link, 0, size))]
-    counts = {}
-    for part in partials:
-        for r, c in part.items():
-            counts[r] = counts.get(r, 0) + c
+    orders = d.orders or (1,)
+    quad = quad or [0]
+    last = len(orders) - 1
+    mod = 2 * n
+    qk = quad[last]
+    counts = Counter()
+    for c in itertools.product(*(range(di) for di in orders[:last])):
+        base = lin = 0
+        for i, ci in enumerate(c):
+            if ci:
+                row = link[i]
+                base += ci * (ci * quad[i] + 2 * sum(
+                    cj * row[j] for j, cj in enumerate(c[i + 1:], i + 1)))
+                lin += 2 * ci * row[last]
+        counts.update((base + t * (lin + t * qk)) % mod
+                      for t in range(orders[last]))
     return GaussSumValue(denominator=n, terms=tuple(sorted(counts.items())))
 
 

@@ -19,6 +19,10 @@ class NotSymmetricError(WittLinkError):
     code = "not_symmetric"
 
 
+class NotIntegerError(WittLinkError):
+    code = "not_integer"
+
+
 class DegenerateError(WittLinkError):
     code = "degenerate"
 

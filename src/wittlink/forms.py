@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._mat import identity
-from .errors import DegenerateError, NotSquareError, NotSymmetricError
+from .errors import (DegenerateError, NotIntegerError, NotSquareError,
+                     NotSymmetricError)
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,8 @@ class IntegerSymmetricForm:
     """A nondegenerate symmetric integer Gram matrix of rank ``n``.
 
     Instances are immutable; build them through :func:`form_from_rows`,
-    which validates squareness, symmetry and nondegeneracy.
+    which validates squareness, integer entries, symmetry and
+    nondegeneracy.
     """
 
     n: int
@@ -67,7 +69,7 @@ def form_from_rows(rows) -> IntegerSymmetricForm:
     for row in rows:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise NotSymmetricError(f"non-integer Gram entry {x!r}")
+                raise NotIntegerError(f"non-integer Gram entry {x!r}")
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:

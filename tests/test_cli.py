@@ -191,6 +191,13 @@ def test_error_exit_codes(tmp_path):
     assert code == 1
     assert json.loads(out)["error"]["type"] == "not_symmetric"
 
+    # symmetric matrices whose entries are not all integers
+    for rows in ([[0.5]], [[True]], [[2, 1], [1, 2.0]]):
+        bad.write_text(json.dumps({"gram": rows}))
+        code, out, _ = run_cli("analyze", "--gram", str(bad))
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "not_integer", rows
+
     degenerate = tmp_path / "deg.json"
     degenerate.write_text(json.dumps({"gram": [[1, 1], [1, 1]]}))
     code, out, _ = run_cli("analyze", "--gram", str(degenerate))
@@ -420,12 +427,14 @@ from wittlink.cli import main
 gram, seifert = sys.argv[1:]
 for argv in (["analyze", "--gram", gram], ["diag", "--gram", gram],
              ["boundary", "--gram", gram], ["disc", "--gram", gram],
-             ["gauss", "--gram", gram], ["knot", "--seifert", seifert],
+             ["gauss", "--gram", gram], ["gauss", "--gram", gram, "--jobs", "2"],
+             ["knot", "--seifert", seifert],
              ["pretzel", "3", "5", "-2"], ["dioph", "--pq", "5", "--r", "4",
                                           "--m", "5", "--dedupe"],
              ["dioph", "--pq", "5", "--r", "4", "--m", "5", "--verify"]):
     assert main(argv) == 0, argv
-# Aliases such as multiprocessing's __mp_main__ name modules loaded before.
+# Compare module objects, not names: an alias of a module loaded before is
+# not a new load.
 print(*sorted({name.partition(".")[0] for name, m in sys.modules.items()
                if id(m) not in before}), file=sys.stderr)
 """
@@ -445,5 +454,7 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stderr.split()
     assert "wittlink" in loaded
+    # gauss --jobs is accepted and ignored: no worker pool is started
+    assert "multiprocessing" not in loaded
     assert [m for m in loaded
             if m != "wittlink" and m not in sys.stdlib_module_names] == []

@@ -13,10 +13,20 @@ from wittlink import (boundary_is_zero, cyclotomic_polynomial, determinant,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
                       witt_from_diagonal)
+from wittlink.discriminant import _coset_tables
 from wittlink.errors import (DeterminantTooLargeError, GroupTooLargeError,
                              LengthMismatchError, NotEvenError)
 
 DIAG_2_M2 = [[2, 0], [0, -2]]
+A2 = [[2, -1], [-1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+def _block_sum(*blocks):
+    f = form_from_rows(blocks[0])
+    for x in blocks[1:]:
+        f = direct_sum(f, form_from_rows(x))
+    return f
 
 
 def _is_unimodular(m):
@@ -364,20 +374,35 @@ def _gauss_exponents_by_direct_enumeration(f):
 
 def test_gauss_sum_matches_direct_enumeration(rng):
     # [[0,4],[4,0]] pins the case where every realized exponent has a
-    # smaller denominator than the linking table (1/4 only occurs doubled)
+    # smaller denominator than the linking table (1/4 only occurs doubled).
+    # Unimodular forms have no cyclic factor to walk; A1^6, D4 + D4 and
+    # A2^3 have k >= 3 factors; [[4,0],[0,12]] has the unequal chain 4 | 12.
     fixtures = [A8_NEG, DIAG_2_M2, [[2, 0], [0, 2]], NINE_ONE_SYM,
-                [[0, 4], [4, 0]]]
+                [[0, 4], [4, 0]], [], HYPERBOLIC, E8,
+                _block_sum(*[[[2]]] * 6).rows(), _block_sum(D4, D4).rows(),
+                _block_sum(A2, A2, A2).rows(), [[4, 0], [0, 12]]]
     for _ in range(5):
         fixtures.append(random_even_form_rows(rng, rng.randint(1, 3),
                                               entry_bound=5, max_abs_det=200))
+    mixed = 0
+    while mixed < 20:
+        rows = random_mixed_even_rows(rng, max_rank=8)
+        if abs(determinant(form_from_rows(rows))) <= 2000:
+            fixtures.append(rows)
+            mixed += 1
+    factors = set()
     for rows in fixtures:
         f = form_from_rows(rows)
         g = gauss_sum(f)
+        d = discriminant_form(f)
+        factors.add(len(d.orders))
+        assert g.denominator == _coset_tables(d)[0]
         got = {}
         for r, c in g.terms:
             key = Fraction(r, g.denominator) % 2
             got[key] = got.get(key, 0) + c
         assert got == _gauss_exponents_by_direct_enumeration(f)
+    assert {0, 2, 3, 4, 6} <= factors
 
 
 def test_gauss_sum_check_hyperbolic_scaled():
@@ -427,23 +452,16 @@ def test_discriminant_generators_match_inverse_oracle(rng):
 def test_metabolizer_skip_agrees_with_exhaustive_search():
     """For odd det, verify_main_theorem skips the search when the residue
     test fails; the exhaustive search finds nothing on those forms either."""
-    a2 = [[2, -1], [-1, 2]]
     five = [[2, 1], [1, 3]]
 
     def neg(x):
         return [[-v for v in row] for row in x]
 
-    def block_sum(*blocks):
-        f = form_from_rows(blocks[0])
-        for x in blocks[1:]:
-            f = direct_sum(f, form_from_rows(x))
-        return f
-
     skipped = 0
-    for x in (a2, five):
+    for x in (A2, five):
         for blocks in ((x, x), (x, neg(x)), (x, x, x, neg(x)),
                        (x, x, neg(x), neg(x)), (x, x, x, x)):
-            f = block_sum(*blocks)
+            f = _block_sum(*blocks)
             rep = verify_main_theorem(f)
             found = find_metabolizer(discriminant_form(f))
             assert rep.det_odd

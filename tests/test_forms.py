@@ -8,7 +8,8 @@ from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, alt_pivot_signs,
                       random_mixed_even_rows)
 from wittlink import (determinant, diagonalize, direct_sum, form_from_rows,
                       is_even, pivot_minors, report, signature)
-from wittlink.errors import DegenerateError, NotSquareError, NotSymmetricError
+from wittlink.errors import (DegenerateError, NotIntegerError, NotSquareError,
+                             NotSymmetricError)
 
 
 def test_form_from_rows_examples():
@@ -23,7 +24,7 @@ def test_form_from_rows_errors():
         form_from_rows([[1, 2]])
     with pytest.raises(NotSymmetricError):
         form_from_rows([[1, 2], [3, 4]])
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(NotIntegerError):
         form_from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
     with pytest.raises(DegenerateError):
         form_from_rows([[1, 1], [1, 1]])
