@@ -109,8 +109,7 @@ def _cmd_disc(args) -> int:
 def _cmd_gauss(args) -> int:
     f = _load_gram(args.gram)
     g = discriminant.gauss_sum(f, enum_bound=args.bound_det, jobs=args.jobs)
-    out = {"denominator": g.denominator,
-           "terms": [[r, c] for r, c in g.terms],
+    out = {"denominator": g.denominator, "terms": g.terms,
            "check": discriminant.gauss_sum_matches(f, g)}
     if args.approx:
         z = g.approx()

@@ -6,8 +6,8 @@ linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
 that the Gauss sum exponentiates.  Everything is exact: the group structure
 comes from an integer Smith normal form, the Gauss sum is stored as a
 multiset of roots of unity, and the signature identity
-sqrt|det| * e^(2 pi i sigma/8) is checked either in a cyclotomic ring
-(square determinant) or numerically (otherwise).
+sqrt|det| * e^(2 pi i sigma/8) is checked per prime component in the
+cyclotomic ring that holds the component's sum.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -299,6 +299,25 @@ def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
             and (adet % 2 == 0 or boundary_zero_from_minors(f.minors)))
 
 
+def _primary_components(orders):
+    """(p, exps, strides) for each prime p dividing |G|, in increasing order.
+
+    exps[i] = v_p(d_i) and strides[i] = d_i / p^exps[i]: the p-primary
+    component is generated by the strides[i] * g_i, of orders p^exps[i].
+    """
+    out = []
+    for p in factorize(math.prod(orders)).primes():
+        exps = []
+        for di in orders:
+            e = 0
+            while di % p == 0:
+                di //= p
+                e += 1
+            exps.append(e)
+        out.append((p, exps, [di // p ** e for di, e in zip(orders, exps)]))
+    return out
+
+
 def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
     """Search for a subgroup H with |H|^2 = |G| and vanishing linking form.
 
@@ -319,24 +338,13 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
         return None
     if m == 1:
         return []
-    k = len(d.orders)
-    primes = factorize(g_order).primes()
     combined = []
-    for p in primes:
-        exps = []
-        for di in d.orders:
-            e = 0
-            while di % p == 0:
-                di //= p
-                e += 1
-            exps.append(e)
+    for p, exps, strides in _primary_components(d.orders):
         total = sum(exps)
         # |G| being a square makes every p-exponent even
         target = p ** (total // 2)
         if target == 1:
             continue
-        # the p-primary component: multiples of (d_i / p^{e_i}) * e_i
-        strides = [d.orders[i] // p ** exps[i] for i in range(k)]
         elements = []
         for coeffs in itertools.product(*(range(p ** e) for e in exps)):
             elements.append(tuple((c * s) % di for c, s, di
@@ -359,10 +367,15 @@ class GaussSumValue:
 
     ``terms`` maps a residue r mod 2N to its multiplicity; the value is
     sum_r terms[r] * zeta^r with zeta the primitive 2N-th root e^(pi i / N).
+    ``phase`` is the k mod 8 for which the value is
+    sqrt(total_count()) * e^(2 pi i k / 8), certified exactly by
+    :func:`gauss_sum`; it is None on a hand-built value and when some prime
+    component fails the certification.  Equality ignores it.
     """
 
     denominator: int
     terms: tuple[tuple[int, int], ...]
+    phase: int | None = field(default=None, compare=False)
 
     def total_count(self) -> int:
         return sum(c for _, c in self.terms)
@@ -388,17 +401,19 @@ def _coset_tables(d: DiscriminantForm):
 
 def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
               jobs: int = 1) -> GaussSumValue:
-    """Enumerate the discriminant group and accumulate e^(pi i b(u,u)).
+    """The Gauss sum sum_u e^(pi i b(u,u)) over the discriminant group.
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
     and |det| <= enum_bound.  ``jobs`` is accepted and ignored: the
     enumeration runs in one process.
 
-    The Smith orders form a divisor chain, so the last factor d_k is the
-    largest.  For u = (c', t) with t the coefficient on that factor,
-    N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N, so the loop runs
-    over the first k - 1 coefficients and walks t through range(d_k).
-    A unimodular form counts its one element as the factor of order 1.
+    G is the orthogonal sum of its p-primary components G_p, and
+    b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
+    components.  So each G_p is walked once, by :func:`_component_counts`,
+    into a histogram of N b(u,u) mod 2N; the histograms are merged by
+    residue addition mod 2N, smallest first, into ``terms``; and each
+    component's sum is checked against Milgram's formula on its own, by
+    :func:`_component_phase`, to give ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -408,23 +423,167 @@ def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
     n, quad, link = _coset_tables(d)
-    orders = d.orders or (1,)
-    quad = quad or [0]
-    last = len(orders) - 1
     mod = 2 * n
-    qk = quad[last]
+    hists = []
+    phase = 0
+    for p, exps, strides in _primary_components(d.orders):
+        idx = [i for i, e in enumerate(exps) if e]
+        counts = _component_counts(
+            [strides[i] ** 2 * quad[i] % mod for i in idx],
+            [[strides[i] * strides[j] * link[i][j] % mod for j in idx]
+             for i in idx],
+            [p ** exps[i] for i in idx], mod)
+        k = _component_phase(counts, p, sum(exps), exps[-1], mod)
+        phase = None if phase is None or k is None else (phase + k) % 8
+        hists.append(counts)
+    hists.sort(key=len, reverse=True)
+    merged = hists.pop() if hists else {0: 1}
+    while hists:
+        merged = _convolve(merged, hists.pop(), mod)
+    # Pairs built in key order sit in memory in that order, which keeps the
+    # later passes over ``terms`` (total_count, the JSON encoder) cache-local.
+    keys = sorted(merged)
+    return GaussSumValue(denominator=n,
+                         terms=tuple(zip(keys, map(merged.__getitem__, keys))),
+                         phase=phase)
+
+
+def _component_counts(quad, link, orders, mod):
+    """Histogram {N b(u,u) mod 2N: count} of one primary component, given
+    its integer tables and its orders, a divisor chain.
+
+    For u = (c', t), with t the coefficient on the last (largest) factor,
+    N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N.  A depth-first walk
+    over c' carries base and the linear coefficients of the factors still
+    to come, so each step adds one term per later factor.  A cyclic
+    component walks t and d - t once, since b(-u, -u) = b(u, u).
+    """
+    last = len(orders) - 1
+    qk, dk = quad[last], orders[last]
+    if last == 0:
+        half = [(t * t * qk) % mod for t in range(1, (dk + 1) // 2)]
+        counts = Counter(half)
+        counts.update(half)
+        counts[0] += 1
+        if dk % 2 == 0:
+            counts[(dk // 2) ** 2 * qk % mod] += 1
+        return counts
     counts = Counter()
-    for c in itertools.product(*(range(di) for di in orders[:last])):
-        base = lin = 0
-        for i, ci in enumerate(c):
-            if ci:
-                row = link[i]
-                base += ci * (ci * quad[i] + 2 * sum(
-                    cj * row[j] for j, cj in enumerate(c[i + 1:], i + 1)))
-                lin += 2 * ci * row[last]
-        counts.update((base + t * (lin + t * qk)) % mod
-                      for t in range(orders[last]))
-    return GaussSumValue(denominator=n, terms=tuple(sorted(counts.items())))
+
+    def descend(i, base, lins):
+        # lins[j] is the coefficient of c_(i+j) in the cross terms so far
+        q, row = quad[i], link[i]
+        if i == last - 1:
+            lin, step = lins[1], 2 * row[last]
+            for c in range(orders[i]):
+                b = base + c * (c * q + lins[0])
+                counts.update([(b + t * (lin + t * qk)) % mod
+                               for t in range(dk)])
+                lin += step
+            return
+        for c in range(orders[i]):
+            descend(i + 1, (base + c * (c * q + lins[0])) % mod,
+                    [(x + 2 * c * row[j]) % mod
+                     for j, x in enumerate(lins[1:], i + 1)])
+
+    descend(0, 0, [0] * (last + 1))
+    return counts
+
+
+def _convolve(a, b, mod):
+    """The histogram of r + s mod ``mod`` for r, s drawn from a and b."""
+    out = {}
+    get = out.get
+    for ra, ca in a.items():
+        for rb, cb in b.items():
+            r = (ra + rb) % mod
+            out[r] = get(r, 0) + ca * cb
+    return out
+
+
+def _component_phase(counts, p, e, a, mod):
+    """The k mod 8 with sum_r counts[r] zeta^r = sqrt(p^e) e^(2 pi i k / 8),
+    zeta = e^(2 pi i / mod), for a p-primary component of order p^e and
+    exponent p^a; None when the sum has no such form.
+
+    Exact: each e^(pi i b(u,u)) is a P-th root of unity, P = p^a for odd p
+    and P = 2^(a+1) for p = 2, so the sum lies in Z[zeta_P] and is
+    compared with each candidate there.
+    """
+    size = p ** a if p > 2 else 2 ** (a + 1)
+    step = mod // size
+    if any(r % step for r in counts):
+        return None
+    if p > 2:
+        return _odd_phase(counts, p, e, step * size // p, mod)
+    return _two_phase(counts, a, e, step)
+
+
+def _odd_phase(counts, p, e, shift, mod):
+    """Odd p: the candidates are +-m or, for odd e, +-m g_p with m = p^(e//2)
+    and g_p = sum_t zeta_p^(t^2), which is sqrt(p) for p = 1 mod 4 and
+    i sqrt(p) for p = 3 mod 4.
+
+    The only relations among the powers of zeta = zeta_(p^a) are the sums
+    of p conjugates zeta^j (1 + zeta^h + ... + zeta^((p-1) h)), h = p^(a-1),
+    whose residues are j + multiples of ``shift``: a vector is zero in
+    Z[zeta] iff it is constant on each of those classes.  The candidates
+    live on the class of 0, so every other class must be constant in
+    ``counts`` itself.  On the class of 0, read as u[i] = counts[i shift],
+    the sum minus s g_p (s = +-m) is constant K iff u[0] = K + s,
+    u[i] = K + 2s on the (p-1)/2 nonzero squares i and u[i] = K on the
+    others; the sum minus s is constant iff u[i] = u[1] for every i != 0.
+    """
+    u = [0] * p
+    for r, c in counts.items():
+        i, rest = divmod(r, shift)
+        if not rest:
+            u[i] = c
+        elif counts.get((r + shift) % mod) != c:
+            return None
+    m = p ** (e // 2)
+    if e % 2 == 0:
+        s = u[0] - u[1]
+        ok = u.count(u[1]) == p - 1
+    else:
+        s, half = u[1] - u[0], (p - 1) // 2
+        square = u[1]
+        ok = (u.count(square) == half and u.count(u[0] - s) == half
+              and all(u[t * t % p] == square for t in range(2, half + 1)))
+    if not ok or abs(s) != m:
+        return None
+    k = 0 if s > 0 else 4
+    return k + 2 if e % 2 and p % 4 == 3 else k
+
+
+def _two_phase(counts, a, e, step):
+    """p = 2: compare in Z[zeta], zeta a primitive 2^j-th root with
+    j = max(a + 1, 3), so that zeta_8 = zeta^(2^(j-3)) and
+    sqrt 2 = zeta_8 + zeta_8^7 lie in it.  Folding by
+    zeta^(2^(j-1)) = -1 gives coordinates in the power basis, where the
+    candidates 2^(e//2) (sqrt 2)^(e mod 2) zeta_8^k are compared exactly.
+    """
+    j = max(a + 1, 3)
+    half = 1 << (j - 1)
+    scale = 1 << (j - a - 1)
+    w = 1 << (j - 3)
+
+    def fold(pairs):
+        out = {}
+        for i, c in pairs:
+            i %= 2 * half
+            if i >= half:
+                i, c = i - half, -c
+            out[i] = out.get(i, 0) + c
+        return {i: c for i, c in out.items() if c}
+
+    gamma = fold((r // step * scale, c) for r, c in counts.items())
+    c = 1 << (e // 2)
+    for k in range(8):
+        root = [k] if e % 2 == 0 else [k + 1, k + 7]
+        if fold((x * w, c) for x in root) == gamma:
+            return k
+    return None
 
 
 @lru_cache(maxsize=256)
@@ -481,25 +640,6 @@ def _div_x_pow_minus_1(a, k):
     return q
 
 
-def _reduce_mod_cyclotomic(coeffs: dict, n: int) -> tuple[int, ...]:
-    """Canonical representative of an integer combination of n-th roots of
-    unity: the remainder modulo Phi_n, as a coefficient tuple."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    top = max(coeffs) if coeffs else 0
-    work = [0] * (max(top, deg) + 1)
-    for e, c in coeffs.items():
-        work[e % n] += c
-    lower = [(j, pc) for j, pc in enumerate(phi[:-1]) if pc]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = 0
-            for j, pc in lower:
-                work[i - deg + j] -= c * pc
-    return tuple(work[:deg])
-
-
 def gauss_sum_check(f: IntegerSymmetricForm,
                     enum_bound: int = DEFAULT_DET_BOUND,
                     jobs: int = 1) -> bool:
@@ -510,40 +650,20 @@ def gauss_sum_check(f: IntegerSymmetricForm,
 def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
     """Does ``g``, the Gauss sum of f, equal sqrt|det| * e^(2 pi i sigma / 8)?
 
-    When |det| is a perfect square m^2 both sides live in a cyclotomic ring
-    and the comparison is exact (canonical reduction there); otherwise both
-    sides are evaluated numerically, the sum by ``_fsum_value``, and
-    compared at absolute tolerance 1e-9.
+    Exact, with no floating point.  A value from :func:`gauss_sum` carries
+    its certified phase k and matches when k = sigma mod 8 and its group
+    order total_count() is |det|.  A hand-built value (phase None) matches
+    when :func:`gauss_sum` computes the same denominator and terms for f,
+    with default bound, and that value matches.
     """
+    if g.phase is None:
+        computed = gauss_sum(f)
+        if computed != g:
+            return False
+        g = computed
     minors = f.minors
-    sig = signature_from_minors(minors)
-    adet = abs(minors[-1])
-    m = math.isqrt(adet)
-    if m * m == adet:
-        two_n = 2 * g.denominator
-        order = math.lcm(8, two_n)
-        coeffs = {}
-        for r, c in g.terms:
-            e = r * (order // two_n)
-            coeffs[e] = coeffs.get(e, 0) + c
-        e_rhs = (order // 8) * (sig % 8)
-        coeffs[e_rhs] = coeffs.get(e_rhs, 0) - m
-        return not any(_reduce_mod_cyclotomic(coeffs, order))
-    predicted = math.sqrt(adet) * cmath.exp(2j * math.pi * sig / 8)
-    return abs(_fsum_value(g) - predicted) < 1e-9
-
-
-def _fsum_value(g: GaussSumValue) -> complex:
-    """sum c * e^(pi i r / N) with each r reduced exactly into (-N, N] and
-    the real and imaginary parts summed by ``math.fsum``: the naive sum
-    drifts by more than 1e-9 at |det| near 10^6."""
-    n = g.denominator
-
-    def angle(r):
-        return math.pi * (r - 2 * n if r > n else r) / n
-
-    return complex(math.fsum(c * math.cos(angle(r)) for r, c in g.terms),
-                   math.fsum(c * math.sin(angle(r)) for r, c in g.terms))
+    return (g.phase == signature_from_minors(minors) % 8
+            and g.total_count() == abs(minors[-1]))
 
 
 # ---------------------------------------------------------------------------

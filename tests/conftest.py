@@ -2,7 +2,8 @@
 
 The oracles here (cofactor determinants, brute-force isotropic-subspace
 search, diagonalization in Fractions with the library's and with the
-opposite pivot policy, naive window search) deliberately reimplement
+opposite pivot policy, whole-group Gauss enumeration and its float value,
+naive window search) deliberately reimplement
 functionality along different paths so the library can be checked against
 them.
 """
@@ -228,6 +229,57 @@ def naive_window_search(bound, sign, m_max, r_bound=None, p_range=None,
                     if t == sign * m * m:
                         out.append((p, q, r, m))
     return sorted(out)
+
+
+def enumerate_gauss_terms(rows):
+    """The Gauss sum ``terms`` of an even form by one loop over the whole
+    discriminant group: sorted (N b(u,u) mod 2N, count) pairs.
+
+    The Smith orders form a divisor chain, so the last factor d_k is the
+    largest.  For u = (c', t) with t the coefficient on it,
+    N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N, with base and lin
+    rebuilt from the ``_coset_tables`` integers at every c'.  A unimodular
+    form counts its one element as the factor of order 1.
+    """
+    import itertools
+    from collections import Counter
+
+    from wittlink import discriminant_form, form_from_rows
+    from wittlink.discriminant import _coset_tables
+
+    d = discriminant_form(form_from_rows(rows))
+    n, quad, link = _coset_tables(d)
+    orders = d.orders or (1,)
+    quad = quad or [0]
+    last = len(orders) - 1
+    mod = 2 * n
+    qk = quad[last]
+    counts = Counter()
+    for c in itertools.product(*(range(di) for di in orders[:last])):
+        base = lin = 0
+        for i, ci in enumerate(c):
+            if ci:
+                row = link[i]
+                base += ci * (ci * quad[i] + 2 * sum(
+                    cj * row[j] for j, cj in enumerate(c[i + 1:], i + 1)))
+                lin += 2 * ci * row[last]
+        counts.update((base + t * (lin + t * qk)) % mod
+                      for t in range(orders[last]))
+    return tuple(sorted(counts.items()))
+
+
+def fsum_gauss_value(g):
+    """sum c * e^(pi i r / N) over g.terms, with each r reduced exactly into
+    (-N, N] and the real and imaginary parts summed by ``math.fsum``: the
+    naive sum drifts by more than 1e-9 at |det| near 10^6."""
+    import math
+    n = g.denominator
+
+    def angle(r):
+        return math.pi * (r - 2 * n if r > n else r) / n
+
+    return complex(math.fsum(c * math.cos(angle(r)) for r, c in g.terms),
+                   math.fsum(c * math.sin(angle(r)) for r, c in g.terms))
 
 
 def is_rational_square(x: Fraction) -> bool:

@@ -278,19 +278,36 @@ def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
     assert rep["boundary_zero"] is False
 
 
-def test_gauss_enumerates_once(a8_json, monkeypatch, capsys):
+def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
+    """One gauss_sum per op, and within it one walk per prime dividing |G|:
+    |G| = 9 for A8 and 30 = 2 * 3 * 5 for <2> + A2 + [[2, 1], [1, -2]]."""
     from wittlink import cli, discriminant
     calls = []
+    walks = []
     real = discriminant.gauss_sum
+    real_walk = discriminant._component_counts
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def counted_walk(quad, link, orders, mod):
+        walks.append(orders)
+        return real_walk(quad, link, orders, mod)
+
     monkeypatch.setattr(discriminant, "gauss_sum", counted)
-    assert cli.main(["gauss", "--gram", a8_json]) == 0
-    assert json.loads(capsys.readouterr().out)["check"] is True
-    assert len(calls) == 1
+    monkeypatch.setattr(discriminant, "_component_counts", counted_walk)
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"gram": [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0],
+                                          [0, -1, 2, 0, 0], [0, 0, 0, 2, 1],
+                                          [0, 0, 0, 1, -2]]}))
+    for path, want in ((a8_json, [[9]]), (str(mixed), [[2], [3], [5]])):
+        calls.clear()
+        walks.clear()
+        assert cli.main(["gauss", "--gram", path]) == 0
+        assert json.loads(capsys.readouterr().out)["check"] is True
+        assert len(calls) == 1
+        assert walks == want
 
 
 def test_internal_error_is_structured(a8_json, monkeypatch, capsys):
@@ -350,8 +367,9 @@ def test_main_reuses_one_parser_without_carrying_options(a8_json, monkeypatch,
 
 
 def test_gauss_check_holds_for_non_square_det_near_a_million(tmp_path):
-    # det 599999: the plain float sum misses sqrt|det| * e^(2 pi i sigma/8)
-    # by about 1.3e-9, an exactly reduced fsum by about 2e-11.
+    # det 599999, a prime: the plain float sum misses
+    # sqrt|det| * e^(2 pi i sigma/8) by about 1.3e-9 here; the exact check
+    # holds.
     path = tmp_path / "f2.json"
     path.write_text(json.dumps({"gram": [[600, 1], [1, 1000]]}))
     code, out, _ = run_cli("gauss", "--gram", str(path))

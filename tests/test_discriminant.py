@@ -1,12 +1,15 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, cofactor_det,
+                      enumerate_gauss_terms, fsum_gauss_value,
                       random_even_form_rows, random_mixed_even_rows)
-from wittlink import (boundary_is_zero, cyclotomic_polynomial, determinant,
-                      diagonalize, direct_sum, discriminant_form, find_metabolizer,
+from wittlink import (GaussSumValue, boundary_is_zero, cyclotomic_polynomial,
+                      determinant, diagonalize, direct_sum, discriminant_form,
+                      find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
                       gauss_sum_matches,
                       hermite_basis, linking_is_nondegenerate, linking_value,
@@ -485,3 +488,110 @@ def test_cyclotomic_cache_is_bounded():
     for n in range(1, limit + 50):
         cyclotomic_polynomial(n)
     assert cyclotomic_polynomial.cache_info().currsize <= limit
+
+
+def _neg(rows):
+    return [[-x for x in row] for row in rows]
+
+
+def _gauss_fixture_rows(rng):
+    """Forms whose discriminant groups cover the shapes the per-prime walk
+    distinguishes, then random mixed forms with |det| <= 3000."""
+    x15 = [[4, 1], [1, 4]]
+    x12 = [[4, 2], [2, 4]]
+    fixed = [[], E8, HYPERBOLIC, D4, _block_sum(D4, D4).rows(),
+             [[2, 0], [0, 8]], A8_NEG, [[2, 1], [1, 14]], [[2, 1], [1, -12]],
+             _block_sum(A2, A8_NEG).rows(),
+             _block_sum([[2]], A2, [[2, 1], [1, -2]]).rows(),
+             _block_sum(x15, x15).rows(), _block_sum(x15, _neg(x15)).rows(),
+             _block_sum(x12, x12).rows(), _block_sum(x12, _neg(x12)).rows()]
+    fixed += [_block_sum(*[[[2]]] * k).rows() for k in range(1, 9)]
+    mixed = []
+    while len(mixed) < 200:
+        rows = random_mixed_even_rows(rng, max_rank=8)
+        if abs(determinant(form_from_rows(rows))) <= 3000:
+            mixed.append(rows)
+    return fixed + mixed
+
+
+def _milgram_by_fsum(f, g):
+    predicted = math.sqrt(abs(determinant(f))) * cmath.exp(
+        2j * math.pi * signature(f) / 8)
+    return abs(fsum_gauss_value(g) - predicted) < 1e-9
+
+
+def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
+    """terms equal the one-loop enumeration over all of G, and the exact
+    check equals Milgram's formula evaluated with fsum, on every form and
+    on each form paired with the sums of two others (mostly False)."""
+    fixtures = _gauss_fixture_rows(rng)
+    forms = [form_from_rows(rows) for rows in fixtures]
+    sums = [gauss_sum(f) for f in forms]
+    orders = {discriminant_form(f).orders for f in forms}
+    assert {(), (2, 2), (2, 8), (9,), (27,), (25,), (3, 9), (30,),
+            (15, 15), (2, 2, 6, 6), (2,) * 8} <= orders
+    mismatched = 0
+    for i, (rows, f, g) in enumerate(zip(fixtures, forms, sums)):
+        assert g.terms == enumerate_gauss_terms(rows), rows
+        assert g.denominator == _coset_tables(discriminant_form(f))[0]
+        assert gauss_sum_matches(f, g) is _milgram_by_fsum(f, g) is True
+        for other in (sums[i - 1], sums[i - 5]):
+            got = gauss_sum_matches(f, other)
+            assert got == _milgram_by_fsum(f, other), (rows, other)
+            mismatched += not got
+    assert mismatched >= 300
+
+
+def test_gauss_check_rejects_a_moved_count(monkeypatch):
+    """A hand-built value with one count moved is not the Gauss sum; and
+    inside the exact check, a component histogram with one count moved to
+    any other residue, or with the counts at two residues swapped, loses
+    its phase."""
+    from wittlink import discriminant
+    fixtures = [A8_NEG, [[2, 1], [1, 14]], [[2, 0], [0, 8]],
+                _block_sum(A2, A8_NEG).rows(),
+                _block_sum([[2]], A2, [[2, 1], [1, -2]]).rows(),
+                _block_sum([[4, 1], [1, 4]], [[4, 1], [1, 4]]).rows(),
+                _block_sum(D4, [[2, 1], [1, -12]]).rows(),
+                _block_sum(*[[[2, 1], [1, -2]]] * 3).rows()]
+    calls = []
+    real = discriminant._component_phase
+
+    def record(counts, *rest):
+        calls.append((dict(counts), rest))
+        return real(counts, *rest)
+
+    for rows in fixtures:
+        f = form_from_rows(rows)
+        g = gauss_sum(f)
+        two_n = 2 * g.denominator
+        for r, _ in g.terms:
+            moved = dict(g.terms)
+            moved[r] -= 1
+            to = (r + 1) % two_n
+            moved[to] = moved.get(to, 0) + 1
+            terms = tuple(sorted((x, y) for x, y in moved.items() if y))
+            assert not gauss_sum_matches(f, GaussSumValue(g.denominator,
+                                                          terms))
+        assert gauss_sum_matches(f, GaussSumValue(g.denominator, g.terms))
+    monkeypatch.setattr(discriminant, "_component_phase", record)
+    for rows in fixtures:
+        gauss_sum(form_from_rows(rows))
+    assert {rest[0] for _, rest in calls} == {2, 3, 5}
+    for counts, rest in calls:
+        k = real(counts, *rest)
+        assert k is not None
+        mod = rest[-1]
+        for r in counts:
+            for to in range(mod):
+                if to == r:
+                    continue
+                moved = dict(counts)
+                moved[r] -= 1
+                moved[to] = moved.get(to, 0) + 1
+                swapped = dict(counts)
+                swapped[r], swapped[to] = counts.get(to, 0), counts[r]
+                for bad in (moved, swapped):
+                    bad = {x: y for x, y in bad.items() if y}
+                    if bad != counts:
+                        assert real(bad, *rest) != k, (counts, r, to, bad)
