@@ -15,7 +15,7 @@ from .witt import (FiniteWittClass, PrimeFactorization, WittClassQ,
                    witt_from_diagonal, witt_negate, witt_q_equal,
                    witt_q_is_zero, witt_sum)
 from .discriminant import (DiscriminantForm, GaussSumValue, MainTheoremReport,
-                           cyclotomic_polynomial, discriminant_form,
+                           discriminant_form,
                            find_metabolizer, gauss_sum, gauss_sum_check,
                            gauss_sum_matches,
                            hermite_basis, linking_is_nondegenerate,

@@ -108,7 +108,7 @@ def _cmd_disc(args) -> int:
 
 def _cmd_gauss(args) -> int:
     f = _load_gram(args.gram)
-    g = discriminant.gauss_sum(f, enum_bound=args.bound_det, jobs=args.jobs)
+    g = discriminant.gauss_sum(f, enum_bound=args.bound_det)
     out = {"denominator": g.denominator, "terms": g.terms,
            "check": discriminant.gauss_sum_matches(f, g)}
     if args.approx:
@@ -143,14 +143,13 @@ def _cmd_pretzel(args) -> int:
 def _cmd_dioph(args) -> int:
     w = diophantine.symmetric_window(args.pq, args.r, args.m)
     if args.verify:
-        if diophantine.verify_negative_restriction(w, jobs=args.jobs):
+        if diophantine.verify_negative_restriction(w):
             sys.stdout.write("restriction holds\n")
             return 0
         _emit({"error": {"type": "restriction_violated",
                          "message": "a solution with p+q != 0 mod 8 exists"}})
         return 1
-    records = diophantine.search(w, args.sign, jobs=args.jobs,
-                                 dedupe=args.dedupe)
+    records = diophantine.search(w, args.sign, dedupe=args.dedupe)
     sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n" + "".join(
         f"{rec.p},{rec.q},{rec.r},{rec.m},{rec.sign},{rec.p_plus_q_mod_8}\n"
         for rec in records))
@@ -190,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = gram_cmd("gauss", "exact Gauss sum and the signature identity check")
     p.add_argument("--bound-det", type=int,
                    default=discriminant.DEFAULT_DET_BOUND)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: the enumeration runs in one "
-                        "process")
     p.add_argument("--approx", action="store_true")
     p.set_defaults(func=_cmd_gauss)
 
@@ -218,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check p+q = 0 mod 8 over all sign=-1 solutions")
     p.add_argument("--dedupe", action="store_true",
                    help="keep only records with p <= q")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: the search runs in one process")
     p.set_defaults(func=_cmd_dioph)
     return parser
 

@@ -92,14 +92,12 @@ def _solve(w: SearchWindow, sign: int, pairs):
             yield p, q, rows
 
 
-def search(w: SearchWindow, sign: int, jobs: int = 1,
+def search(w: SearchWindow, sign: int,
            dedupe: bool = False) -> list[SolutionRecord]:
     """All (p,q,r) in the window with pq+pr+qr = sign*m^2, m odd <= m_max.
 
     Records are sorted lexicographically by (p,q,r).  With ``dedupe`` only
-    representatives with p <= q are kept.  ``jobs`` is accepted for
-    compatibility and ignored: one process solving for r is faster than a
-    pool of workers.
+    representatives with p <= q are kept.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -111,12 +109,11 @@ def search(w: SearchWindow, sign: int, jobs: int = 1,
             for p, q, rows in _solve(w, sign, pairs) for r, m in rows]
 
 
-def verify_negative_restriction(w: SearchWindow, jobs: int = 1) -> bool:
+def verify_negative_restriction(w: SearchWindow) -> bool:
     """Every solution of pq+pr+qr = -m^2 in the window has p+q = 0 mod 8.
 
     Only pairs with p + q != 0 mod 8 can violate it, so only those are
-    solved, and the first solution found answers False.  ``jobs`` is
-    ignored.
+    solved, and the first solution found answers False.
     """
     pairs = ((p, q) for p in _parity_values(*w.p_range, 1)
              for q in _parity_values(*w.q_range, 1) if (p + q) % 8)
@@ -146,10 +143,10 @@ def residue_prefilter(sign: int) -> set[int]:
     return out
 
 
-def witness_both_positive_residues(w: SearchWindow, jobs: int = 1):
+def witness_both_positive_residues(w: SearchWindow):
     """One solution of pq+pr+qr = +m^2 with p+q = 2 mod 8 and one with 6."""
     two = six = None
-    for rec in search(w, 1, jobs=jobs):
+    for rec in search(w, 1):
         if rec.p_plus_q_mod_8 == 2 and two is None:
             two = rec
         elif rec.p_plus_q_mod_8 == 6 and six is None:

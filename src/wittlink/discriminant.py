@@ -4,8 +4,10 @@ The discriminant group of a nondegenerate integer form B is the finite
 abelian quotient of the dual lattice by the lattice; it carries a Q/Z-valued
 linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
 that the Gauss sum exponentiates.  Everything is exact: the group structure
-comes from an integer Smith normal form, the Gauss sum is stored as a
-multiset of roots of unity, and the signature identity
+comes from an integer Smith normal form; the linking data is held once, as
+integers mod N and mod 2N over one denominator N, and both the Gauss sum
+walk and the metabolizer search read it; the Gauss sum is stored as a
+multiset of roots of unity; and the signature identity
 sqrt|det| * e^(2 pi i sigma/8) is checked per prime component in the
 cyclotomic ring that holds the component's sum.
 """
@@ -18,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
@@ -126,7 +127,7 @@ def hermite_basis(rows):
     Column-by-column gcd elimination; the input must have full column rank.
     """
     work = [list(r) for r in rows if any(r)]
-    nc = len(rows[0])
+    nc = len(rows[0]) if rows else 0
     basis = []
     col = 0
     while col < nc and work:
@@ -162,17 +163,33 @@ def hermite_basis(rows):
 class DiscriminantForm:
     """The finite quotient (dual lattice)/(lattice) with its linking data.
 
-    orders      cyclic orders (d_1 | d_2 | ... | d_k, all > 1)
-    linking     k x k symmetric matrix of Fractions in [0,1), values mod Z
-    quad_diag   b(g_i, g_i) mod 2Z in [0,2) (meaningful for even forms)
-    generators  representatives of the g_i as rational vectors in the
-                source lattice basis
+    The linking data is held once, as integers over one denominator N; the
+    Gauss sum walk and the metabolizer search both read these tables.
+
+    orders       cyclic orders (d_1 | d_2 | ... | d_k, all > 1)
+    denominator  N, the least common denominator of the b(g_i, g_j)
+    link         k x k symmetric ints N b(g_i, g_j) mod N
+    quad         ints N b(g_i, g_i) mod 2N (meaningful for even forms)
+    generators   representatives of the g_i as rational vectors in the
+                 source lattice basis
     """
 
     orders: tuple[int, ...]
-    linking: tuple[tuple[Fraction, ...], ...]
-    quad_diag: tuple[Fraction, ...]
+    denominator: int
+    link: tuple[tuple[int, ...], ...]
+    quad: tuple[int, ...]
     generators: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def linking(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b(g_i, g_j) mod Z as Fractions in [0,1)."""
+        return tuple(tuple(Fraction(x, self.denominator) for x in row)
+                     for row in self.link)
+
+    @property
+    def quad_diag(self) -> tuple[Fraction, ...]:
+        """b(g_i, g_i) mod 2Z as Fractions in [0,2)."""
+        return tuple(Fraction(x, self.denominator) for x in self.quad)
 
     def group_order(self) -> int:
         return math.prod(self.orders)
@@ -188,7 +205,8 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     The cokernel of the Gram matrix B is read off the Smith normal form
     U B V = D; the generator of the i-th cyclic factor lifts to column i of
     B^-1 U^-1 = V D^-1, that is column i of V divided by d_i, a rational
-    vector in the dual lattice.  Unit factors are dropped.
+    vector in the dual lattice.  Unit factors are dropped.  With v_i that
+    column, b(g_i, g_j) = s_ij / (d_i d_j) for the integer s_ij = v_i^T B v_j.
     """
     b = f.rows()
     _, d, v = smith_normal_form(b)
@@ -196,20 +214,27 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     cols = [[v[r][i] for r in range(f.n)] for i in range(f.n) if d[i] != 1]
     gens = [tuple(Fraction(x, di) for x in col) for col, di in zip(cols, orders)]
     k = len(orders)
-    linking = [[Fraction(0)] * k for _ in range(k)]
-    quad = [Fraction(0)] * k
+    s = [[0] * k for _ in range(k)]
+    n = 1
     for i in range(k):
         bi = mat_vec(b, cols[i])
         for j in range(i, k):
-            val = Fraction(sum(x * y for x, y in zip(bi, cols[j])),
-                           orders[i] * orders[j])
-            linking[i][j] = linking[j][i] = val % 1
-            if j == i:
-                quad[i] = val % 2
-    return DiscriminantForm(orders=tuple(orders),
-                            linking=tuple(tuple(r) for r in linking),
-                            quad_diag=tuple(quad),
+            s[i][j] = s[j][i] = sum(x * y for x, y in zip(bi, cols[j]))
+            den = orders[i] * orders[j]
+            n = math.lcm(n, den // math.gcd(s[i][j], den))
+    link = [[s[i][j] * n // (orders[i] * orders[j]) % n for j in range(k)]
+            for i in range(k)]
+    quad = [s[i][i] * n // orders[i] ** 2 % (2 * n) for i in range(k)]
+    return DiscriminantForm(orders=tuple(orders), denominator=n,
+                            link=tuple(map(tuple, link)), quad=tuple(quad),
                             generators=tuple(gens))
+
+
+def _link_sum(d: DiscriminantForm, x, y) -> int:
+    """N b(x, y) mod N for coefficient vectors x and y."""
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    return sum(xi * yj * row[j] for xi, row in zip(x, d.link) if xi
+               for j, yj in ys) % d.denominator
 
 
 def linking_value(d: DiscriminantForm, x, y) -> Fraction:
@@ -217,14 +242,7 @@ def linking_value(d: DiscriminantForm, x, y) -> Fraction:
     k = len(d.orders)
     if len(x) != k or len(y) != k:
         raise LengthMismatchError(f"coefficient vectors must have length {k}")
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj:
-                total += xi * yj * d.linking[i][j]
-    return total % 1
+    return Fraction(_link_sum(d, x, y), d.denominator)
 
 
 def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
@@ -261,7 +279,7 @@ def _subgroup_closure(base, gen, orders):
 def _component_metabolizer(d, elements, target, depth_cap):
     """Lex-first totally-isotropic subgroup of order ``target`` among the
     given elements (one prime-primary component), or None."""
-    isotropic = [x for x in elements if any(x) and linking_value(d, x, x) == 0]
+    isotropic = [x for x in elements if any(x) and _link_sum(d, x, x) == 0]
     seen = set()
 
     def extend(gens, closure, start):
@@ -273,7 +291,7 @@ def _component_metabolizer(d, elements, target, depth_cap):
             x = isotropic[idx]
             if x in closure:
                 continue
-            if any(linking_value(d, g, x) != 0 for g in gens):
+            if any(_link_sum(d, g, x) for g in gens):
                 continue
             new_closure = _subgroup_closure(closure, x, d.orders)
             if len(new_closure) > target or target % len(new_closure):
@@ -385,27 +403,12 @@ class GaussSumValue:
         return sum(c * cmath.exp(1j * math.pi * r / n) for r, c in self.terms)
 
 
-def _coset_tables(d: DiscriminantForm):
-    """Integer tables (N, quad, link) with quad[i] = N*quad_diag[i] and
-    link[i][j] = N*linking[i][j]."""
-    n = 1
-    for q in d.quad_diag:
-        n = n * q.denominator // math.gcd(n, q.denominator)
-    for row in d.linking:
-        for x in row:
-            n = n * x.denominator // math.gcd(n, x.denominator)
-    quad = [int(q * n) for q in d.quad_diag]
-    link = [[int(x * n) for x in row] for row in d.linking]
-    return n, quad, link
-
-
-def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
-              jobs: int = 1) -> GaussSumValue:
+def gauss_sum(f: IntegerSymmetricForm,
+              enum_bound: int = DEFAULT_DET_BOUND) -> GaussSumValue:
     """The Gauss sum sum_u e^(pi i b(u,u)) over the discriminant group.
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
-    and |det| <= enum_bound.  ``jobs`` is accepted and ignored: the
-    enumeration runs in one process.
+    and |det| <= enum_bound.
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
@@ -422,7 +425,7 @@ def gauss_sum(f: IntegerSymmetricForm, enum_bound: int = DEFAULT_DET_BOUND,
         raise DeterminantTooLargeError(
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
-    n, quad, link = _coset_tables(d)
+    n, quad, link = d.denominator, d.quad, d.link
     mod = 2 * n
     hists = []
     phase = 0
@@ -586,65 +589,10 @@ def _two_phase(counts, a, e, step):
     return None
 
 
-@lru_cache(maxsize=256)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
-
-    Built from Phi_rad(n) via the Moebius product over the squarefree
-    divisors, then inflated by x -> x^(n/rad); exact integer arithmetic.
-    """
-    if n == 1:
-        return (-1, 1)
-    primes = factorize(n).primes()
-    rad = math.prod(primes)
-    poly = [1]
-    divide = []
-    for bits in range(1 << len(primes)):
-        dd = 1
-        mu = 1
-        for i, p in enumerate(primes):
-            if bits >> i & 1:
-                dd *= p
-                mu = -mu
-        if mu == 1:
-            poly = _mul_x_pow_minus_1(poly, rad // dd)
-        else:
-            divide.append(rad // dd)
-    for k in divide:
-        poly = _div_x_pow_minus_1(poly, k)
-    inflate = n // rad
-    if inflate > 1:
-        out = [0] * ((len(poly) - 1) * inflate + 1)
-        for i, c in enumerate(poly):
-            out[i * inflate] = c
-        poly = out
-    return tuple(poly)
-
-
-def _mul_x_pow_minus_1(a, k):
-    out = [0] * (len(a) + k)
-    for i, c in enumerate(a):
-        out[i + k] += c
-        out[i] -= c
-    return out
-
-
-def _div_x_pow_minus_1(a, k):
-    qlen = len(a) - k
-    q = [0] * qlen
-    for i in range(qlen):
-        q[i] = (q[i - k] if i >= k else 0) - a[i]
-    for i in range(qlen, len(a)):
-        if a[i] != (q[i - k] if 0 <= i - k < qlen else 0):
-            raise ArithmeticError("inexact cyclotomic division")
-    return q
-
-
 def gauss_sum_check(f: IntegerSymmetricForm,
-                    enum_bound: int = DEFAULT_DET_BOUND,
-                    jobs: int = 1) -> bool:
+                    enum_bound: int = DEFAULT_DET_BOUND) -> bool:
     """Does the computed Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?"""
-    return gauss_sum_matches(f, gauss_sum(f, enum_bound=enum_bound, jobs=jobs))
+    return gauss_sum_matches(f, gauss_sum(f, enum_bound=enum_bound))
 
 
 def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:

@@ -238,17 +238,16 @@ def enumerate_gauss_terms(rows):
     The Smith orders form a divisor chain, so the last factor d_k is the
     largest.  For u = (c', t) with t the coefficient on it,
     N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N, with base and lin
-    rebuilt from the ``_coset_tables`` integers at every c'.  A unimodular
-    form counts its one element as the factor of order 1.
+    rebuilt from the discriminant form's integer tables at every c'.  A
+    unimodular form counts its one element as the factor of order 1.
     """
     import itertools
     from collections import Counter
 
     from wittlink import discriminant_form, form_from_rows
-    from wittlink.discriminant import _coset_tables
 
     d = discriminant_form(form_from_rows(rows))
-    n, quad, link = _coset_tables(d)
+    n, quad, link = d.denominator, d.quad, d.link
     orders = d.orders or (1,)
     quad = quad or [0]
     last = len(orders) - 1

@@ -88,7 +88,7 @@ def test_gauss(a8_json):
     assert rep["denominator"] == 9
     assert sum(c for _, c in rep["terms"]) == 9
     assert "approx" not in rep
-    code, out, _ = run_cli("gauss", "--gram", a8_json, "--approx", "--jobs", "2")
+    code, out, _ = run_cli("gauss", "--gram", a8_json, "--approx")
     rep2 = json.loads(out)
     assert rep2["terms"] == rep["terms"]
     assert abs(rep2["approx"][0] - 3) < 1e-9
@@ -139,7 +139,7 @@ def test_dioph_csv():
     assert ["3", "5", "-2", "1", "-1", "0"] in body
     assert all(row[5] == "0" for row in body)
     code2, out2, _ = run_cli("dioph", "--sign", "-1", "--pq", "5", "--r", "4",
-                             "--m", "3", "--jobs", "2")
+                             "--m", "3")
     assert code2 == 0 and out2 == out
 
 
@@ -207,6 +207,8 @@ def test_error_exit_codes(tmp_path):
     code, _, _ = run_cli("no-such-command")
     assert code == 2
     code, _, _ = run_cli("analyze")
+    assert code == 2
+    code, _, _ = run_cli("gauss", "--gram", str(bad), "--jobs", "2")
     assert code == 2
 
     code, out, _ = run_cli("pretzel", "2", "3", "4")
@@ -310,6 +312,32 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
         assert walks == want
 
 
+def test_metabolizer_search_reads_integer_tables(a8_json, tmp_path,
+                                                  monkeypatch, capsys):
+    """disc and analyze find their metabolizers without the Fraction
+    linking_value: on A8, on A1^8 and on the two-prime
+    <2> + <6> + <-2> + <-6> (|G| = 144)."""
+    from wittlink import cli, discriminant
+
+    def no_fractions(*args):
+        raise AssertionError("linking_value called")
+
+    monkeypatch.setattr(discriminant, "linking_value", no_fractions)
+    paths = [a8_json]
+    for name, diag in (("a1_8", [2] * 8), ("two_prime", [2, 6, -2, -6])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"gram": [
+            [x if i == j else 0 for j in range(len(diag))]
+            for i, x in enumerate(diag)]}))
+        paths.append(str(path))
+    for path in paths:
+        found = []
+        for cmd in ("disc", "analyze"):
+            assert cli.main([cmd, "--gram", path]) == 0
+            found.append(json.loads(capsys.readouterr().out)["metabolizer"])
+        assert found[0] == found[1] and found[0], path
+
+
 def test_internal_error_is_structured(a8_json, monkeypatch, capsys):
     from wittlink import cli, discriminant
 
@@ -341,9 +369,9 @@ def test_main_reuses_one_parser_without_carrying_options(a8_json, monkeypatch,
     # same subcommand.
     sequence = [
         ["dioph", "--sign", "1", "--pq", "7", "--r", "6", "--m", "9",
-         "--dedupe", "--jobs", "2"],
+         "--dedupe"],
         ["dioph", "--sign", "1", "--pq", "7", "--r", "6", "--m", "9"],
-        ["gauss", "--gram", a8_json, "--approx", "--jobs", "2"],
+        ["gauss", "--gram", a8_json, "--approx"],
         ["diag", "--gram", a8_json, "--approx"],
         ["gauss", "--gram", a8_json],
         ["dioph", "--pq", "9", "--r", "10", "--m", "9", "--verify"],
@@ -445,7 +473,7 @@ from wittlink.cli import main
 gram, seifert = sys.argv[1:]
 for argv in (["analyze", "--gram", gram], ["diag", "--gram", gram],
              ["boundary", "--gram", gram], ["disc", "--gram", gram],
-             ["gauss", "--gram", gram], ["gauss", "--gram", gram, "--jobs", "2"],
+             ["gauss", "--gram", gram],
              ["knot", "--seifert", seifert],
              ["pretzel", "3", "5", "-2"], ["dioph", "--pq", "5", "--r", "4",
                                           "--m", "5", "--dedupe"],
@@ -472,7 +500,7 @@ def test_runtime_loads_only_the_standard_library(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stderr.split()
     assert "wittlink" in loaded
-    # gauss --jobs is accepted and ignored: no worker pool is started
+    # every command runs in one process: no worker pool is started
     assert "multiprocessing" not in loaded
     assert [m for m in loaded
             if m != "wittlink" and m not in sys.stdlib_module_names] == []

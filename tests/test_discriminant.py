@@ -7,8 +7,8 @@ import pytest
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, cofactor_det,
                       enumerate_gauss_terms, fsum_gauss_value,
                       random_even_form_rows, random_mixed_even_rows)
-from wittlink import (GaussSumValue, boundary_is_zero, cyclotomic_polynomial,
-                      determinant, diagonalize, direct_sum, discriminant_form,
+from wittlink import (GaussSumValue, boundary_is_zero, determinant,
+                      diagonalize, direct_sum, discriminant_form,
                       find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
                       gauss_sum_matches,
@@ -16,7 +16,6 @@ from wittlink import (GaussSumValue, boundary_is_zero, cyclotomic_polynomial,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
                       witt_from_diagonal)
-from wittlink.discriminant import _coset_tables
 from wittlink.errors import (DeterminantTooLargeError, GroupTooLargeError,
                              LengthMismatchError, NotEvenError)
 
@@ -131,6 +130,31 @@ def test_find_metabolizer_examples():
         find_metabolizer(discriminant_form(form_from_rows(A8_NEG)), bound=5)
 
 
+def test_find_metabolizer_lex_first_outputs():
+    """The first metabolizer in lexicographic search order, pinned."""
+    a1 = [[2]]
+    cases = [
+        (_block_sum(*[a1] * 8), [(0, 0, 0, 0, 0, 0, 1, 1),
+                                 (0, 0, 0, 0, 1, 1, 0, 0),
+                                 (0, 0, 1, 1, 0, 0, 0, 0),
+                                 (1, 1, 0, 0, 0, 0, 0, 0)]),
+        (_block_sum(*[D4] * 4), [(0, 0, 0, 0, 0, 0, 0, 1),
+                                 (0, 0, 0, 0, 0, 1, 0, 0),
+                                 (0, 0, 0, 1, 0, 0, 0, 0),
+                                 (0, 1, 0, 0, 0, 0, 0, 0)]),
+        (_block_sum(*[D4] * 5), [(0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+                                 (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+                                 (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                                 (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+                                 (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)]),
+        # orders (6, 6, 6, 6): a 2-primary and a 3-primary metabolizer
+        (_block_sum([[2, 0], [0, 6]], [[-2, 0], [0, -6]], A2, _neg(A2)),
+         [(0, 0, 3, 3), (3, 3, 0, 0), (0, 0, 2, 2), (2, 2, 0, 0)]),
+    ]
+    for f, want in cases:
+        assert find_metabolizer(discriminant_form(f)) == want
+
+
 def test_find_metabolizer_multi_prime():
     # |G| = 36 is a square but the 3-primary part (Z/3)^2 with diagonal
     # linking 2(a^2+b^2)/3 has no nonzero isotropic element: no metabolizer
@@ -195,39 +219,6 @@ def test_gauss_sum_errors():
         gauss_sum(form_from_rows([[1]]))
     with pytest.raises(DeterminantTooLargeError):
         gauss_sum(form_from_rows(A8_NEG), enum_bound=5)
-
-
-def test_gauss_sum_jobs_match():
-    f = form_from_rows(A8_NEG)
-    assert gauss_sum(f) == gauss_sum(f, jobs=2)
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-    assert cyclotomic_polynomial(7) == (1,) * 7
-    assert cyclotomic_polynomial(18) == (1, 0, 0, -1, 0, 0, 1)
-    # prime powers inflate: Phi_49(x) = Phi_7(x^7)
-    phi49 = cyclotomic_polynomial(49)
-    assert len(phi49) == 43
-    assert all(phi49[i] == (1 if i % 7 == 0 else 0) for i in range(43))
-    # product over divisors reconstructs x^n - 1
-    for n in (12, 30):
-        prod = [1]
-        for d in range(1, n + 1):
-            if n % d == 0:
-                phi = cyclotomic_polynomial(d)
-                out = [0] * (len(prod) + len(phi) - 1)
-                for i, a in enumerate(prod):
-                    for j, b in enumerate(phi):
-                        out[i + j] += a * b
-                prod = out
-        expect = [-1] + [0] * (n - 1) + [1]
-        assert prod == expect
 
 
 def test_gauss_sum_check_fixtures():
@@ -302,6 +293,12 @@ def test_overlattice_a8():
     from wittlink import is_even
     assert is_even(f1)
     assert gauss_sum(f1).terms == ((0, 1),)
+
+    f = form_from_rows([])
+    d = discriminant_form(f)
+    meta = find_metabolizer(d)
+    assert meta == []
+    assert overlattice_from_metabolizer(f, d, meta) == (f, 1)
 
 
 def test_overlattice_even_when_det_odd(rng):
@@ -399,7 +396,7 @@ def test_gauss_sum_matches_direct_enumeration(rng):
         g = gauss_sum(f)
         d = discriminant_form(f)
         factors.add(len(d.orders))
-        assert g.denominator == _coset_tables(d)[0]
+        assert g.denominator == d.denominator
         got = {}
         for r, c in g.terms:
             key = Fraction(r, g.denominator) % 2
@@ -446,10 +443,14 @@ def test_discriminant_generators_match_inverse_oracle(rng):
         def b(x, y):
             return sum(x[i] * rows[i][j] * y[j]
                        for i in range(n) for j in range(n))
+        values = []
         for i, gi in enumerate(expected):
-            assert disc.quad_diag[i] == b(gi, gi) % 2
+            values.append(b(gi, gi) % 2)
+            assert disc.quad_diag[i] == values[-1]
             for j, gj in enumerate(expected):
-                assert disc.linking[i][j] == b(gi, gj) % 1
+                values.append(b(gi, gj) % 1)
+                assert disc.linking[i][j] == values[-1]
+        assert disc.denominator == math.lcm(*(x.denominator for x in values))
 
 
 def test_metabolizer_skip_agrees_with_exhaustive_search():
@@ -480,14 +481,6 @@ def test_gauss_sum_matches_takes_computed_value():
         assert gauss_sum_matches(f, gauss_sum(f)) == gauss_sum_check(f)
     wrong = gauss_sum(form_from_rows([[2, 1], [1, 2]]))
     assert not gauss_sum_matches(form_from_rows(A8_NEG), wrong)
-
-
-def test_cyclotomic_cache_is_bounded():
-    limit = cyclotomic_polynomial.cache_info().maxsize
-    assert limit is not None
-    for n in range(1, limit + 50):
-        cyclotomic_polynomial(n)
-    assert cyclotomic_polynomial.cache_info().currsize <= limit
 
 
 def _neg(rows):
@@ -533,7 +526,7 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     mismatched = 0
     for i, (rows, f, g) in enumerate(zip(fixtures, forms, sums)):
         assert g.terms == enumerate_gauss_terms(rows), rows
-        assert g.denominator == _coset_tables(discriminant_form(f))[0]
+        assert g.denominator == discriminant_form(f).denominator
         assert gauss_sum_matches(f, g) is _milgram_by_fsum(f, g) is True
         for other in (sums[i - 1], sums[i - 5]):
             got = gauss_sum_matches(f, other)
