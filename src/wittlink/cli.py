@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 from . import diophantine, discriminant, forms, knots, witt
@@ -149,10 +150,18 @@ def _cmd_dioph(args) -> int:
         _emit({"error": {"type": "restriction_violated",
                          "message": "a solution with p+q != 0 mod 8 exists"}})
         return 1
-    records = diophantine.search(w, args.sign, dedupe=args.dedupe)
-    sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n" + "".join(
-        f"{rec.p},{rec.q},{rec.r},{rec.m},{rec.sign},{rec.p_plus_q_mod_8}\n"
-        for rec in records))
+    try:
+        sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n")
+        sys.stdout.writelines(
+            diophantine.csv_chunks(w, args.sign, dedupe=args.dedupe))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`dioph ... | head`), which ends the run, not
+        # an error.  Point stdout's fd at devnull so that the flush at exit
+        # cannot raise again (the recipe in the docs of the signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

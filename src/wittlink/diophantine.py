@@ -68,13 +68,16 @@ def _solve(w: SearchWindow, sign: int, pairs):
     it reads -p^2 = sign*m^2, which holds for every r when sign = -1 and
     m = |p|.  Pairs keep their order and rows come in increasing r.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     r_lo, r_hi = w.r_range
+    evens = _parity_values(r_lo, r_hi, 0)
     tables = {}
     for p, q in pairs:
         s = p + q
         if not s:
-            if sign == -1 and abs(p) <= w.m_max:
-                yield p, q, [(r, abs(p)) for r in _parity_values(r_lo, r_hi, 0)]
+            if sign == -1 and abs(p) <= w.m_max and evens:
+                yield p, q, list(zip(evens, [abs(p)] * len(evens)))
             continue
         mod = 2 * abs(s)
         table = tables.get(mod)
@@ -92,21 +95,49 @@ def _solve(w: SearchWindow, sign: int, pairs):
             yield p, q, rows
 
 
+def _pairs(w: SearchWindow, dedupe: bool = False):
+    """The odd pairs (p, q) of the window in order; p <= q with ``dedupe``."""
+    q_lo, q_hi = w.q_range
+    return ((p, q) for p in _parity_values(*w.p_range, 1)
+            for q in _parity_values(max(p, q_lo) if dedupe else q_lo,
+                                    q_hi, 1))
+
+
 def search(w: SearchWindow, sign: int,
            dedupe: bool = False) -> list[SolutionRecord]:
     """All (p,q,r) in the window with pq+pr+qr = sign*m^2, m odd <= m_max.
 
-    Records are sorted lexicographically by (p,q,r).  With ``dedupe`` only
-    representatives with p <= q are kept.
+    Records come in lexicographic (p,q,r) order because ``_solve`` yields
+    them that way: pairs in order and rows in increasing r, with no sort
+    afterwards.  ``csv_chunks`` streams the same rows from the same
+    solver.  With ``dedupe`` only representatives with p <= q are kept.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    q_lo, q_hi = w.q_range
-    pairs = ((p, q) for p in _parity_values(*w.p_range, 1)
-             for q in _parity_values(max(p, q_lo) if dedupe else q_lo,
-                                     q_hi, 1))
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
-            for p, q, rows in _solve(w, sign, pairs) for r, m in rows]
+            for p, q, rows in _solve(w, sign, _pairs(w, dedupe))
+            for r, m in rows]
+
+
+def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
+    """Yield the CSV rows of ``search(w, sign, dedupe)``, one chunk per pair.
+
+    Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one solved
+    (p, q), in the same order as ``search``, so memory does not grow with
+    the number of rows.  A pair with p + q = 0 has a row for every even r
+    of the window with m = |p|; those rows are joined from one list of
+    r strings built once.
+    """
+    even_rs = None
+    for p, q, rows in _solve(w, sign, _pairs(w, dedupe)):
+        s = p + q
+        head = f"{p},{q},"
+        if not s:
+            if even_rs is None:
+                even_rs = [str(r) for r, _ in rows]
+            tail = f",{abs(p)},{sign},0\n"
+            yield head + (tail + head).join(even_rs) + tail
+        else:
+            tail = f",{sign},{s % 8}\n"
+            yield "".join([f"{head}{r},{m}{tail}" for r, m in rows])
 
 
 def verify_negative_restriction(w: SearchWindow) -> bool:
@@ -115,8 +146,7 @@ def verify_negative_restriction(w: SearchWindow) -> bool:
     Only pairs with p + q != 0 mod 8 can violate it, so only those are
     solved, and the first solution found answers False.
     """
-    pairs = ((p, q) for p in _parity_values(*w.p_range, 1)
-             for q in _parity_values(*w.q_range, 1) if (p + q) % 8)
+    pairs = ((p, q) for p, q in _pairs(w) if (p + q) % 8)
     return next(_solve(w, -1, pairs), None) is None
 
 
@@ -144,13 +174,18 @@ def residue_prefilter(sign: int) -> set[int]:
 
 
 def witness_both_positive_residues(w: SearchWindow):
-    """One solution of pq+pr+qr = +m^2 with p+q = 2 mod 8 and one with 6."""
-    two = six = None
-    for rec in search(w, 1):
-        if rec.p_plus_q_mod_8 == 2 and two is None:
-            two = rec
-        elif rec.p_plus_q_mod_8 == 6 and six is None:
-            six = rec
-        if two and six:
-            return two, six
+    """One solution of pq+pr+qr = +m^2 with p+q = 2 mod 8 and one with 6.
+
+    Each is the first such record of ``search(w, 1)`` in (p, q, r) order.
+    The solver runs lazily, skips pairs of a residue already witnessed and
+    stops once both are found.
+    """
+    found = {}
+    pairs = ((p, q) for p, q in _pairs(w)
+             if (p + q) % 8 in (2, 6) and (p + q) % 8 not in found)
+    for p, q, rows in _solve(w, 1, pairs):
+        k = (p + q) % 8
+        found[k] = SolutionRecord(p, q, *rows[0], 1, k)
+        if len(found) == 2:
+            return found[2], found[6]
     raise NotFoundError("window contains no witness pair for residues 2 and 6")

@@ -157,6 +157,57 @@ def test_dioph_verify_full_window():
     assert out.strip() == "restriction holds"
 
 
+def test_dioph_stream_matches_search_records(capsys):
+    from wittlink import cli, search, symmetric_window
+    # m below pq drops the p + q = 0 rows of |p| > m; r 0 leaves one even
+    # r; every sign -1 window holds p + q = 0 pairs.
+    for pq, r, m in ((5, 4, 3), (9, 10, 3), (9, 0, 9), (13, 12, 1),
+                     (13, 6, 25), (11, 0, 1)):
+        for sign in (1, -1):
+            for dedupe in (False, True):
+                argv = ["dioph", "--sign", str(sign), "--pq", str(pq),
+                        "--r", str(r), "--m", str(m)]
+                assert cli.main(argv + ["--dedupe"] * dedupe) == 0
+                want = io.StringIO()
+                writer = csv.writer(want, lineterminator="\n")
+                writer.writerow(["p", "q", "r", "m", "sign", "p_plus_q_mod_8"])
+                writer.writerows(
+                    (x.p, x.q, x.r, x.m, x.sign, x.p_plus_q_mod_8)
+                    for x in search(symmetric_window(pq, r, m), sign, dedupe))
+                assert capsys.readouterr().out == want.getvalue(), argv
+
+
+def test_dioph_memory_does_not_grow_with_rows():
+    import contextlib
+    import os
+    import tracemalloc
+    from wittlink import cli
+    # 88780 rows, 1.8 MB of CSV: holding them all as records and one
+    # string peaks near 21 MiB, streaming them near 1 MiB.
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["dioph", "--pq", "199", "--r", "200",
+                             "--m", "199"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2 ** 20
+
+
+def test_dioph_closed_pipe_exits_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "wittlink", "dioph",
+                             "--pq", "399", "--r", "400", "--m", "399"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"p,q,r,m,sign,p_plus_q_mod_8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_determinism(a8_json):
     for args in (("analyze", "--gram", a8_json),
                  ("disc", "--gram", a8_json),

@@ -68,6 +68,14 @@ def test_witness_both_positive_residues():
         witness_both_positive_residues(SearchWindow((1, 1), (1, 1), (0, 0), 1))
 
 
+def test_witness_is_first_search_record_of_each_residue():
+    for w in (symmetric_window(9, 10, 11), symmetric_window(25, 4, 7),
+              SearchWindow((-13, 7), (-5, 15), (-9, 12), 11)):
+        recs = search(w, 1)
+        assert witness_both_positive_residues(w) == tuple(
+            next(x for x in recs if x.p_plus_q_mod_8 == k) for k in (2, 6))
+
+
 def test_negative_solutions_bridge_to_pretzels():
     for rec in search(symmetric_window(11, 12, 11), -1):
         k = PretzelKnot(rec.p, rec.q, rec.r)
