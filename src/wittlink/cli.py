@@ -142,6 +142,8 @@ def _cmd_pretzel(args) -> int:
 
 
 def _cmd_dioph(args) -> int:
+    if args.verify and args.sign == 1:
+        _parser().error("dioph --verify checks the sign -1 equation only")
     w = diophantine.symmetric_window(args.pq, args.r, args.m)
     if args.verify:
         if diophantine.verify_negative_restriction(w):
@@ -220,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound for |r| (even values)")
     p.add_argument("--m", type=int, required=True, help="bound for odd m")
     p.add_argument("--verify", action="store_true",
-                   help="check p+q = 0 mod 8 over all sign=-1 solutions")
+                   help="check p+q = 0 mod 8 over all sign=-1 solutions "
+                        "(a usage error with --sign 1)")
     p.add_argument("--dedupe", action="store_true",
                    help="keep only records with p <= q")
     p.set_defaults(func=_cmd_dioph)

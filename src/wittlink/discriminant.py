@@ -7,9 +7,11 @@ that the Gauss sum exponentiates.  Everything is exact: the group structure
 comes from an integer Smith normal form; the linking data is held once, as
 integers mod N and mod 2N over one denominator N, and both the Gauss sum
 walk and the metabolizer search read it; the Gauss sum is stored as a
-multiset of roots of unity; and the signature identity
-sqrt|det| * e^(2 pi i sigma/8) is checked per prime component in the
-cyclotomic ring that holds the component's sum.
+multiset of roots of unity, from one walk per prime component that visits
+one of each pair u, -u; and the signature identity
+sqrt|det| * e^(2 pi i sigma/8) is checked per prime component, by one
+routine for odd p and p = 2, in the cyclotomic ring that holds the
+component's sum.
 """
 
 from __future__ import annotations
@@ -246,20 +248,14 @@ def linking_value(d: DiscriminantForm, x, y) -> Fraction:
 
 
 def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
-    """Brute-force kernel check: only the zero element links trivially
-    with every generator."""
-    k = len(d.orders)
-    zero = (0,) * k
+    """Brute-force radical check on the integer table: only x = 0 has
+    sum_i x_i N b(g_i, g_j) = 0 mod N for every j."""
+    n = d.denominator
     for x in d.elements():
-        if x == zero:
-            continue
-        if all(linking_value(d, x, _basis(k, j)) == 0 for j in range(k)):
+        if any(x) and all(sum(a * b for a, b in zip(x, row)) % n == 0
+                          for row in d.link):
             return False
     return True
-
-
-def _basis(k, j):
-    return tuple(1 if i == j else 0 for i in range(k))
 
 
 def _add_elem(x, y, orders):
@@ -412,11 +408,12 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
-    components.  So each G_p is walked once, by :func:`_component_counts`,
-    into a histogram of N b(u,u) mod 2N; the histograms are merged by
-    residue addition mod 2N, smallest first, into ``terms``; and each
-    component's sum is checked against Milgram's formula on its own, by
-    :func:`_component_phase`, to give ``phase``.
+    components.  So each G_p is walked once, over one of each pair u, -u,
+    by :func:`_component_counts`, into a histogram of N b(u,u) mod 2N; the
+    histograms are merged by residue addition mod 2N, smallest first, into
+    ``terms``; and each component's sum is checked against Milgram's
+    formula on its own, by :func:`_component_phase` for odd p and p = 2
+    alike, to give ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -455,41 +452,34 @@ def _component_counts(quad, link, orders, mod):
     """Histogram {N b(u,u) mod 2N: count} of one primary component, given
     its integer tables and its orders, a divisor chain.
 
-    For u = (c', t), with t the coefficient on the last (largest) factor,
-    N b(u,u) = base(c') + t (lin(c') + t quad_k) mod 2N.  A depth-first walk
-    over c' carries base and the linear coefficients of the factors still
-    to come, so each step adds one term per later factor.  A cyclic
-    component walks t and d - t once, since b(-u, -u) = b(u, u).
+    For u = (c_0, ..., c_(k-1)), N b(u,u) = sum_i c_i (c_i quad_i + lin_i)
+    mod 2N, where lin_i = 2 sum_(j<i) c_j link_ji.  A depth-first walk over
+    the factors carries the value so far and the lin of the factors still to
+    come, so each step adds one term per later factor; the last factor's
+    values are counted in one pass.  The walk visits one of u and -u, since
+    b(-u, -u) = b(u, u): while every coefficient so far is its own negative
+    (0 or d/2), it takes only c <= d/2 at the next factor and counts each
+    c != -c twice, and below such a c it counts every element twice.
     """
-    last = len(orders) - 1
-    qk, dk = quad[last], orders[last]
-    if last == 0:
-        half = [(t * t * qk) % mod for t in range(1, (dk + 1) // 2)]
-        counts = Counter(half)
-        counts.update(half)
-        counts[0] += 1
-        if dk % 2 == 0:
-            counts[(dk // 2) ** 2 * qk % mod] += 1
-        return counts
     counts = Counter()
+    last = len(orders) - 1
 
-    def descend(i, base, lins):
-        # lins[j] is the coefficient of c_(i+j) in the cross terms so far
-        q, row = quad[i], link[i]
-        if i == last - 1:
-            lin, step = lins[1], 2 * row[last]
-            for c in range(orders[i]):
-                b = base + c * (c * q + lins[0])
-                counts.update([(b + t * (lin + t * qk)) % mod
-                               for t in range(dk)])
-                lin += step
+    def descend(i, base, lins, halve):
+        d, q, row, lin = orders[i], quad[i], link[i], lins[0]
+        values = [(base + c * (c * q + lin)) % mod
+                  for c in range(d // 2 + 1 if halve else d)]
+        if i == last:
+            counts.update(values)
+            counts.update(itertools.islice(values, 1, (d + 1) // 2)
+                          if halve else values)
             return
-        for c in range(orders[i]):
-            descend(i + 1, (base + c * (c * q + lins[0])) % mod,
+        for c, value in enumerate(values):
+            descend(i + 1, value,
                     [(x + 2 * c * row[j]) % mod
-                     for j, x in enumerate(lins[1:], i + 1)])
+                     for j, x in enumerate(lins[1:], i + 1)],
+                    halve and 2 * c % d == 0)
 
-    descend(0, 0, [0] * (last + 1))
+    descend(0, 0, [0] * (last + 1), True)
     return counts
 
 
@@ -509,42 +499,49 @@ def _component_phase(counts, p, e, a, mod):
     zeta = e^(2 pi i / mod), for a p-primary component of order p^e and
     exponent p^a; None when the sum has no such form.
 
-    Exact: each e^(pi i b(u,u)) is a P-th root of unity, P = p^a for odd p
-    and P = 2^(a+1) for p = 2, so the sum lies in Z[zeta_P] and is
-    compared with each candidate there.
-    """
-    size = p ** a if p > 2 else 2 ** (a + 1)
-    step = mod // size
-    if any(r % step for r in counts):
-        return None
-    if p > 2:
-        return _odd_phase(counts, p, e, step * size // p, mod)
-    return _two_phase(counts, a, e, step)
-
-
-def _odd_phase(counts, p, e, shift, mod):
-    """Odd p: the candidates are +-m or, for odd e, +-m g_p with m = p^(e//2)
-    and g_p = sum_t zeta_p^(t^2), which is sqrt(p) for p = 1 mod 4 and
-    i sqrt(p) for p = 3 mod 4.
-
-    The only relations among the powers of zeta = zeta_(p^a) are the sums
-    of p conjugates zeta^j (1 + zeta^h + ... + zeta^((p-1) h)), h = p^(a-1),
-    whose residues are j + multiples of ``shift``: a vector is zero in
-    Z[zeta] iff it is constant on each of those classes.  The candidates
-    live on the class of 0, so every other class must be constant in
-    ``counts`` itself.  On the class of 0, read as u[i] = counts[i shift],
-    the sum minus s g_p (s = +-m) is constant K iff u[0] = K + s,
+    Exact: each e^(pi i b(u,u)) is an R-th root of unity, R = p^a for odd p
+    and R = 2^(a+1) for p = 2, taken at least 8 so that zeta_8 lies in
+    Z[zeta_R].  The only relations among the powers of zeta_R are the sums
+    zeta_R^x (1 + zeta_p + ... + zeta_p^(p-1)), with zeta_p = zeta_R^(R/p),
+    so a vector of counts is zero in Z[zeta_R] iff it is constant on each
+    class x + (R/p)Z.  The candidates m = p^(e//2) times
+    - +-1 or, for odd e, +-g_p = +-sum_t zeta_p^(t^2), which is sqrt(p) for
+      p = 1 mod 4 and i sqrt(p) for p = 3 mod 4 (odd p), or
+    - zeta_8^k or, for odd e, sqrt 2 zeta_8^k = zeta_8^(k+1) + zeta_8^(k+7)
+      (p = 2)
+    live on the multiples of w = R/p (odd p) or w = R/8 (p = 2).  So every
+    other class must be constant in ``counts`` itself, and the coefficients
+    u[j] on the multiples j w are compared with each candidate's.  For odd
+    p, the sum minus s g_p (s = +-m) is constant K iff u[0] = K + s,
     u[i] = K + 2s on the (p-1)/2 nonzero squares i and u[i] = K on the
     others; the sum minus s is constant iff u[i] = u[1] for every i != 0.
+    For p = 2 the classes on the multiples of w are {j, j + 4}, and a sum
+    is a candidate iff it has the candidate's u[j] - u[j+4], j < 4.
     """
-    u = [0] * p
+    size = p ** a if p > 2 else max(2 ** (a + 1), 8)
+    w = size // (p if p > 2 else 8)
+    g = math.gcd(mod, size)
+    step, scale = mod // g, size // g
+    shift = size // p // scale * step
+    u = [0] * (size // w)
     for r, c in counts.items():
-        i, rest = divmod(r, shift)
-        if not rest:
-            u[i] = c
+        x, rest = divmod(r, step)
+        if rest:
+            return None
+        j, off = divmod(x * scale, w)
+        if not off:
+            u[j] = c
         elif counts.get((r + shift) % mod) != c:
             return None
     m = p ** (e // 2)
+    if p == 2:
+        for k in range(8):
+            want = [0] * 8
+            for t in ([k] if e % 2 == 0 else [k + 1, k + 7]):
+                want[t % 8] = m
+            if all(u[j] - u[j + 4] == want[j] - want[j + 4] for j in range(4)):
+                return k
+        return None
     if e % 2 == 0:
         s = u[0] - u[1]
         ok = u.count(u[1]) == p - 1
@@ -557,36 +554,6 @@ def _odd_phase(counts, p, e, shift, mod):
         return None
     k = 0 if s > 0 else 4
     return k + 2 if e % 2 and p % 4 == 3 else k
-
-
-def _two_phase(counts, a, e, step):
-    """p = 2: compare in Z[zeta], zeta a primitive 2^j-th root with
-    j = max(a + 1, 3), so that zeta_8 = zeta^(2^(j-3)) and
-    sqrt 2 = zeta_8 + zeta_8^7 lie in it.  Folding by
-    zeta^(2^(j-1)) = -1 gives coordinates in the power basis, where the
-    candidates 2^(e//2) (sqrt 2)^(e mod 2) zeta_8^k are compared exactly.
-    """
-    j = max(a + 1, 3)
-    half = 1 << (j - 1)
-    scale = 1 << (j - a - 1)
-    w = 1 << (j - 3)
-
-    def fold(pairs):
-        out = {}
-        for i, c in pairs:
-            i %= 2 * half
-            if i >= half:
-                i, c = i - half, -c
-            out[i] = out.get(i, 0) + c
-        return {i: c for i, c in out.items() if c}
-
-    gamma = fold((r // step * scale, c) for r, c in counts.items())
-    c = 1 << (e // 2)
-    for k in range(8):
-        root = [k] if e % 2 == 0 else [k + 1, k + 7]
-        if fold((x * w, c) for x in root) == gamma:
-            return k
-    return None
 
 
 def gauss_sum_check(f: IntegerSymmetricForm,

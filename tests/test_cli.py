@@ -261,6 +261,10 @@ def test_error_exit_codes(tmp_path):
     assert code == 2
     code, _, _ = run_cli("gauss", "--gram", str(bad), "--jobs", "2")
     assert code == 2
+    # --verify checks only the -m^2 equation
+    code, out, err = run_cli("dioph", "--sign", "1", "--verify", "--pq", "9",
+                             "--r", "10", "--m", "9")
+    assert code == 2 and out == "" and "--verify" in err
 
     code, out, _ = run_cli("pretzel", "2", "3", "4")
     assert code == 1

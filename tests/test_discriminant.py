@@ -7,8 +7,8 @@ import pytest
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, cofactor_det,
                       enumerate_gauss_terms, fsum_gauss_value,
                       random_even_form_rows, random_mixed_even_rows)
-from wittlink import (GaussSumValue, boundary_is_zero, determinant,
-                      diagonalize, direct_sum, discriminant_form,
+from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
+                      determinant, diagonalize, direct_sum, discriminant_form,
                       find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
                       gauss_sum_matches,
@@ -98,6 +98,24 @@ def test_discriminant_group_order_and_consistency(rng):
             assert (d.quad_diag[i] - d.linking[i][i]) % 1 == 0
         if d.group_order() <= 64:
             assert linking_is_nondegenerate(d)
+
+
+def test_linking_is_nondegenerate_detects_a_radical():
+    """Hand-built linking forms: <0> on Z/2 and the Z/2 + Z/2 form with a
+    zero second row are degenerate; <1/2> and the hyperbolic form on
+    Z/2 + Z/2 are not."""
+    half = Fraction(1, 2)
+
+    def form(orders, link):
+        return DiscriminantForm(
+            orders=orders, denominator=2, link=link, quad=tuple(
+                row[i] for i, row in enumerate(link)),
+            generators=tuple((half,) * len(orders) for _ in orders))
+
+    assert not linking_is_nondegenerate(form((2,), ((0,),)))
+    assert not linking_is_nondegenerate(form((2, 2), ((1, 0), (0, 0))))
+    assert linking_is_nondegenerate(form((2,), ((1,),)))
+    assert linking_is_nondegenerate(form((2, 2), ((0, 1), (1, 0))))
 
 
 def test_linking_value():
@@ -488,8 +506,8 @@ def _neg(rows):
 
 
 def _gauss_fixture_rows(rng):
-    """Forms whose discriminant groups cover the shapes the per-prime walk
-    distinguishes, then random mixed forms with |det| <= 3000."""
+    """Forms whose discriminant groups cover the shapes the per-prime
+    halving walk distinguishes, then random mixed forms with |det| <= 3000."""
     x15 = [[4, 1], [1, 4]]
     x12 = [[4, 2], [2, 4]]
     fixed = [[], E8, HYPERBOLIC, D4, _block_sum(D4, D4).rows(),
@@ -497,7 +515,12 @@ def _gauss_fixture_rows(rng):
              _block_sum(A2, A8_NEG).rows(),
              _block_sum([[2]], A2, [[2, 1], [1, -2]]).rows(),
              _block_sum(x15, x15).rows(), _block_sum(x15, _neg(x15)).rows(),
-             _block_sum(x12, x12).rows(), _block_sum(x12, _neg(x12)).rows()]
+             _block_sum(x12, x12).rows(), _block_sum(x12, _neg(x12)).rows(),
+             # the halving walk: (4, 4) and (2, 4, 8) keep halving past the
+             # first factor, (3, 3, 3) has no self-negative c but 0, and
+             # <10> + <50> has the 5-primary component (5, 25)
+             [[4, 0], [0, 4]], _block_sum([[2]], [[4]], [[8]]).rows(),
+             _block_sum(A2, A2, A2).rows(), [[10, 0], [0, 50]]]
     fixed += [_block_sum(*[[[2]]] * k).rows() for k in range(1, 9)]
     mixed = []
     while len(mixed) < 200:
@@ -522,7 +545,8 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     sums = [gauss_sum(f) for f in forms]
     orders = {discriminant_form(f).orders for f in forms}
     assert {(), (2, 2), (2, 8), (9,), (27,), (25,), (3, 9), (30,),
-            (15, 15), (2, 2, 6, 6), (2,) * 8} <= orders
+            (15, 15), (2, 2, 6, 6), (2,) * 8, (4, 4), (2, 4, 8), (3, 3, 3),
+            (10, 50)} <= orders
     mismatched = 0
     for i, (rows, f, g) in enumerate(zip(fixtures, forms, sums)):
         assert g.terms == enumerate_gauss_terms(rows), rows
