@@ -6,12 +6,13 @@ linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
 that the Gauss sum exponentiates.  Everything is exact: the group structure
 comes from an integer Smith normal form; the linking data is held once, as
 integers mod N and mod 2N over one denominator N, and both the Gauss sum
-walk and the metabolizer search read it; the Gauss sum is stored as a
-multiset of roots of unity, from one walk per prime component that visits
-one of each pair u, -u; and the signature identity
-sqrt|det| * e^(2 pi i sigma/8) is checked per prime component, by one
-routine for odd p and p = 2, in the cyclotomic ring that holds the
-component's sum.
+and the metabolizer search read it; the Gauss sum is stored as a multiset
+of roots of unity, merged from one histogram per prime component, in
+closed form for an odd component whose cyclic orders are all equal and
+otherwise from one walk that visits one of each pair u, -u; and the
+signature identity sqrt|det| * e^(2 pi i sigma/8) is checked per prime
+component, by one routine for odd p and p = 2, in the cyclotomic ring that
+holds the component's sum.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from fractions import Fraction
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
-from .forms import (IntegerSymmetricForm, determinant, form_from_rows, is_even,
-                    signature_from_minors)
-from .witt import boundary_zero_from_minors, factorize
+from .forms import (IntegerSymmetricForm, _eliminate, determinant,
+                    form_from_rows, is_even, signature_from_minors)
+from .witt import boundary_zero_from_minors, factorize, quadratic_residue
 
 DEFAULT_GROUP_BOUND = 10 ** 4
 DEFAULT_DET_BOUND = 10 ** 6
@@ -166,7 +167,7 @@ class DiscriminantForm:
     """The finite quotient (dual lattice)/(lattice) with its linking data.
 
     The linking data is held once, as integers over one denominator N; the
-    Gauss sum walk and the metabolizer search both read these tables.
+    Gauss sum and the metabolizer search both read these tables.
 
     orders       cyclic orders (d_1 | d_2 | ... | d_k, all > 1)
     denominator  N, the least common denominator of the b(g_i, g_j)
@@ -272,10 +273,40 @@ def _subgroup_closure(base, gen, orders):
     return frozenset(out)
 
 
-def _component_metabolizer(d, elements, target, depth_cap):
-    """Lex-first totally-isotropic subgroup of order ``target`` among the
-    given elements (one prime-primary component), or None."""
-    isotropic = [x for x in elements if any(x) and _link_sum(d, x, x) == 0]
+def _isotropic_elements(d, p, exps, strides):
+    """The nonzero x of one p-primary component with N b(x, x) = 0 mod N,
+    in the lexicographic order of their coefficients c, x_i = c_i strides_i.
+
+    N b(x, x) is carried along a depth-first walk over the factors, as in
+    :func:`_component_counts`: factor i adds x_i (x_i link_ii + lin_i) with
+    lin_i = 2 sum_(j<i) x_j link_ji, so each step costs one term per later
+    factor rather than a k x k sum per element.
+    """
+    n, link = d.denominator, d.link
+    coords = [[c * s % di for c in range(p ** e)]
+              for e, s, di in zip(exps, strides, d.orders)]
+    last = len(coords) - 1
+    out = []
+
+    def descend(i, prefix, base, lins):
+        row, lin = link[i], lins[0]
+        if i == last:
+            out.extend(prefix + (x,) for x in coords[i]
+                       if (base + x * (x * row[i] + lin)) % n == 0)
+            return
+        for x in coords[i]:
+            descend(i + 1, prefix + (x,), (base + x * (x * row[i] + lin)) % n,
+                    [(y + 2 * x * row[j]) % n
+                     for j, y in enumerate(lins[1:], i + 1)])
+
+    descend(0, (), 0, [0] * len(coords))
+    return out[1:]  # out[0] is 0, the lex-first element
+
+
+def _component_metabolizer(d, isotropic, target, depth_cap):
+    """Lex-first totally-isotropic subgroup of order ``target`` generated
+    by the given isotropic elements (one prime-primary component), or
+    None."""
     seen = set()
 
     def extend(gens, closure, start):
@@ -359,12 +390,9 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
         target = p ** (total // 2)
         if target == 1:
             continue
-        elements = []
-        for coeffs in itertools.product(*(range(p ** e) for e in exps)):
-            elements.append(tuple((c * s) % di for c, s, di
-                                  in zip(coeffs, strides, d.orders)))
         depth_cap = sum(1 for e in exps if e)
-        part = _component_metabolizer(d, elements, target, depth_cap)
+        part = _component_metabolizer(
+            d, _isotropic_elements(d, p, exps, strides), target, depth_cap)
         if part is None:
             return None
         combined.extend(part)
@@ -408,12 +436,15 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
-    components.  So each G_p is walked once, over one of each pair u, -u,
-    by :func:`_component_counts`, into a histogram of N b(u,u) mod 2N; the
-    histograms are merged by residue addition mod 2N, smallest first, into
-    ``terms``; and each component's sum is checked against Milgram's
-    formula on its own, by :func:`_component_phase` for odd p and p = 2
-    alike, to give ``phase``.
+    components.  So each G_p gives one histogram of N b(u,u) mod 2N: in
+    closed form by :func:`_homogeneous_counts` when p is odd and the cyclic
+    orders of G_p are all equal, which covers every cyclic G_p and every
+    X + X or X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed
+    orders such as (3, 9), by :func:`_component_counts`, one walk over one
+    of each pair u, -u.  The histograms are merged by residue addition mod
+    2N, smallest first, into ``terms``; and each component's sum is checked
+    against Milgram's formula on its own, by :func:`_component_phase` for
+    odd p and p = 2 alike, to give ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -428,12 +459,16 @@ def gauss_sum(f: IntegerSymmetricForm,
     phase = 0
     for p, exps, strides in _primary_components(d.orders):
         idx = [i for i, e in enumerate(exps) if e]
-        counts = _component_counts(
-            [strides[i] ** 2 * quad[i] % mod for i in idx],
-            [[strides[i] * strides[j] * link[i][j] % mod for j in idx]
-             for i in idx],
-            [p ** exps[i] for i in idx], mod)
-        k = _component_phase(counts, p, sum(exps), exps[-1], mod)
+        a = exps[-1]
+        tables = ([strides[i] ** 2 * quad[i] % mod for i in idx],
+                  [[strides[i] * strides[j] * link[i][j] % mod for j in idx]
+                   for i in idx])
+        if p > 2 and exps[idx[0]] == a:
+            counts = _homogeneous_counts(*tables, p, a, mod)
+        else:
+            counts = _component_counts(*tables, [p ** exps[i] for i in idx],
+                                       mod)
+        k = _component_phase(counts, p, sum(exps), a, mod)
         phase = None if phase is None or k is None else (phase + k) % 8
         hists.append(counts)
     hists.sort(key=len, reverse=True)
@@ -481,6 +516,70 @@ def _component_counts(quad, link, orders, mod):
 
     descend(0, 0, [0] * (last + 1), True)
     return counts
+
+
+def _homogeneous_counts(quad, link, p, a, mod):
+    """Histogram {N b(u,u) mod 2N: count} of a p-primary component, p odd,
+    whose k orders all equal p^a, in closed form, keys in increasing order.
+
+    With w = 2N / p^a, S(u) = N b(u,u) / w mod p^a is the quadratic form
+    c^T A c over Z/p^a, A_ii = quad_i / w and A_ij = (2 link_ij / w) 2^-1,
+    and A is invertible mod p since the linking form is nondegenerate.  The
+    number of solutions of S(c) = t therefore depends only on p, a, k and
+    eta, the Legendre symbol of det A mod p.  Over F_p it is
+    (Lidl and Niederreiter, Finite Fields, Theorems 6.26 and 6.27)
+    F(t) = p^(k-1) + p^((k-1)/2) eta((-1)^((k-1)/2) t det A) for odd k and
+    F(t) = p^(k-1) + nu(t) p^((k-2)/2) eta((-1)^(k/2) det A) for even k,
+    nu(0) = p - 1 and nu(t) = -1 otherwise.  Hensel lifting gives the count
+    N_e(t) over Z/p^e, N_0 = 1: a solution mod p with c != 0 mod p lifts to
+    p^(k-1) solutions per step, and c = p c' solves p^2 S(c') = t.  So
+    N_e(t) = p^((e-1)(k-1)) F(t mod p) for p not dividing t, and otherwise
+    p^((e-1)(k-1)) (F(0) - 1) + [e = 1] + [e >= 2, p^2 | t] p^k N_(e-2)(t/p^2).
+    The count of t = p^v u, u a unit, depends on v and on whether u mod p
+    is a square, so the histogram is filled one valuation at a time, in
+    O(p^a) steps rather than the walk's p^(ka) / 2.
+    """
+    size = p ** a
+    w = mod // size
+    k = len(quad)
+    half = (p + 1) // 2  # 2^-1 mod p; only det A mod p is needed
+    table = [[quad[i] // w % p if i == j else 2 * link[i][j] // w * half % p
+              for j in range(k)] for i in range(k)]
+    eta = 1 if quadratic_residue(_eliminate(table)[-1], p) else -1
+    # h = p^((k-1)/2) eta((-1)^((k-1)/2) det A) for odd k, and
+    # p^((k-2)/2) eta((-1)^(k/2) det A) for even k; eta(-1) = -1 iff p = 3 mod 4
+    m = k // 2
+    h = eta * (-1 if p % 4 == 3 and m % 2 else 1) * p ** (m - 1 + k % 2)
+    top = p ** (k - 1)
+    zero, square, nonsquare = ((top, top + h, top - h) if k % 2
+                               else (top + (p - 1) * h, top - h, top - h))
+
+    def lifted(e, v, unit):
+        """N_e(t) for t = p^v times a unit whose F value is ``unit``; t = 0
+        mod p^e when v >= e."""
+        if e == 0:
+            return 1
+        scale = p ** ((e - 1) * (k - 1))
+        if v == 0:
+            return scale * unit
+        n = scale * (zero - 1) + (e == 1)
+        if e >= 2 and v >= 2:
+            n += p ** k * lifted(e - 2, v - 2, unit)
+        return n
+
+    counts = [0] * size
+    for v in range(a):
+        # the counts of t = p^v u by u mod p; u = 0 mod p is overwritten by
+        # the next valuation, and t = 0 last
+        value, other = lifted(a, v, square), lifted(a, v, nonsquare)
+        row = [other] * p
+        if value != other:
+            for x in range(1, (p + 1) // 2):
+                row[x * x % p] = value
+        counts[::p ** v] = row * p ** (a - v - 1)
+    counts[0] = lifted(a, a, None)
+    return dict(zip(itertools.compress(range(0, mod, w), counts),
+                    filter(None, counts)))
 
 
 def _convolve(a, b, mod):

@@ -336,35 +336,44 @@ def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
 
 
 def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
-    """One gauss_sum per op, and within it one walk per prime dividing |G|:
-    |G| = 9 for A8 and 30 = 2 * 3 * 5 for <2> + A2 + [[2, 1], [1, -2]]."""
+    """One gauss_sum per op, and within it one histogram per prime dividing
+    |G|: |G| = 9 for A8, in closed form, and 30 = 2 * 3 * 5 for
+    <2> + A2 + [[2, 1], [1, -2]], walked at 2 and in closed form at 3, 5."""
     from wittlink import cli, discriminant
     calls = []
-    walks = []
+    served = []
     real = discriminant.gauss_sum
     real_walk = discriminant._component_counts
+    real_closed = discriminant._homogeneous_counts
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     def counted_walk(quad, link, orders, mod):
-        walks.append(orders)
+        served.append(("walk", orders))
         return real_walk(quad, link, orders, mod)
+
+    def counted_closed(quad, link, p, a, mod):
+        served.append(("closed", p))
+        return real_closed(quad, link, p, a, mod)
 
     monkeypatch.setattr(discriminant, "gauss_sum", counted)
     monkeypatch.setattr(discriminant, "_component_counts", counted_walk)
+    monkeypatch.setattr(discriminant, "_homogeneous_counts", counted_closed)
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"gram": [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0],
                                           [0, -1, 2, 0, 0], [0, 0, 0, 2, 1],
                                           [0, 0, 0, 1, -2]]}))
-    for path, want in ((a8_json, [[9]]), (str(mixed), [[2], [3], [5]])):
+    for path, want in ((a8_json, [("closed", 3)]),
+                       (str(mixed), [("walk", [2]), ("closed", 3),
+                                     ("closed", 5)])):
         calls.clear()
-        walks.clear()
+        served.clear()
         assert cli.main(["gauss", "--gram", path]) == 0
         assert json.loads(capsys.readouterr().out)["check"] is True
         assert len(calls) == 1
-        assert walks == want
+        assert served == want
 
 
 def test_metabolizer_search_reads_integer_tables(a8_json, tmp_path,

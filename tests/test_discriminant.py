@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       hermite_basis, linking_is_nondegenerate, linking_value,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
-                      witt_from_diagonal)
+                      quadratic_residue, witt_from_diagonal)
 from wittlink.errors import (DeterminantTooLargeError, GroupTooLargeError,
                              LengthMismatchError, NotEvenError)
 
@@ -375,7 +376,6 @@ def test_main_theorem_odd_det_hypothesis_is_necessary():
 def _gauss_exponents_by_direct_enumeration(f):
     """Oracle: exponent multiset {b(u,u) mod 2} from the rational generator
     vectors and the Gram matrix directly, no precomputed tables."""
-    import itertools
     d = discriminant_form(f)
     b = f.rows()
     counts = {}
@@ -507,7 +507,8 @@ def _neg(rows):
 
 def _gauss_fixture_rows(rng):
     """Forms whose discriminant groups cover the shapes the per-prime
-    halving walk distinguishes, then random mixed forms with |det| <= 3000."""
+    halving walk and the closed form distinguish, then random mixed forms
+    with |det| <= 3000."""
     x15 = [[4, 1], [1, 4]]
     x12 = [[4, 2], [2, 4]]
     fixed = [[], E8, HYPERBOLIC, D4, _block_sum(D4, D4).rows(),
@@ -520,7 +521,10 @@ def _gauss_fixture_rows(rng):
              # first factor, (3, 3, 3) has no self-negative c but 0, and
              # <10> + <50> has the 5-primary component (5, 25)
              [[4, 0], [0, 4]], _block_sum([[2]], [[4]], [[8]]).rows(),
-             _block_sum(A2, A2, A2).rows(), [[10, 0], [0, 50]]]
+             _block_sum(A2, A2, A2).rows(), [[10, 0], [0, 50]],
+             # the closed form: A2^4 has rank 4 at 3, and <50> + <50> has
+             # the homogeneous 5-primary component (25, 25) beside (2, 2)
+             _block_sum(A2, A2, A2, A2).rows(), [[50, 0], [0, 50]]]
     fixed += [_block_sum(*[[[2]]] * k).rows() for k in range(1, 9)]
     mixed = []
     while len(mixed) < 200:
@@ -528,6 +532,61 @@ def _gauss_fixture_rows(rng):
         if abs(determinant(form_from_rows(rows))) <= 3000:
             mixed.append(rows)
     return fixed + mixed
+
+
+def _homogeneous_tables(rng, p, a, k, nonsquare):
+    """Integer tables (quad, link, 2N) of a component (Z/p^a)^k whose form
+    c^T A c mod p^a has A = U diag(u) U^T, U a random integer unimodular
+    matrix and u random units with det A a non-square mod p iff
+    ``nonsquare``; N = p^a m for a random m."""
+    size = p ** a
+    units = [rng.choice([x for x in range(1, size) if x % p])
+             for _ in range(k)]
+    if quadratic_residue(math.prod(units), p) == nonsquare:
+        t = next(t for t in range(2, p) if not quadratic_residue(t, p))
+        units[-1] = units[-1] * t % size
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        c = rng.randint(-3, 3)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    form = [[sum(u[i][t] * units[t] * u[j][t] for t in range(k)) % size
+             for j in range(k)] for i in range(k)]
+    n = size * rng.choice((1, 2, 3, 4, 10))
+    w = 2 * n // size
+    return ([w * form[i][i] for i in range(k)],
+            [[n // size * (2 * form[i][j] % size) for j in range(k)]
+             for i in range(k)], 2 * n)
+
+
+def test_homogeneous_counts_agree_with_the_walk(rng):
+    """The closed-form histogram of an odd component whose orders all equal
+    p^a is the walk's, key for key and in increasing key order, for
+    p = 1 and 3 mod 4, exponents 1 to 3, ranks 1 to 4, both classes of
+    det A and non-diagonal tables.  Groups beyond 2 * 10^4 elements are
+    left out, since the walk is the oracle; every exponent and every rank
+    still meets both residues of p mod 4 and both classes of det A."""
+    from wittlink import discriminant
+    cases = set()
+    for p in (3, 5, 7, 11, 13):
+        for a in (1, 2, 3):
+            for k in (1, 2, 3, 4):
+                if p ** (a * k) > 2 * 10 ** 4:
+                    continue
+                for nonsquare, _ in itertools.product((False, True), range(3)):
+                    quad, link, mod = _homogeneous_tables(rng, p, a, k,
+                                                          nonsquare)
+                    walk = discriminant._component_counts(
+                        quad, link, [p ** a] * k, mod)
+                    closed = discriminant._homogeneous_counts(
+                        quad, link, p, a, mod)
+                    assert closed == walk, (p, a, k, quad, link, mod)
+                    assert list(closed) == sorted(closed)
+                    cases.add((p % 4, a, k, nonsquare))
+    assert {(r, a, s) for r, a, _, s in cases} == set(
+        itertools.product((1, 3), (1, 2, 3), (False, True)))
+    assert {(r, k, s) for r, _, k, s in cases} == set(
+        itertools.product((1, 3), (1, 2, 3, 4), (False, True)))
 
 
 def _milgram_by_fsum(f, g):
@@ -546,7 +605,7 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     orders = {discriminant_form(f).orders for f in forms}
     assert {(), (2, 2), (2, 8), (9,), (27,), (25,), (3, 9), (30,),
             (15, 15), (2, 2, 6, 6), (2,) * 8, (4, 4), (2, 4, 8), (3, 3, 3),
-            (10, 50)} <= orders
+            (10, 50), (3, 3, 3, 3), (50, 50)} <= orders
     mismatched = 0
     for i, (rows, f, g) in enumerate(zip(fixtures, forms, sums)):
         assert g.terms == enumerate_gauss_terms(rows), rows
