@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from ._mat import identity
 from .errors import (DegenerateError, NotIntegerError, NotSquareError,
                      NotSymmetricError)
+
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,38 @@ def form_from_rows(rows) -> IntegerSymmetricForm:
     A 0x0 matrix is accepted and represents the empty (rank zero) form,
     with determinant 1 by convention.
     """
+    gram = _int_rows(rows, NotIntegerError, "Gram")
+    if gram != tuple(zip(*gram)):
+        for i, row in enumerate(gram):
+            for j in range(i + 1, len(gram)):
+                if row[j] != gram[j][i]:
+                    raise NotSymmetricError(
+                        f"gram[{i}][{j}] = {row[j]} != gram[{j}][{i}] = {gram[j][i]}")
+    f = IntegerSymmetricForm(n=len(gram), gram=gram)
+    f.minors  # the elimination raises DegenerateError when det is 0
+    return f
+
+
+def _int_rows(rows, error, kind) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a square tuple of tuples of exact ``int``s.
+
+    Raises NotSquareError on a row of the wrong length, and ``error`` on the
+    first entry, in row-major order, that is not an integer (a bool is
+    not).  One C-level type test passes the common case; the loop runs only
+    to name the bad entry or to convert int subclasses to ``int``.
+    """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise NotSquareError(f"expected {n} columns, got {len(row)}")
-    for row in rows:
+    t = tuple(map(tuple, rows))
+    if _INT.issuperset(map(type, chain.from_iterable(t))):
+        return t
+    for row in t:
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise NotIntegerError(f"non-integer Gram entry {x!r}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise NotSymmetricError(
-                    f"gram[{i}][{j}] = {rows[i][j]} != gram[{j}][{i}] = {rows[j][i]}")
-    gram = tuple(tuple(int(x) for x in row) for row in rows)
-    f = IntegerSymmetricForm(n=n, gram=gram)
-    f.minors  # the elimination raises DegenerateError when det is 0
-    return f
+                raise error(f"non-integer {kind} entry {x!r}")
+    return tuple(tuple(map(int, row)) for row in t)
 
 
 def determinant(f: IntegerSymmetricForm) -> int:

@@ -1,7 +1,10 @@
 """Knot-theoretic front end: Seifert matrices and pretzel closed forms.
 
 Seifert matrices are inputs (from tables or files), never derived from
-diagrams.  Symmetrizing one yields an even integer form whose signature and
+diagrams.  A Seifert matrix S is valid when det(S - S^T) = 1, checked as
+Pf(S - S^T) = +-1 by one fraction-free Pfaffian elimination, since the
+determinant of a skew-symmetric matrix is the square of its Pfaffian.
+Symmetrizing one yields an even integer form whose signature and
 determinant are the knot signature and determinant; running the residue
 maps on its diagonalization decides whether the knot satisfies the
 vanishing hypothesis, in which case the signature is divisible by 8.
@@ -14,17 +17,18 @@ residue maps kill) and signature have closed forms in the parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
-from .errors import (DegenerateParameterError, InvalidSeifertError,
-                     NotSquareError)
-from .forms import (IntegerSymmetricForm, determinant, form_from_rows,
-                    signature, signature_from_minors)
+from .errors import DegenerateParameterError, InvalidSeifertError
+from .forms import (IntegerSymmetricForm, _int_rows, determinant,
+                    form_from_rows, signature, signature_from_minors)
 from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
 
 
 @dataclass(frozen=True)
 class SeifertMatrix:
-    """An integer Seifert pairing; valid when det(S - S^T) = 1."""
+    """An integer Seifert pairing; valid when det(S - S^T) = 1, that is
+    when the Pfaffian Pf(S - S^T) is +-1."""
 
     n: int
     entries: tuple[tuple[int, ...], ...]
@@ -54,36 +58,57 @@ class KnotReport:
     signature_mod_8: int | None
 
 
-def _bareiss_det(rows) -> int:
-    """Fraction-free determinant of an integer matrix, symmetric or not."""
-    m = [list(row) for row in rows]
+def _pfaffian(a) -> int:
+    """Pfaffian of the skew-symmetric integer rows ``a``, by fraction-free
+    elimination in place; only the upper triangle is read or written.
+
+    Step k pivots on the 2x2 block (k, k+1) with piv = a[k][k+1], after
+    swapping the first j > k with a[k][j] != 0 into position k+1 (rows and
+    columns, flipping the sign) when piv is 0; if there is none, Pf = 0.
+    The trailing entries become piv * a_ij - a_ki * a_(k+1)j + a_kj * a_(k+1)i
+    divided by the previous pivot.  The division is exact: each result is
+    the Pfaffian of the principal submatrix on 0..k+1, i, j of the matrix
+    as swapped so far (a 4x4 sub-Pfaffian at the first step).  The last
+    pivot is the Pfaffian, and det = Pf^2.
+    """
+    n = len(a)
+    if n % 2:
+        return 0
     sign = prev = 1
-    for k in range(len(m)):
-        i = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if i is None:
-            return 0
-        if i != k:
-            m[k], m[i], sign = m[i], m[k], -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+    for k in range(0, n, 2):
+        rk = a[k]
+        if not rk[k + 1]:
+            j = next((j for j in range(k + 2, n) if rk[j]), None)
+            if j is None:
+                return 0
+            _swap_skew(a, k + 1, j)
+            sign = -sign
+        r1, piv = a[k + 1], rk[k + 1]
+        for i in range(k + 2, n - 1):
+            ri, c, d = a[i], rk[i], r1[i]
+            ri[i + 1:] = [(piv * x - c * y + d * z) // prev for x, y, z
+                          in zip(ri[i + 1:], r1[i + 1:], rk[i + 1:])]
+        prev = piv
     return sign * prev
 
 
+def _swap_skew(a, p, q):
+    """Swap indices p < q of a skew-symmetric matrix kept in the upper
+    triangle of rows p - 1 onwards: rows and columns both."""
+    a[p - 1][p], a[p - 1][q] = a[p - 1][q], a[p - 1][p]
+    rp, rq = a[p], a[q]
+    for m in range(p + 1, q):
+        rp[m], a[m][q] = -a[m][q], -rp[m]
+    rp[q] = -rp[q]
+    rp[q + 1:], rq[q + 1:] = rq[q + 1:], rp[q + 1:]
+
+
 def seifert_from_rows(rows) -> SeifertMatrix:
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise NotSquareError(f"expected {n} columns, got {len(row)}")
-    for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidSeifertError(f"non-integer Seifert entry {x!r}")
-    anti = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
-    if _bareiss_det(anti) != 1:
+    s = _int_rows(rows, InvalidSeifertError, "Seifert")
+    anti = [list(map(sub, row, col)) for row, col in zip(s, zip(*s))]
+    if abs(_pfaffian(anti)) != 1:
         raise InvalidSeifertError("det(S - S^T) must be 1")
-    return SeifertMatrix(n=n, entries=tuple(tuple(int(x) for x in r) for r in rows))
+    return SeifertMatrix(n=len(s), entries=s)
 
 
 def seifert_block_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
@@ -101,9 +126,9 @@ def seifert_block_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
 
 def symmetrize(s: SeifertMatrix) -> IntegerSymmetricForm:
     """S + S^T: an even symmetric form with odd determinant."""
-    rows = [[s.entries[i][j] + s.entries[j][i] for j in range(s.n)]
-            for i in range(s.n)]
-    return form_from_rows(rows)
+    e = s.entries
+    return form_from_rows([list(map(add, row, col))
+                           for row, col in zip(e, zip(*e))])
 
 
 def knot_signature(s: SeifertMatrix) -> int:

@@ -1,11 +1,11 @@
 """Shared fixtures: reference matrices and independent oracles.
 
-The oracles here (cofactor determinants, brute-force isotropic-subspace
+The oracles here (cofactor and unsymmetric Bareiss determinants, the
+Pfaffian by its permutation expansion, brute-force isotropic-subspace
 search, diagonalization in Fractions with the library's and with the
 opposite pivot policy, whole-group Gauss enumeration and its float value,
-naive window search) deliberately reimplement
-functionality along different paths so the library can be checked against
-them.
+naive window search) deliberately reimplement functionality along different
+paths so the library can be checked against them.
 """
 
 from fractions import Fraction
@@ -61,6 +61,46 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def bareiss_det(rows):
+    """Fraction-free determinant of an integer matrix, symmetric or not:
+    unsymmetric Bareiss elimination with row swaps."""
+    m = [list(row) for row in rows]
+    sign = prev = 1
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i], sign = m[i], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def permutation_pfaffian(a):
+    """Pf(A) of a 2m x 2m skew-symmetric matrix from its definition:
+    the sum over all permutations s of sgn(s) prod_i a[s(2i)][s(2i+1)],
+    divided by 2^m m!.  Zero for odd size."""
+    import itertools
+    import math
+
+    n = len(a)
+    if n % 2:
+        return 0
+    total = 0
+    for s in itertools.permutations(range(n)):
+        inversions = sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(0, n, 2):
+            term *= a[s[i]][s[i + 1]]
+        total += term
+    scale = 2 ** (n // 2) * math.factorial(n // 2)
+    assert total % scale == 0
+    return total // scale
 
 
 def fraction_diagonalize(rows):

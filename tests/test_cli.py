@@ -509,7 +509,7 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
     count(forms, "pivot_minors")
     count(forms, "diagonalize")
     count(forms, "_eliminate")
-    count(knots, "_bareiss_det")
+    count(knots, "_pfaffian")
     # det 9 (odd square) and det -4 (even square): analyze and disc both
     # search for a metabolizer on these.
     for i, rows in enumerate((A8_NEG, [[0, 2], [2, 0]])):
@@ -525,7 +525,7 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({"seifert": NINE_ONE_SEIFERT}))
     calls.clear()
     assert cli.main(["knot", "--seifert", str(path)]) == 0
-    assert calls == Counter(pivot_minors=1, _bareiss_det=1, _eliminate=1)
+    assert calls == Counter(pivot_minors=1, _pfaffian=1, _eliminate=1)
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,41 @@ def test_form_from_rows_errors():
         form_from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
     with pytest.raises(DegenerateError):
         form_from_rows([[1, 1], [1, 1]])
+    # Each of these fails the fast type test; the loop names the first bad
+    # entry in row-major order, and types are checked before symmetry.
+    for bad, shown in ((True, "True"), (2.0, "2.0"), (0.5, "0.5"),
+                       (Fraction(2), "Fraction(2, 1)"), ("2", "'2'"),
+                       (None, "None")):
+        for rows in ([[2, 1, 0], [1, bad, 3], [0, 3, 2]],
+                     [[2, 1, 0], [1, bad, 3], [0, 5, None]]):
+            with pytest.raises(NotIntegerError) as err:
+                form_from_rows(rows)
+            assert str(err.value) == f"non-integer Gram entry {shown}"
+    with pytest.raises(NotIntegerError) as err:
+        form_from_rows([[2, 1.5], [None, 2]])
+    assert str(err.value) == "non-integer Gram entry 1.5"
+    with pytest.raises(NotSquareError) as err:
+        form_from_rows([[2, 1], [1, 2, 0]])
+    assert str(err.value) == "expected 2 columns, got 3"
+    # the first asymmetric pair (i, j), i < j, in row-major order
+    with pytest.raises(NotSymmetricError) as err:
+        form_from_rows([[0, 1, 2, 7], [1, 0, 3, 0], [5, 4, 0, 0], [9, 0, 0, 0]])
+    assert str(err.value) == "gram[0][2] = 2 != gram[2][0] = 5"
+    with pytest.raises(NotSymmetricError) as err:
+        form_from_rows([[0, 1, 2], [1, 0, 3], [2, 4, 0]])
+    assert str(err.value) == "gram[1][2] = 3 != gram[2][1] = 4"
+
+
+def test_form_from_rows_int_subclass():
+    """An int subclass is accepted and stored as an exact int."""
+    class Entry(IntEnum):
+        MINUS = -1
+        TWO = 2
+
+    f = form_from_rows([[Entry.TWO, Entry.MINUS], [-1, 2]])
+    assert f.gram == ((2, -1), (-1, 2))
+    assert all(type(x) is int for row in f.gram for x in row)
+    assert determinant(f) == 3
 
 
 def test_empty_form():

@@ -1,9 +1,12 @@
 import json
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
 from conftest import (NINE_ONE_SEIFERT, NINE_ONE_SYM, SEIFERT_6_3,
-                      SEIFERT_8_1, TREFOIL_SEIFERT, random_seifert_rows)
+                      SEIFERT_8_1, TREFOIL_SEIFERT, bareiss_det,
+                      permutation_pfaffian, random_seifert_rows)
 from wittlink import (PretzelKnot, analyze_knot, boundary_is_zero, is_even,
                       knot_determinant, knot_signature, murasugi_check,
                       pretzel_determinant, pretzel_signature,
@@ -12,6 +15,7 @@ from wittlink import (PretzelKnot, analyze_knot, boundary_is_zero, is_even,
                       witt_q_equal, witt_sum)
 from wittlink.errors import (DegenerateParameterError, InvalidSeifertError,
                              NotSquareError)
+from wittlink.knots import _pfaffian
 
 
 def test_seifert_validation(tmp_path, capsys):
@@ -32,6 +36,100 @@ def test_seifert_validation(tmp_path, capsys):
         assert cli.main(["knot", "--seifert", str(path)]) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "invalid_seifert", err
+    # Each of these fails the fast type test; the loop names the first bad
+    # entry in row-major order.
+    for bad, shown in ((True, "True"), (1.0, "1.0"),
+                       (Fraction(1), "Fraction(1, 1)"), ("1", "'1'"),
+                       (None, "None")):
+        for rows in ([[0, bad], [0, 0]], [[0, bad], [0.5, None]]):
+            with pytest.raises(InvalidSeifertError) as err:
+                seifert_from_rows(rows)
+            assert str(err.value) == f"non-integer Seifert entry {shown}"
+    with pytest.raises(NotSquareError) as err:
+        seifert_from_rows([[0, 1], [0]])
+    assert str(err.value) == "expected 2 columns, got 1"
+
+
+def test_seifert_pfaffian_sign_and_value():
+    """det(S - S^T) = Pf^2 = 1 accepts Pf = -1 and rejects Pf = +-2, +-3."""
+    assert seifert_from_rows([[0, 0], [1, 0]]).entries == ((0, 0), (1, 0))
+    # zero A[0][1]: the elimination swaps index 2 into place first
+    assert seifert_from_rows(
+        [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]).n == 4
+    for rows in ([[0, 2], [0, 0]], [[0, 0], [3, 0]], [[0, 3], [0, 0]],
+                 [[0, 0, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 1, 0], [0, 0, 1], [0, 0, 0]]):
+        with pytest.raises(InvalidSeifertError) as err:
+            seifert_from_rows(rows)
+        assert str(err.value) == "det(S - S^T) must be 1"
+
+
+def test_seifert_int_subclass():
+    class Entry(IntEnum):
+        MINUS = -1
+        ONE = 1
+
+    s = seifert_from_rows([[Entry.MINUS, Entry.ONE], [0, -1]])
+    assert s.entries == tuple(map(tuple, TREFOIL_SEIFERT))
+    assert all(type(x) is int for row in s.entries for x in row)
+    assert all(type(x) is int for row in symmetrize(s).gram for x in row)
+
+
+def _random_skew(rng, n, bound=2, zeros=0.0):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() >= zeros:
+                a[i][j] = rng.randint(-bound, bound)
+                a[j][i] = -a[i][j]
+    return a
+
+
+def test_pfaffian_squares_to_bareiss_det(rng):
+    """Pf^2 = det on random skew matrices of size 0-12: dense, sparse (zero
+    pivots force swaps, and many are singular), with a zero row, and of
+    lower rank (B J B^T)."""
+    seen = {"zero": 0, "unit": 0}
+    for n in range(13):
+        cases = [_random_skew(rng, n) for _ in range(6)]
+        cases += [_random_skew(rng, n, bound=1, zeros=z)
+                  for z in (0.5, 0.7, 0.85) for _ in range(4)]
+        if n:
+            zero_row = _random_skew(rng, n)
+            k = rng.randrange(n)
+            for i in range(n):
+                zero_row[k][i] = zero_row[i][k] = 0
+            cases.append(zero_row)
+        for r in range(0, n, 2):
+            b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+            cases.append([[sum(b[i][t] * b[j][t + 1] - b[i][t + 1] * b[j][t]
+                               for t in range(0, r, 2)) for j in range(n)]
+                          for i in range(n)])
+        if n >= 4 and n % 2 == 0:
+            swap = _random_skew(rng, n)
+            for k in range(0, n - 1, 2):
+                swap[k][k + 1] = swap[k + 1][k] = 0
+            cases.append(swap)
+        for a in cases:
+            pf = _pfaffian([list(row) for row in a])
+            assert pf * pf == bareiss_det(a), a
+            if n % 2:
+                assert pf == 0
+            seen["zero"] += pf == 0
+            seen["unit"] += abs(pf) == 1
+    assert seen["zero"] > 50 and seen["unit"] > 5, seen
+
+
+def test_pfaffian_sign_matches_definition(rng):
+    for n in range(7):
+        for zeros in (0.0, 0.4, 0.7):
+            for _ in range(3):
+                a = _random_skew(rng, n, bound=3, zeros=zeros)
+                assert _pfaffian([list(row) for row in a]) == \
+                    permutation_pfaffian(a), a
+    # a[0][1] = 0 swaps index 2 into place; Pf = a03 a12 - a02 a13
+    a = [[0, 0, 2, 5], [0, 0, 3, 7], [-2, -3, 0, 0], [-5, -7, 0, 0]]
+    assert _pfaffian([list(row) for row in a]) == permutation_pfaffian(a) == 1
 
 
 def test_symmetrize_examples():
