@@ -9,10 +9,10 @@ integers mod N and mod 2N over one denominator N, and both the Gauss sum
 and the metabolizer search read it; the Gauss sum is stored as a multiset
 of roots of unity, merged from one histogram per prime component, in
 closed form for an odd component whose cyclic orders are all equal and
-otherwise from one walk that visits one of each pair u, -u; and the
-signature identity sqrt|det| * e^(2 pi i sigma/8) is checked per prime
-component, by one routine for odd p and p = 2, in the cyclotomic ring that
-holds the component's sum.
+otherwise from one lexicographic walk, which the metabolizer search
+shares; and the signature identity sqrt|det| * e^(2 pi i sigma/8) is
+checked per prime component, by one routine for odd p and p = 2, in the
+cyclotomic ring that holds the component's sum.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import not_
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
 from .forms import (IntegerSymmetricForm, _eliminate, determinant,
                     form_from_rows, is_even, signature_from_minors)
-from .witt import boundary_zero_from_minors, factorize, quadratic_residue
+from .witt import (_split, boundary_zero_from_minors, factorize,
+                   quadratic_residue)
 
 DEFAULT_GROUP_BOUND = 10 ** 4
 DEFAULT_DET_BOUND = 10 ** 6
@@ -277,30 +279,16 @@ def _isotropic_elements(d, p, exps, strides):
     """The nonzero x of one p-primary component with N b(x, x) = 0 mod N,
     in the lexicographic order of their coefficients c, x_i = c_i strides_i.
 
-    N b(x, x) is carried along a depth-first walk over the factors, as in
-    :func:`_component_counts`: factor i adds x_i (x_i link_ii + lin_i) with
-    lin_i = 2 sum_(j<i) x_j link_ji, so each step costs one term per later
-    factor rather than a k x k sum per element.
+    N b(x, x) comes from :func:`_walk` over the values x_i, on quad, which
+    is link_ii mod N.
     """
-    n, link = d.denominator, d.link
     coords = [[c * s % di for c in range(p ** e)]
               for e, s, di in zip(exps, strides, d.orders)]
-    last = len(coords) - 1
-    out = []
-
-    def descend(i, prefix, base, lins):
-        row, lin = link[i], lins[0]
-        if i == last:
-            out.extend(prefix + (x,) for x in coords[i]
-                       if (base + x * (x * row[i] + lin)) % n == 0)
-            return
-        for x in coords[i]:
-            descend(i + 1, prefix + (x,), (base + x * (x * row[i] + lin)) % n,
-                    [(y + 2 * x * row[j]) % n
-                     for j, y in enumerate(lins[1:], i + 1)])
-
-    descend(0, (), 0, [0] * len(coords))
-    return out[1:]  # out[0] is 0, the lex-first element
+    values = []
+    _walk(d.quad, d.link, coords, d.denominator, values.extend)
+    isotropic = itertools.compress(itertools.product(*coords),
+                                   map(not_, values))
+    return list(itertools.islice(isotropic, 1, None))  # 0 comes first
 
 
 def _component_metabolizer(d, isotropic, target, depth_cap):
@@ -352,14 +340,8 @@ def _primary_components(orders):
     """
     out = []
     for p in factorize(math.prod(orders)).primes():
-        exps = []
-        for di in orders:
-            e = 0
-            while di % p == 0:
-                di //= p
-                e += 1
-            exps.append(e)
-        out.append((p, exps, [di // p ** e for di, e in zip(orders, exps)]))
+        exps, strides = zip(*(_split(di, p) for di in orders))
+        out.append((p, exps, strides))
     return out
 
 
@@ -440,11 +422,11 @@ def gauss_sum(f: IntegerSymmetricForm,
     closed form by :func:`_homogeneous_counts` when p is odd and the cyclic
     orders of G_p are all equal, which covers every cyclic G_p and every
     X + X or X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed
-    orders such as (3, 9), by :func:`_component_counts`, one walk over one
-    of each pair u, -u.  The histograms are merged by residue addition mod
-    2N, smallest first, into ``terms``; and each component's sum is checked
-    against Milgram's formula on its own, by :func:`_component_phase` for
-    odd p and p = 2 alike, to give ``phase``.
+    orders such as (3, 9), by :func:`_walk` over every element.  The
+    histograms are merged by residue addition mod 2N, smallest first, into
+    ``terms``; and each component's sum is checked against Milgram's
+    formula on its own, by :func:`_component_phase` for odd p and p = 2
+    alike, to give ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -466,8 +448,9 @@ def gauss_sum(f: IntegerSymmetricForm,
         if p > 2 and exps[idx[0]] == a:
             counts = _homogeneous_counts(*tables, p, a, mod)
         else:
-            counts = _component_counts(*tables, [p ** exps[i] for i in idx],
-                                       mod)
+            counts = Counter()
+            _walk(*tables, [range(p ** exps[i]) for i in idx], mod,
+                  counts.update)
         k = _component_phase(counts, p, sum(exps), a, mod)
         phase = None if phase is None or k is None else (phase + k) % 8
         hists.append(counts)
@@ -483,39 +466,31 @@ def gauss_sum(f: IntegerSymmetricForm,
                          phase=phase)
 
 
-def _component_counts(quad, link, orders, mod):
-    """Histogram {N b(u,u) mod 2N: count} of one primary component, given
-    its integer tables and its orders, a divisor chain.
+def _walk(quad, link, coords, mod, leaf):
+    """Call ``leaf`` with the values sum_i x_i (x_i quad_i + lin_i) mod
+    ``mod``, lin_i = 2 sum_(j<i) x_j link_ji, of the x in
+    ``itertools.product(*coords)``, in that order: one list for each choice
+    of every coordinate but the last.
 
-    For u = (c_0, ..., c_(k-1)), N b(u,u) = sum_i c_i (c_i quad_i + lin_i)
-    mod 2N, where lin_i = 2 sum_(j<i) c_j link_ji.  A depth-first walk over
-    the factors carries the value so far and the lin of the factors still to
-    come, so each step adds one term per later factor; the last factor's
-    values are counted in one pass.  The walk visits one of u and -u, since
-    b(-u, -u) = b(u, u): while every coefficient so far is its own negative
-    (0 or d/2), it takes only c <= d/2 at the next factor and counts each
-    c != -c twice, and below such a c it counts every element twice.
+    With x_i = c_i in the integer tables of a component this is N b(u,u)
+    mod 2N.  A depth-first walk over the factors carries the value so far
+    and the lin of the factors still to come, so each step adds one term
+    per later factor rather than a k x k sum per element.
     """
-    counts = Counter()
-    last = len(orders) - 1
+    last = len(coords) - 1
 
-    def descend(i, base, lins, halve):
-        d, q, row, lin = orders[i], quad[i], link[i], lins[0]
-        values = [(base + c * (c * q + lin)) % mod
-                  for c in range(d // 2 + 1 if halve else d)]
+    def descend(i, base, lins):
+        q, row, lin = quad[i], link[i], lins[0]
+        values = [(base + x * (x * q + lin)) % mod for x in coords[i]]
         if i == last:
-            counts.update(values)
-            counts.update(itertools.islice(values, 1, (d + 1) // 2)
-                          if halve else values)
+            leaf(values)
             return
-        for c, value in enumerate(values):
+        for x, value in zip(coords[i], values):
             descend(i + 1, value,
-                    [(x + 2 * c * row[j]) % mod
-                     for j, x in enumerate(lins[1:], i + 1)],
-                    halve and 2 * c % d == 0)
+                    [(y + 2 * x * row[j]) % mod
+                     for j, y in enumerate(lins[1:], i + 1)])
 
-    descend(0, 0, [0] * (last + 1), True)
-    return counts
+    descend(0, 0, [0] * len(coords))
 
 
 def _homogeneous_counts(quad, link, p, a, mod):
@@ -583,14 +558,13 @@ def _homogeneous_counts(quad, link, p, a, mod):
 
 
 def _convolve(a, b, mod):
-    """The histogram of r + s mod ``mod`` for r, s drawn from a and b."""
-    out = {}
-    get = out.get
-    for ra, ca in a.items():
-        for rb, cb in b.items():
-            r = (ra + rb) % mod
-            out[r] = get(r, 0) + ca * cb
-    return out
+    """The histogram of r + s mod ``mod`` for r, s drawn from a and b.
+
+    The residues of distinct prime components lie in subgroups of Z/mod of
+    coprime orders, so no two sums collide.
+    """
+    return {(ra + rb) % mod: ca * cb
+            for ra, ca in a.items() for rb, cb in b.items()}
 
 
 def _component_phase(counts, p, e, a, mod):

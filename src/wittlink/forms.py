@@ -195,15 +195,13 @@ def signature(f: IntegerSymmetricForm) -> int:
 
 
 def direct_sum(f1: IntegerSymmetricForm, f2: IntegerSymmetricForm) -> IntegerSymmetricForm:
-    n1, n2 = f1.n, f2.n
-    rows = [[0] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            rows[i][j] = f1.gram[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            rows[n1 + i][n1 + j] = f2.gram[i][j]
-    return form_from_rows(rows)
+    return form_from_rows(_block_rows(f1.gram, f2.gram))
+
+
+def _block_rows(a, b) -> list[list[int]]:
+    """The rows of the block-diagonal matrix of the square rows a and b."""
+    pad_a, pad_b = [0] * len(b), [0] * len(a)
+    return [[*row, *pad_a] for row in a] + [[*pad_b, *row] for row in b]
 
 
 def report(f: IntegerSymmetricForm) -> FormReport:

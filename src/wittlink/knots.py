@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import DegenerateParameterError, InvalidSeifertError
-from .forms import (IntegerSymmetricForm, _int_rows, determinant,
-                    form_from_rows, signature, signature_from_minors)
+from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
+                    determinant, form_from_rows, signature,
+                    signature_from_minors)
 from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
 
 
@@ -113,15 +114,7 @@ def seifert_from_rows(rows) -> SeifertMatrix:
 
 def seifert_block_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:
     """Seifert matrix of a connected sum: the block sum of the summands."""
-    n = s1.n + s2.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(s1.n):
-        for j in range(s1.n):
-            rows[i][j] = s1.entries[i][j]
-    for i in range(s2.n):
-        for j in range(s2.n):
-            rows[s1.n + i][s1.n + j] = s2.entries[i][j]
-    return seifert_from_rows(rows)
+    return seifert_from_rows(_block_rows(s1.entries, s2.entries))
 
 
 def symmetrize(s: SeifertMatrix) -> IntegerSymmetricForm:

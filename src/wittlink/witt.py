@@ -49,7 +49,7 @@ class PrimeFactorization:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_CERTIFIED_BELOW:
@@ -271,9 +271,6 @@ def _residue(entries, p: int) -> FiniteWittClass:
         vd, den = _split(frac.denominator, p)
         if (vn - vd) % 2:
             units.append(num * den % p)
-    if p == 2:
-        return FiniteWittClass(prime=2, rank_parity=len(units) % 2,
-                               disc_is_square=None)
     return finite_witt_from_units(p, units)
 
 

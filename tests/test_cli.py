@@ -343,23 +343,23 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
     calls = []
     served = []
     real = discriminant.gauss_sum
-    real_walk = discriminant._component_counts
+    real_walk = discriminant._walk
     real_closed = discriminant._homogeneous_counts
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    def counted_walk(quad, link, orders, mod):
-        served.append(("walk", orders))
-        return real_walk(quad, link, orders, mod)
+    def counted_walk(quad, link, coords, mod, leaf):
+        served.append(("walk", [len(c) for c in coords]))
+        return real_walk(quad, link, coords, mod, leaf)
 
     def counted_closed(quad, link, p, a, mod):
         served.append(("closed", p))
         return real_closed(quad, link, p, a, mod)
 
     monkeypatch.setattr(discriminant, "gauss_sum", counted)
-    monkeypatch.setattr(discriminant, "_component_counts", counted_walk)
+    monkeypatch.setattr(discriminant, "_walk", counted_walk)
     monkeypatch.setattr(discriminant, "_homogeneous_counts", counted_closed)
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"gram": [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0],

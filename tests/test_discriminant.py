@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,34 @@ def test_find_metabolizer_multi_prime():
     assert index == 12
     assert abs(determinant(f1)) == 1
     assert boundary_is_zero(rational_witt_class(f))
+
+
+def test_isotropic_elements_match_the_direct_filter():
+    """The walk's isotropic elements of each primary component are the
+    nonzero x_i = c_i s_i mod d_i with _link_sum(d, x, x) = 0, in the
+    lexicographic order of c: on cyclic and mixed 2-primary groups, on
+    mixed and homogeneous odd ones, on two primes at once, on A1^8 and on
+    D4^4."""
+    from wittlink import discriminant
+    cases = [([[4]], (4,)), ([[8]], (8,)), ([[2, 0], [0, 4]], (2, 4)),
+             ([[4, 0], [0, 4]], (4, 4)),
+             (_block_sum([[2]], [[6]], [[-2]], [[-6]]).rows(), (2, 2, 6, 6)),
+             (_block_sum(A2, A8_NEG).rows(), (3, 9)),
+             (_block_sum(A8_NEG, A8_NEG).rows(), (9, 9)),
+             ([[5, 0], [0, 25]], (5, 25)),
+             (_block_sum(*[[[2]]] * 8).rows(), (2,) * 8),
+             (_block_sum(D4, D4, D4, D4).rows(), (2,) * 8)]
+    for rows, orders in cases:
+        d = discriminant_form(form_from_rows(rows))
+        assert d.orders == orders
+        for p, exps, strides in discriminant._primary_components(orders):
+            want = []
+            for c in itertools.product(*(range(p ** e) for e in exps)):
+                x = tuple(ci * s % di for ci, s, di in zip(c, strides, orders))
+                if any(x) and discriminant._link_sum(d, x, x) == 0:
+                    want.append(x)
+            got = discriminant._isotropic_elements(d, p, exps, strides)
+            assert got == want, (orders, p)
 
 
 def test_pipeline_rank_sixteen():
@@ -506,9 +535,8 @@ def _neg(rows):
 
 
 def _gauss_fixture_rows(rng):
-    """Forms whose discriminant groups cover the shapes the per-prime
-    halving walk and the closed form distinguish, then random mixed forms
-    with |det| <= 3000."""
+    """Forms whose discriminant groups cover the shapes the per-prime walk
+    and the closed form serve, then random mixed forms with |det| <= 3000."""
     x15 = [[4, 1], [1, 4]]
     x12 = [[4, 2], [2, 4]]
     fixed = [[], E8, HYPERBOLIC, D4, _block_sum(D4, D4).rows(),
@@ -517,14 +545,17 @@ def _gauss_fixture_rows(rng):
              _block_sum([[2]], A2, [[2, 1], [1, -2]]).rows(),
              _block_sum(x15, x15).rows(), _block_sum(x15, _neg(x15)).rows(),
              _block_sum(x12, x12).rows(), _block_sum(x12, _neg(x12)).rows(),
-             # the halving walk: (4, 4) and (2, 4, 8) keep halving past the
-             # first factor, (3, 3, 3) has no self-negative c but 0, and
-             # <10> + <50> has the 5-primary component (5, 25)
+             # the walk: 2-primary (4, 4), (2, 4, 8) and cyclic (16,), and
+             # mixed odd (5, 25) in <10> + <50> and (9, 27) in
+             # A8 + [[2, 1], [1, 14]]
              [[4, 0], [0, 4]], _block_sum([[2]], [[4]], [[8]]).rows(),
-             _block_sum(A2, A2, A2).rows(), [[10, 0], [0, 50]],
-             # the closed form: A2^4 has rank 4 at 3, and <50> + <50> has
-             # the homogeneous 5-primary component (25, 25) beside (2, 2)
-             _block_sum(A2, A2, A2, A2).rows(), [[50, 0], [0, 50]]]
+             [[16]], [[10, 0], [0, 50]],
+             _block_sum(A8_NEG, [[2, 1], [1, 14]]).rows(),
+             # the closed form: A2^3 and A2^4 have ranks 3 and 4 at 3, and
+             # <50> + <50> has the homogeneous 5-primary component (25, 25)
+             # beside (2, 2)
+             _block_sum(A2, A2, A2).rows(), _block_sum(A2, A2, A2, A2).rows(),
+             [[50, 0], [0, 50]]]
     fixed += [_block_sum(*[[[2]]] * k).rows() for k in range(1, 9)]
     mixed = []
     while len(mixed) < 200:
@@ -576,8 +607,9 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
                 for nonsquare, _ in itertools.product((False, True), range(3)):
                     quad, link, mod = _homogeneous_tables(rng, p, a, k,
                                                           nonsquare)
-                    walk = discriminant._component_counts(
-                        quad, link, [p ** a] * k, mod)
+                    walk = Counter()
+                    discriminant._walk(quad, link, [range(p ** a)] * k, mod,
+                                       walk.update)
                     closed = discriminant._homogeneous_counts(
                         quad, link, p, a, mod)
                     assert closed == walk, (p, a, k, quad, link, mod)
@@ -605,7 +637,7 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     orders = {discriminant_form(f).orders for f in forms}
     assert {(), (2, 2), (2, 8), (9,), (27,), (25,), (3, 9), (30,),
             (15, 15), (2, 2, 6, 6), (2,) * 8, (4, 4), (2, 4, 8), (3, 3, 3),
-            (10, 50), (3, 3, 3, 3), (50, 50)} <= orders
+            (10, 50), (3, 3, 3, 3), (50, 50), (16,), (9, 27)} <= orders
     mismatched = 0
     for i, (rows, f, g) in enumerate(zip(fixtures, forms, sums)):
         assert g.terms == enumerate_gauss_terms(rows), rows

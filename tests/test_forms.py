@@ -186,10 +186,15 @@ def test_direct_sum_examples():
 
 
 def test_direct_sum_properties(rng):
+    empty = form_from_rows([])
     for _ in range(10):
         f1 = form_from_rows(random_even_form_rows(rng, rng.randint(1, 4)))
         f2 = form_from_rows(random_even_form_rows(rng, rng.randint(1, 4)))
+        assert direct_sum(f1, empty) == direct_sum(empty, f1) == f1
+        assert direct_sum(empty, empty) == empty
         s = direct_sum(f1, f2)
+        assert s.gram == tuple(r + (0,) * f2.n for r in f1.gram) + tuple(
+            (0,) * f1.n + r for r in f2.gram)
         assert signature(s) == signature(f1) + signature(f2)
         assert determinant(s) == determinant(f1) * determinant(f2)
         assert is_even(s) == (is_even(f1) and is_even(f2))

@@ -201,9 +201,12 @@ def test_analyze_connected_sum_six_three_eight_one():
 
 
 def test_connected_sum_additivity(rng):
+    unknot = seifert_from_rows([])
     for _ in range(10):
         s1 = seifert_from_rows(random_seifert_rows(rng, rng.randint(1, 2)))
         s2 = seifert_from_rows(random_seifert_rows(rng, rng.randint(1, 2)))
+        assert seifert_block_sum(s1, unknot) == \
+            seifert_block_sum(unknot, s1) == s1
         total = seifert_block_sum(s1, s2)
         assert knot_signature(total) == knot_signature(s1) + knot_signature(s2)
         assert knot_determinant(total) == \
