@@ -18,7 +18,7 @@ from .discriminant import (DiscriminantForm, GaussSumValue, MainTheoremReport,
                            discriminant_form,
                            find_metabolizer, gauss_sum, gauss_sum_check,
                            gauss_sum_matches,
-                           hermite_basis, linking_is_nondegenerate,
+                           linking_is_nondegenerate,
                            linking_value, metabolizer_may_exist,
                            overlattice_from_metabolizer,
                            smith_normal_form, verify_main_theorem)

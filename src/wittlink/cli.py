@@ -28,16 +28,17 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _read_json(path):
+def _read_key(path, key):
+    """``data[key]`` of the JSON object in the file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict) or key not in data:
+        raise WittLinkError(f'expected a JSON object with a "{key}" key')
+    return data[key]
 
 
 def _load_gram(path) -> forms.IntegerSymmetricForm:
-    data = _read_json(path)
-    if not isinstance(data, dict) or "gram" not in data:
-        raise WittLinkError('expected a JSON object with a "gram" key')
-    return forms.form_from_rows(data["gram"])
+    return forms.form_from_rows(_read_key(path, "gram"))
 
 
 def _load_seifert(path) -> knots.SeifertMatrix:
@@ -45,10 +46,7 @@ def _load_seifert(path) -> knots.SeifertMatrix:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
         return knots.seifert_from_rows(rows)
-    data = _read_json(path)
-    if not isinstance(data, dict) or "seifert" not in data:
-        raise WittLinkError('expected a JSON object with a "seifert" key')
-    return knots.seifert_from_rows(data["seifert"])
+    return knots.seifert_from_rows(_read_key(path, "seifert"))
 
 
 def _finite_class_json(c: witt.FiniteWittClass) -> dict:
@@ -59,14 +57,7 @@ def _finite_class_json(c: witt.FiniteWittClass) -> dict:
 def _cmd_analyze(args) -> int:
     f = _load_gram(args.gram)
     rep = discriminant.verify_main_theorem(f, group_bound=args.bound_group)
-    out = {"rank": f.n, "is_even": rep.is_even, "det": rep.det,
-           "det_odd": rep.det_odd, "boundary_zero": rep.boundary_zero,
-           "metabolizer": [list(g) for g in rep.metabolizer]
-           if rep.metabolizer is not None else None,
-           "signature": rep.signature, "signature_mod_8": rep.signature_mod_8,
-           "theorem_applies": rep.theorem_applies,
-           "conclusion_holds": rep.conclusion_holds}
-    _emit(out)
+    _emit({**vars(rep), "rank": f.n})
     return 0
 
 
@@ -121,11 +112,7 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_knot(args) -> int:
     s = _load_seifert(args.seifert)
-    rep = knots.analyze_knot(s)
-    _emit({"signature": rep.signature, "determinant": rep.determinant,
-           "murasugi_class": rep.murasugi_class,
-           "boundary_zero": rep.boundary_zero,
-           "signature_mod_8": rep.signature_mod_8})
+    _emit(vars(knots.analyze_knot(s)))
     return 0
 
 

@@ -3,12 +3,15 @@
 The discriminant group of a nondegenerate integer form B is the finite
 abelian quotient of the dual lattice by the lattice; it carries a Q/Z-valued
 linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
-that the Gauss sum exponentiates.  Everything is exact: the group structure
-comes from an integer Smith normal form; the linking data is held once, as
-integers mod N and mod 2N over one denominator N, and both the Gauss sum
-and the metabolizer search read it; the Gauss sum is stored as a multiset
-of roots of unity, merged from one histogram per prime component, in
-closed form for an odd component whose cyclic orders are all equal and
+that the Gauss sum exponentiates.  Everything is exact: one integer Smith
+normal form B V = W D, with V kept and W never formed, gives the group
+structure (generators are the columns of V D^-1), the basis of the
+overlattice that a metabolizer spans, and nondegeneracy of a linking form
+(from the invariant factors of one 2k x k table); the linking data is held
+once, as integers mod N and mod 2N over one denominator N, and both the
+Gauss sum and the metabolizer search read it; the Gauss sum is stored as a
+multiset of roots of unity, merged from one histogram per prime component,
+in closed form for an odd component whose cyclic orders are all equal and
 otherwise from one lexicographic walk, which the metabolizer search
 shares; and the signature identity sqrt|det| * e^(2 pi i sigma/8) is
 checked per prime component, by one routine for odd p and p = 2, in the
@@ -42,21 +45,18 @@ DEFAULT_DET_BOUND = 10 ** 6
 
 
 def smith_normal_form(rows):
-    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...).
+    """(d, V) with M * V = W * D for unimodular V and W, where D is the
+    diagonal d_1 | d_2 | ... padded with zeros to the shape of M.
 
     Pivot choice: the smallest nonzero absolute value of the remaining
     block, scanned row-major, which keeps entry growth modest and the
-    output deterministic.  Diagonal entries are normalized positive.
+    output deterministic.  Diagonal entries are normalized positive.  The
+    row operations that would form W^-1 are applied to M alone.
     """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    u = identity(nr)
     v = identity(nc)
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in m:
@@ -66,7 +66,6 @@ def smith_normal_form(rows):
 
     def add_row(dst, src, q):
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
         for row in m:
@@ -88,7 +87,7 @@ def smith_normal_form(rows):
                 break
             if piv != (t, t):
                 if piv[0] != t:
-                    swap_rows(t, piv[0])
+                    m[t], m[piv[0]] = m[piv[0]], m[t]
                 if piv[1] != t:
                     swap_cols(t, piv[1])
             dirty = False
@@ -121,43 +120,8 @@ def smith_normal_form(rows):
             add_row(t, offender, 1)
         if t < min(nr, nc) and m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
     d = [m[i][i] for i in range(min(nr, nc))]
-    return u, d, v
-
-
-def hermite_basis(rows):
-    """A triangular basis of the integer row lattice spanned by ``rows``.
-
-    Column-by-column gcd elimination; the input must have full column rank.
-    """
-    work = [list(r) for r in rows if any(r)]
-    nc = len(rows[0]) if rows else 0
-    basis = []
-    col = 0
-    while col < nc and work:
-        work.sort(key=lambda r: (r[col] == 0, abs(r[col])))
-        if work[0][col] == 0:
-            col += 1
-            continue
-        while True:
-            nonzero = [r for r in work[1:] if r[col] != 0]
-            if not nonzero:
-                break
-            piv = work[0]
-            for r in work[1:]:
-                if r[col] != 0:
-                    q = r[col] // piv[col]
-                    for j in range(nc):
-                        r[j] -= q * piv[j]
-            work.sort(key=lambda r: (r[col] == 0, abs(r[col])))
-        row = work.pop(0)
-        if next(x for x in row if x) < 0:
-            row = [-x for x in row]
-        basis.append(row)
-        work = [r for r in work if any(r)]
-        col += 1
-    return basis
+    return d, v
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +172,13 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     """Compute the discriminant group and linking form of a valid form.
 
     The cokernel of the Gram matrix B is read off the Smith normal form
-    U B V = D; the generator of the i-th cyclic factor lifts to column i of
-    B^-1 U^-1 = V D^-1, that is column i of V divided by d_i, a rational
+    B V = W D; the generator of the i-th cyclic factor lifts to column i of
+    B^-1 W = V D^-1, that is column i of V divided by d_i, a rational
     vector in the dual lattice.  Unit factors are dropped.  With v_i that
     column, b(g_i, g_j) = s_ij / (d_i d_j) for the integer s_ij = v_i^T B v_j.
     """
     b = f.rows()
-    _, d, v = smith_normal_form(b)
+    d, v = smith_normal_form(b)
     orders = [d[i] for i in range(f.n) if d[i] != 1]
     cols = [[v[r][i] for r in range(f.n)] for i in range(f.n) if d[i] != 1]
     gens = [tuple(Fraction(x, di) for x in col) for col, di in zip(cols, orders)]
@@ -251,14 +215,20 @@ def linking_value(d: DiscriminantForm, x, y) -> Fraction:
 
 
 def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
-    """Brute-force radical check on the integer table: only x = 0 has
-    sum_i x_i N b(g_i, g_j) = 0 mod N for every j."""
-    n = d.denominator
-    for x in d.elements():
-        if any(x) and all(sum(a * b for a, b in zip(x, row)) % n == 0
-                          for row in d.link):
-            return False
-    return True
+    """Whether x -> b(x, .) is one-to-one from G to Hom(G, Q/Z).
+
+    Both groups have order |G|, so one-to-one is the same as onto.  In the
+    coordinates phi -> (d_j phi(g_j) mod d_j) of Hom(G, Q/Z), x maps to
+    x A mod d, with A_ij = d_j N b(g_i, g_j) / N an integer because d_j g_j
+    lies in the lattice.  So the map is onto iff the rows of A and of
+    diag(d) span Z^k, that is iff every invariant factor of the 2k x k
+    matrix [A; diag(d)] is 1.
+    """
+    n, orders = d.denominator, d.orders
+    rows = [[dj * x // n for dj, x in zip(orders, row)] for row in d.link]
+    rows += [[di * (i == j) for j in range(len(orders))]
+             for i, di in enumerate(orders)]
+    return all(x == 1 for x in smith_normal_form(rows)[0])
 
 
 def _add_elem(x, y, orders):
@@ -668,33 +638,25 @@ def overlattice_from_metabolizer(f: IntegerSymmetricForm,
     integral; for odd det it is even as well.
     """
     n = f.n
-    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for g in gens:
-        vec = [Fraction(0)] * n
-        for coeff, gen in zip(g, d.generators):
-            for i in range(n):
-                vec[i] += coeff * gen[i]
-        vecs.append(vec)
-    denom = 1
-    for row in vecs:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    int_rows = [[int(x * denom) for x in row] for row in vecs]
-    basis = [[Fraction(x, denom) for x in row] for row in hermite_basis(int_rows)]
+    # generator i has denominator d_i, so every vector is integral when
+    # scaled by their lcm
+    denom = math.lcm(*d.orders)
+    vecs = [[denom * (i == j) for j in range(n)] for i in range(n)]
+    vecs += [[int(denom * sum(c * gen[i] for c, gen in zip(g, d.generators)))
+              for i in range(n)] for g in gens]
+    # With M the scaled rows, M^T V = W [diag(d) | 0] for unimodular V and
+    # W, so the first n rows of V^T M are a basis of M's row lattice.
+    _, v = smith_normal_form(transpose(vecs))
+    basis = mat_mul(transpose(v)[:n], vecs)
     gram = mat_mul(mat_mul(basis, f.rows()), transpose(basis))
-    rows = []
-    for row in gram:
-        out = []
-        for x in row:
-            if x.denominator != 1:
-                raise ArithmeticError("generators do not span an integral "
-                                      "overlattice; not a metabolizer")
-            out.append(int(x))
-        rows.append(out)
-    f1 = form_from_rows(rows)
-    index_sq = Fraction(abs(determinant(f)), abs(determinant(f1)))
-    index = math.isqrt(int(index_sq))
-    if index * index != index_sq:
+    sq = denom * denom
+    if any(x % sq for row in gram for x in row):
+        raise ArithmeticError("generators do not span an integral "
+                              "overlattice; not a metabolizer")
+    f1 = form_from_rows([[x // sq for x in row] for row in gram])
+    index_sq, rest = divmod(abs(determinant(f)), abs(determinant(f1)))
+    index = math.isqrt(index_sq)
+    if rest or index * index != index_sq:
         raise ArithmeticError("overlattice index is not integral")
     return f1, index
 

@@ -150,9 +150,17 @@ def square_free_part(a) -> int:
 
 @dataclass(frozen=True)
 class WittClassQ:
-    """A rational Witt class as a sorted multiset of square-free integers."""
+    """A rational Witt class as a sorted multiset of square-free integers.
+
+    A zero entry is refused: it has no square class, and the residue maps
+    could not take its valuation.
+    """
 
     entries: tuple[int, ...]
+
+    def __post_init__(self):
+        if 0 in self.entries:
+            raise ZeroEntryError("Witt class entries must be nonzero")
 
     def signature(self) -> int:
         return sum(1 if e > 0 else -1 for e in self.entries)

@@ -1,11 +1,11 @@
 """Shared fixtures: reference matrices and independent oracles.
 
 The oracles here (cofactor and unsymmetric Bareiss determinants, the
-Pfaffian by its permutation expansion, brute-force isotropic-subspace
-search, diagonalization in Fractions with the library's and with the
-opposite pivot policy, whole-group Gauss enumeration and its float value,
-naive window search) deliberately reimplement functionality along different
-paths so the library can be checked against them.
+Pfaffian by its permutation expansion, brute-force isotropic-subspace and
+linking-radical searches, diagonalization in Fractions with the library's
+and with the opposite pivot policy, whole-group Gauss enumeration and its
+float value, naive window search) deliberately reimplement functionality
+along different paths so the library can be checked against them.
 """
 
 from fractions import Fraction
@@ -240,6 +240,21 @@ def witt_zero_bruteforce(units, p):
         return False
 
     return extend([])
+
+
+def linking_radical_is_trivial(d):
+    """Is the linking form of the discriminant form ``d`` nondegenerate?
+
+    Brute-force radical search over every element of G on the integer
+    table: only x = 0 may have sum_i x_i N b(g_i, g_j) = 0 mod N for
+    every j.
+    """
+    n = d.denominator
+    for x in d.elements():
+        if any(x) and all(sum(a * b for a, b in zip(x, row)) % n == 0
+                          for row in d.link):
+            return False
+    return True
 
 
 def naive_window_search(bound, sign, m_max, r_bound=None, p_range=None,

@@ -1,23 +1,26 @@
 import cmath
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, cofactor_det,
-                      enumerate_gauss_terms, fsum_gauss_value,
-                      random_even_form_rows, random_mixed_even_rows)
+from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, bareiss_det,
+                      cofactor_det, enumerate_gauss_terms, fsum_gauss_value,
+                      linking_radical_is_trivial, random_even_form_rows,
+                      random_mixed_even_rows)
 from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       determinant, diagonalize, direct_sum, discriminant_form,
                       find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
                       gauss_sum_matches,
-                      hermite_basis, linking_is_nondegenerate, linking_value,
+                      linking_is_nondegenerate, linking_value,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
                       quadratic_residue, witt_from_diagonal)
+from wittlink._mat import mat_mul
 from wittlink.errors import (DeterminantTooLargeError, GroupTooLargeError,
                              LengthMismatchError, NotEvenError)
 
@@ -34,29 +37,87 @@ def _block_sum(*blocks):
 
 
 def _is_unimodular(m):
-    return abs(cofactor_det(m)) == 1
+    return abs(bareiss_det(m)) == 1
+
+
+def _is_divisor_chain(d):
+    return (all(x >= 0 for x in d)
+            and all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:])))
+
+
+def _smith_w(rows, d, v):
+    """W = M V D^-1 for the Smith form (d, V) of a nonsingular square M,
+    asserted integral."""
+    mv = mat_mul(rows, v)
+    assert all(x % dj == 0 for row in mv for x, dj in zip(row, d))
+    return [[x // dj for x, dj in zip(row, d)] for row in mv]
+
+
+def _check_square_smith(rows):
+    """M V = W D with V and W = M V D^-1 integral and unimodular, d a
+    divisor chain and |det M| = prod d."""
+    d, v = smith_normal_form(rows)
+    w = _smith_w(rows, d, v)
+    assert _is_unimodular(v) and _is_unimodular(w)
+    assert _is_divisor_chain(d) and all(d)
+    assert math.prod(d) == abs(cofactor_det(rows))
+    return d
 
 
 def test_smith_normal_form_basic():
-    u, d, v = smith_normal_form([[2, 4], [6, 8]])
-    assert _is_unimodular(u) and _is_unimodular(v)
-    assert d == [2, 4]  # det -8, invariant factors 2 | 4
+    # det -8, invariant factors 2 | 4
+    assert _check_square_smith([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_smith_normal_form_random(rng):
-    from wittlink._mat import mat_mul
     for _ in range(20):
         n = rng.randint(1, 4)
-        rows = random_even_form_rows(rng, n, entry_bound=5)
-        u, d, v = smith_normal_form(rows)
-        assert _is_unimodular(u) and _is_unimodular(v)
-        full = mat_mul(mat_mul(u, rows), v)
-        for i in range(n):
-            for j in range(n):
-                assert full[i][j] == (d[i] if i == j else 0)
-        for i in range(n - 1):
-            assert d[i] > 0 and d[i + 1] % d[i] == 0
-        assert math.prod(d) == abs(cofactor_det(rows))
+        _check_square_smith(random_even_form_rows(rng, n, entry_bound=5))
+
+
+def _determinantal_divisors(rows):
+    """D_i, the gcd of the i x i minors of ``rows``, for i = 1 .. min shape."""
+    nr, nc = len(rows), len(rows[0])
+    out = []
+    for i in range(1, min(nr, nc) + 1):
+        g = 0
+        for rs in itertools.combinations(range(nr), i):
+            for cs in itertools.combinations(range(nc), i):
+                g = math.gcd(g, cofactor_det([[rows[r][c] for c in cs]
+                                              for r in rs]))
+        out.append(g)
+    return out
+
+
+def test_smith_normal_form_rectangular(rng):
+    """On 1-5 x 1-5 matrices of both shapes, some with zero rows and zero
+    columns: d_1 ... d_i is the gcd of the i x i minors, V is unimodular,
+    and column j of M V is d_j times an integer column, zero where d_j = 0
+    or j is past the diagonal, so M V = W D with W unimodular."""
+    fixtures = [[[0]], [[0, 0, 0]], [[0], [0]], [[0, 2], [0, 4], [0, 6]],
+                [[2, 4, 6]], [[6], [10], [15]]]
+    shapes, zeros = set(), 0
+    for _ in range(150):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        dead_rows = {i for i in range(nr) if rng.random() < 0.2}
+        dead_cols = {j for j in range(nc) if rng.random() < 0.2}
+        zeros += bool(dead_rows or dead_cols)
+        fixtures.append([[0 if i in dead_rows or j in dead_cols
+                          else rng.randint(-6, 6) for j in range(nc)]
+                         for i in range(nr)])
+    for rows in fixtures:
+        nr, nc = len(rows), len(rows[0])
+        shapes.add((nr > nc) - (nr < nc))
+        d, v = smith_normal_form(rows)
+        assert len(d) == min(nr, nc) and len(v) == nc
+        assert _is_unimodular(v) and _is_divisor_chain(d)
+        assert (list(itertools.accumulate(d, operator.mul))
+                == _determinantal_divisors(rows))
+        mv = mat_mul(rows, v)
+        for j in range(nc):
+            dj = d[j] if j < len(d) else 0
+            assert all(row[j] % dj == 0 if dj else row[j] == 0 for row in mv)
+    assert shapes == {-1, 0, 1} and zeros >= 20
 
 
 def test_discriminant_form_e8_trivial():
@@ -98,8 +159,7 @@ def test_discriminant_group_order_and_consistency(rng):
             for j in range(k):
                 assert (d.orders[i] * d.linking[i][j]) % 1 == 0
             assert (d.quad_diag[i] - d.linking[i][i]) % 1 == 0
-        if d.group_order() <= 64:
-            assert linking_is_nondegenerate(d)
+        assert linking_is_nondegenerate(d)
 
 
 def test_linking_is_nondegenerate_detects_a_radical():
@@ -118,6 +178,69 @@ def test_linking_is_nondegenerate_detects_a_radical():
     assert not linking_is_nondegenerate(form((2, 2), ((1, 0), (0, 0))))
     assert linking_is_nondegenerate(form((2,), ((1,),)))
     assert linking_is_nondegenerate(form((2, 2), ((0, 1), (1, 0))))
+
+
+def _linking_table(orders, link):
+    """A hand-built discriminant form on Z/d_1 + ... + Z/d_k over N = d_k;
+    only the orders and the linking table are meaningful."""
+    return DiscriminantForm(
+        orders=orders, denominator=orders[-1], link=link,
+        quad=tuple(row[i] for i, row in enumerate(link)),
+        generators=tuple((Fraction(1, d),) * len(orders) for d in orders))
+
+
+def _link_choices(orders):
+    """The index pairs i <= j and, for each, the allowed values of
+    N b(g_i, g_j) mod N, N = d_k: the multiples of N / gcd(d_i, d_j)."""
+    k, n = len(orders), orders[-1]
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    return pairs, [range(0, n, n // math.gcd(orders[i], orders[j]))
+                   for i, j in pairs]
+
+
+def _table_from(orders, pairs, values):
+    k = len(orders)
+    link = [[0] * k for _ in range(k)]
+    for (i, j), x in zip(pairs, values):
+        link[i][j] = link[j][i] = x
+    return _linking_table(orders, tuple(map(tuple, link)))
+
+
+def test_linking_is_nondegenerate_matches_radical_search(rng):
+    """Invariant factors against the brute-force radical search: every
+    linking table on small orders, both answers on each, then random tables
+    and discriminant forms with |G| <= 2000."""
+    for orders in [(2,), (4,), (2, 4), (3, 9), (2, 2), (4, 8), (3, 3, 9)]:
+        pairs, choices = _link_choices(orders)
+        answers = set()
+        for values in itertools.product(*choices):
+            d = _table_from(orders, pairs, values)
+            answer = linking_radical_is_trivial(d)
+            assert linking_is_nondegenerate(d) == answer, (orders, values)
+            answers.add(answer)
+        assert answers == {False, True}, orders
+    answers = Counter()
+    while sum(answers.values()) < 60:
+        orders = [rng.randint(2, 6)]
+        for _ in range(rng.randint(0, 3)):
+            orders.append(orders[-1] * rng.randint(1, 3))
+        if math.prod(orders) > 2000:
+            continue
+        pairs, choices = _link_choices(orders)
+        d = _table_from(tuple(orders), pairs,
+                        [rng.choice(c) for c in choices])
+        answer = linking_radical_is_trivial(d)
+        assert linking_is_nondegenerate(d) == answer, d
+        answers[answer] += 1
+    assert answers[False] >= 5 and answers[True] >= 5, answers
+    checked = 0
+    while checked < 40:
+        d = discriminant_form(form_from_rows(random_mixed_even_rows(
+            rng, max_rank=8)))
+        if d.group_order() <= 2000:
+            assert linking_is_nondegenerate(d)
+            assert linking_radical_is_trivial(d)
+            checked += 1
 
 
 def test_linking_value():
@@ -323,14 +446,6 @@ def test_exact_and_numeric_paths_agree(rng):
         assert abs(g.approx() - predicted) < 1e-9
 
 
-def test_hermite_basis():
-    basis = hermite_basis([[2, 0], [0, 2], [1, 1]])
-    assert len(basis) == 2
-    # the row lattice is {(a,b): a+b even} extended by (1,1): index 2 in Z^2
-    dets = abs(basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0])
-    assert dets == 2
-
-
 def test_overlattice_a8():
     f = form_from_rows(A8_NEG)
     d = discriminant_form(f)
@@ -474,13 +589,16 @@ def _inverse(m):
 
 
 def test_discriminant_generators_match_inverse_oracle(rng):
-    """Generator i is column i of B^-1 U^-1 for U B V = D; the linking and
-    quadratic values are b(g_i, g_j) mod 1 and b(g_i, g_i) mod 2."""
+    """Generator i is column i of B^-1 U^-1 for U B V = D, where U^-1 is the
+    W = B V D^-1 of the Smith form (d, V); the linking and quadratic values
+    are b(g_i, g_j) mod 1 and b(g_i, g_i) mod 2."""
     for _ in range(200):
         rows = random_mixed_even_rows(rng, max_rank=8)
         n = len(rows)
-        u, d, _ = smith_normal_form(rows)
-        binv, uinv = _inverse(rows), _inverse(u)
+        d, v = smith_normal_form(rows)
+        uinv = _smith_w(rows, d, v)
+        assert _is_unimodular(uinv)
+        binv = _inverse(rows)
         expected = [tuple(sum(binv[r][c] * uinv[c][i] for c in range(n))
                           for r in range(n)) for i in range(n) if d[i] != 1]
         disc = discriminant_form(form_from_rows(rows))

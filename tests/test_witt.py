@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import NINE_ONE_SYM, random_mixed_even_rows, witt_zero_bruteforce
-from wittlink import (boundary_at_prime, boundary_is_zero,
+from wittlink import (WittClassQ, boundary_at_prime, boundary_is_zero,
                       boundary_zero_from_minors, factorize,
                       finite_witt_add, finite_witt_from_units,
                       finite_witt_is_zero, finite_witt_zero, form_from_rows,
@@ -27,6 +31,28 @@ def test_witt_from_diagonal_examples():
         witt_from_diagonal([2, 0])
 
 
+def test_witt_class_refuses_a_zero_entry():
+    """A zero entry has no valuation, so the residue maps would never end
+    on it.  Each call runs in a child process under a timeout, which fails
+    the test, rather than the suite hanging, if the class is accepted."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for call in ("boundary_at_prime(WittClassQ((0, 3)), 3)",
+                 "boundary_is_zero(WittClassQ((0,)))"):
+        code = ("import sys\n"
+                "from wittlink import WittClassQ, boundary_at_prime, "
+                "boundary_is_zero\n"
+                "from wittlink.errors import ZeroEntryError\n"
+                f"try:\n    {call}\n"
+                "except ZeroEntryError:\n    sys.exit(0)\n"
+                "sys.exit(1)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=10,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, (call, proc.stderr)
+    with pytest.raises(ZeroEntryError):
+        WittClassQ(entries=(Fraction(0), 3))
+
+
 def test_boundary_at_prime_nine_one():
     c = witt_from_diagonal(NINE_ONE_DIAGONAL)
     for p in (3, 5, 7):
@@ -44,7 +70,6 @@ def test_boundary_even_valuation():
 
 def test_boundary_respects_unnormalized_input():
     # <a/b * p^n> contributes <ab mod p> exactly when n is odd
-    from wittlink import WittClassQ
     raw = WittClassQ(entries=(Fraction(-3, 2), Fraction(27, 5)))
     k = boundary_at_prime(raw, 3)
     # -3/2 has valuation 1 (unit -1/2 -> class of -2); 27/5 valuation 3 (unit 1/5 -> 5)
