@@ -14,7 +14,8 @@ multiset of roots of unity, merged from one histogram per prime component,
 in closed form for an odd component whose cyclic orders are all equal and
 otherwise from one lexicographic walk, which the metabolizer search
 shares; and the signature identity sqrt|det| * e^(2 pi i sigma/8) is
-checked per prime component, by one routine for odd p and p = 2, in the
+checked per prime component: from a Legendre symbol in closed form, and
+on a walked component by one routine for odd p and p = 2, in the
 cyclotomic ring that holds the component's sum.
 """
 
@@ -26,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import not_
+from operator import itemgetter, not_
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
@@ -362,9 +363,9 @@ class GaussSumValue:
     ``terms`` maps a residue r mod 2N to its multiplicity; the value is
     sum_r terms[r] * zeta^r with zeta the primitive 2N-th root e^(pi i / N).
     ``phase`` is the k mod 8 for which the value is
-    sqrt(total_count()) * e^(2 pi i k / 8), certified exactly by
-    :func:`gauss_sum`; it is None on a hand-built value and when some prime
-    component fails the certification.  Equality ignores it.
+    sqrt(total_count()) * e^(2 pi i k / 8), computed exactly by
+    :func:`gauss_sum`; it is None on a hand-built value and when some walked
+    prime component fails the check.  Equality ignores it.
     """
 
     denominator: int
@@ -372,7 +373,7 @@ class GaussSumValue:
     phase: int | None = field(default=None, compare=False)
 
     def total_count(self) -> int:
-        return sum(c for _, c in self.terms)
+        return sum(map(itemgetter(1), self.terms))
 
     def approx(self) -> complex:
         n = self.denominator
@@ -388,15 +389,15 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
-    components.  So each G_p gives one histogram of N b(u,u) mod 2N: in
-    closed form by :func:`_homogeneous_counts` when p is odd and the cyclic
-    orders of G_p are all equal, which covers every cyclic G_p and every
-    X + X or X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed
-    orders such as (3, 9), by :func:`_walk` over every element.  The
-    histograms are merged by residue addition mod 2N, smallest first, into
-    ``terms``; and each component's sum is checked against Milgram's
-    formula on its own, by :func:`_component_phase` for odd p and p = 2
-    alike, to give ``phase``.
+    components.  So each G_p gives one histogram of N b(u,u) mod 2N and a
+    phase k, its sum being sqrt|G_p| e^(2 pi i k / 8): both in closed form
+    by :func:`_homogeneous_counts` when p is odd and the cyclic orders of
+    G_p are all equal, which covers every cyclic G_p and every X + X or
+    X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed orders such
+    as (3, 9), by :func:`_walk` over every element and the exact Milgram
+    check :func:`_component_phase`.  The histograms are merged by residue
+    addition mod 2N, smallest first, into ``terms``; the k add up to
+    ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -409,6 +410,7 @@ def gauss_sum(f: IntegerSymmetricForm,
     mod = 2 * n
     hists = []
     phase = 0
+    walked = False
     for p, exps, strides in _primary_components(d.orders):
         idx = [i for i, e in enumerate(exps) if e]
         a = exps[-1]
@@ -416,24 +418,28 @@ def gauss_sum(f: IntegerSymmetricForm,
                   [[strides[i] * strides[j] * link[i][j] % mod for j in idx]
                    for i in idx])
         if p > 2 and exps[idx[0]] == a:
-            counts = _homogeneous_counts(*tables, p, a, mod)
+            counts, k = _homogeneous_counts(*tables, p, a, mod)
         else:
             counts = Counter()
             _walk(*tables, [range(p ** exps[i]) for i in idx], mod,
                   counts.update)
-        k = _component_phase(counts, p, sum(exps), a, mod)
+            k = _component_phase(counts, p, sum(exps), a, mod)
+            walked = True
         phase = None if phase is None or k is None else (phase + k) % 8
         hists.append(counts)
+    # A lone closed-form histogram is built in key order, so its items are
+    # ``terms`` as they stand; a walked or merged one is sorted first.
+    in_order = len(hists) < 2 and not walked
     hists.sort(key=len, reverse=True)
     merged = hists.pop() if hists else {0: 1}
     while hists:
         merged = _convolve(merged, hists.pop(), mod)
-    # Pairs built in key order sit in memory in that order, which keeps the
-    # later passes over ``terms`` (total_count, the JSON encoder) cache-local.
-    keys = sorted(merged)
-    return GaussSumValue(denominator=n,
-                         terms=tuple(zip(keys, map(merged.__getitem__, keys))),
-                         phase=phase)
+    if in_order:
+        terms = tuple(merged.items())
+    else:
+        keys = sorted(merged)
+        terms = tuple(zip(keys, map(merged.__getitem__, keys)))
+    return GaussSumValue(denominator=n, terms=terms, phase=phase)
 
 
 def _walk(quad, link, coords, mod, leaf):
@@ -464,8 +470,10 @@ def _walk(quad, link, coords, mod, leaf):
 
 
 def _homogeneous_counts(quad, link, p, a, mod):
-    """Histogram {N b(u,u) mod 2N: count} of a p-primary component, p odd,
-    whose k orders all equal p^a, in closed form, keys in increasing order.
+    """(histogram, phase) of a p-primary component, p odd, whose k orders
+    all equal p^a, in closed form: {N b(u,u) mod 2N: count}, keys in
+    increasing order, and the j mod 8 with sum_u e^(pi i b(u,u)) =
+    p^(ka/2) e^(2 pi i j / 8).
 
     With w = 2N / p^a, S(u) = N b(u,u) / w mod p^a is the quadratic form
     c^T A c over Z/p^a, A_ii = quad_i / w and A_ij = (2 link_ij / w) 2^-1,
@@ -523,8 +531,12 @@ def _homogeneous_counts(quad, link, p, a, mod):
                 row[x * x % p] = value
         counts[::p ** v] = row * p ** (a - v - 1)
     counts[0] = lifted(a, a, None)
+    # With A ~ <u_1, ..., u_k>, the sum is prod_i G(u_i, p^a): p^(a/2) for
+    # even a, (u_i/p) eps_p p^(a/2) for odd a, eps_p = 1 or i as p = 1 or 3
+    # mod 4 (Ireland and Rosen, ch. 6); and prod_i (u_i/p) = eta.
+    phase = ((eta < 0) * 4 + (p % 4 == 3) * 2 * k) % 8 if a % 2 else 0
     return dict(zip(itertools.compress(range(0, mod, w), counts),
-                    filter(None, counts)))
+                    filter(None, counts))), phase
 
 
 def _convolve(a, b, mod):
@@ -540,7 +552,8 @@ def _convolve(a, b, mod):
 def _component_phase(counts, p, e, a, mod):
     """The k mod 8 with sum_r counts[r] zeta^r = sqrt(p^e) e^(2 pi i k / 8),
     zeta = e^(2 pi i / mod), for a p-primary component of order p^e and
-    exponent p^a; None when the sum has no such form.
+    exponent p^a; None when the sum has no such form.  Run on walked
+    components, and in tests as the oracle for closed-form phases.
 
     Exact: each e^(pi i b(u,u)) is an R-th root of unity, R = p^a for odd p
     and R = 2^(a+1) for p = 2, taken at least 8 so that zeta_8 lies in

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from conftest import (A8_NEG, NINE_ONE_SEIFERT, TREFOIL_SEIFERT,
-                      fraction_diagonalize)
+                      enumerate_gauss_terms, fraction_diagonalize)
 
 
 def run_cli(*args):
@@ -338,13 +338,15 @@ def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
 def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
     """One gauss_sum per op, and within it one histogram per prime dividing
     |G|: |G| = 9 for A8, in closed form, and 30 = 2 * 3 * 5 for
-    <2> + A2 + [[2, 1], [1, -2]], walked at 2 and in closed form at 3, 5."""
+    <2> + A2 + [[2, 1], [1, -2]], walked at 2 and in closed form at 3, 5.
+    The ring check of the phase runs on the walked component only."""
     from wittlink import cli, discriminant
     calls = []
     served = []
     real = discriminant.gauss_sum
     real_walk = discriminant._walk
     real_closed = discriminant._homogeneous_counts
+    real_phase = discriminant._component_phase
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -356,18 +358,24 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
 
     def counted_closed(quad, link, p, a, mod):
         served.append(("closed", p))
-        return real_closed(quad, link, p, a, mod)
+        counts, k = real_closed(quad, link, p, a, mod)
+        return counts, k
+
+    def counted_phase(counts, p, e, a, mod):
+        served.append(("phase", p))
+        return real_phase(counts, p, e, a, mod)
 
     monkeypatch.setattr(discriminant, "gauss_sum", counted)
     monkeypatch.setattr(discriminant, "_walk", counted_walk)
     monkeypatch.setattr(discriminant, "_homogeneous_counts", counted_closed)
+    monkeypatch.setattr(discriminant, "_component_phase", counted_phase)
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"gram": [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0],
                                           [0, -1, 2, 0, 0], [0, 0, 0, 2, 1],
                                           [0, 0, 0, 1, -2]]}))
     for path, want in ((a8_json, [("closed", 3)]),
-                       (str(mixed), [("walk", [2]), ("closed", 3),
-                                     ("closed", 5)])):
+                       (str(mixed), [("walk", [2]), ("phase", 2),
+                                     ("closed", 3), ("closed", 5)])):
         calls.clear()
         served.clear()
         assert cli.main(["gauss", "--gram", path]) == 0
@@ -468,6 +476,28 @@ def test_gauss_check_holds_for_non_square_det_near_a_million(tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["denominator"] == 599999 and rep["check"] is True
+
+
+def test_gauss_terms_near_a_million_equal_the_whole_group_enumeration():
+    """Six definite binary forms with |det| near 10^6 and cyclic groups:
+    one prime component (599999), two and three primes (29 * 20731,
+    83 * 7253, 7 * 47 * 1831), and a 3-part of odd exponent (3^3 * 23333)
+    or even exponent (3^2 * 70199).  terms equal the one-loop enumeration
+    and the exact check holds."""
+    from wittlink import (determinant, form_from_rows, gauss_sum,
+                          gauss_sum_matches)
+    cases = [([[600, 1], [1, 1000]], 599999),
+             ([[600, 1], [1, 1002]], 29 * 20731),
+             ([[602, 1], [1, 1000]], 83 * 7253),
+             ([[700, 3], [3, 900]], 3 ** 3 * 23333),
+             ([[600, 1], [1, 1004]], 7 * 47 * 1831),
+             ([[702, 3], [3, 900]], 3 ** 2 * 70199)]
+    for rows, det in cases:
+        f = form_from_rows(rows)
+        assert determinant(f) == det
+        g = gauss_sum(f)
+        assert g.terms == enumerate_gauss_terms(rows), rows
+        assert gauss_sum_matches(f, g), rows
 
 
 def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):

@@ -728,7 +728,7 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
                     walk = Counter()
                     discriminant._walk(quad, link, [range(p ** a)] * k, mod,
                                        walk.update)
-                    closed = discriminant._homogeneous_counts(
+                    closed, _ = discriminant._homogeneous_counts(
                         quad, link, p, a, mod)
                     assert closed == walk, (p, a, k, quad, link, mod)
                     assert list(closed) == sorted(closed)
@@ -737,6 +737,26 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
         itertools.product((1, 3), (1, 2, 3), (False, True)))
     assert {(r, k, s) for r, _, k, s in cases} == set(
         itertools.product((1, 3), (1, 2, 3, 4), (False, True)))
+
+
+def test_homogeneous_phase_agrees_with_the_ring_check(rng):
+    """The phase that _homogeneous_counts reads from eta, p mod 4, the rank
+    and the exponent is the one the exact ring check reads off its
+    histogram, for p from 3 to 23, exponents 1 to 4, ranks 1 to 5 and both
+    classes of det A; every (p mod 4, a mod 2, rank mod 2, eta) is met."""
+    from wittlink import discriminant
+    cases = set()
+    for p, a, k, nonsquare in itertools.product(
+            (3, 5, 7, 11, 13, 17, 19, 23), (1, 2, 3, 4), (1, 2, 3, 4, 5),
+            (False, True)):
+        quad, link, mod = _homogeneous_tables(rng, p, a, k, nonsquare)
+        counts, phase = discriminant._homogeneous_counts(quad, link, p, a,
+                                                         mod)
+        assert phase == discriminant._component_phase(counts, p, k * a, a,
+                                                      mod), (p, a, quad, link)
+        cases.add((p % 4, a % 2, k % 2, nonsquare))
+    assert cases == set(itertools.product((1, 3), (0, 1), (0, 1),
+                                          (False, True)))
 
 
 def _milgram_by_fsum(f, g):
@@ -768,11 +788,39 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     assert mismatched >= 300
 
 
+def test_gauss_sum_on_generated_binary_blocks():
+    """On one or two even blocks [[2a, b], [b, 2c]] with 1 <= |det| <=
+    2 * 10^4 in all, terms equal the one-loop enumeration and the exact
+    check equals Milgram's formula evaluated with fsum.  Pairs draw smaller
+    entries, so that about half the examples are pairs within the bound."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def block(bound):
+        entry = st.integers(-bound, bound)
+        return st.tuples(entry, entry, entry).map(
+            lambda t: [[2 * t[0], t[1]], [t[1], 2 * t[2]]])
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.tuples(block(60)) | st.tuples(block(12), block(12)))
+    def check(blocks):
+        hypothesis.assume(0 < abs(math.prod(
+            x[0][0] * x[1][1] - x[0][1] ** 2 for x in blocks)) <= 2 * 10 ** 4)
+        rows = _block_sum(*blocks).rows()
+        f = form_from_rows(rows)
+        g = gauss_sum(f)
+        assert g.terms == enumerate_gauss_terms(rows)
+        assert gauss_sum_matches(f, g) is _milgram_by_fsum(f, g) is True
+
+    check()
+
+
 def test_gauss_check_rejects_a_moved_count(monkeypatch):
     """A hand-built value with one count moved is not the Gauss sum; and
-    inside the exact check, a component histogram with one count moved to
-    any other residue, or with the counts at two residues swapped, loses
-    its phase."""
+    in the exact ring check, every component histogram, walked (p = 2 and
+    orders (3, 9)) or in closed form (p = 3 and 5), has its phase, and
+    loses it with one count moved to any other residue or with the counts
+    at two residues swapped."""
     from wittlink import discriminant
     fixtures = [A8_NEG, [[2, 1], [1, 14]], [[2, 0], [0, 8]],
                 _block_sum(A2, A8_NEG).rows(),
@@ -782,10 +830,17 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
                 _block_sum(*[[[2, 1], [1, -2]]] * 3).rows()]
     calls = []
     real = discriminant._component_phase
+    real_closed = discriminant._homogeneous_counts
 
     def record(counts, *rest):
-        calls.append((dict(counts), rest))
-        return real(counts, *rest)
+        k = real(counts, *rest)
+        calls.append((dict(counts), rest, k))
+        return k
+
+    def record_closed(quad, link, p, a, mod):
+        counts, k = real_closed(quad, link, p, a, mod)
+        calls.append((counts, (p, len(quad) * a, a, mod), k))
+        return counts, k
 
     for rows in fixtures:
         f = form_from_rows(rows)
@@ -801,12 +856,12 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
                                                           terms))
         assert gauss_sum_matches(f, GaussSumValue(g.denominator, g.terms))
     monkeypatch.setattr(discriminant, "_component_phase", record)
+    monkeypatch.setattr(discriminant, "_homogeneous_counts", record_closed)
     for rows in fixtures:
         gauss_sum(form_from_rows(rows))
-    assert {rest[0] for _, rest in calls} == {2, 3, 5}
-    for counts, rest in calls:
-        k = real(counts, *rest)
-        assert k is not None
+    assert {rest[0] for _, rest, _ in calls} == {2, 3, 5}
+    for counts, rest, k in calls:
+        assert real(counts, *rest) == k is not None
         mod = rest[-1]
         for r in counts:
             for to in range(mod):
