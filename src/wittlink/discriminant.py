@@ -49,80 +49,52 @@ def smith_normal_form(rows):
     """(d, V) with M * V = W * D for unimodular V and W, where D is the
     diagonal d_1 | d_2 | ... padded with zeros to the shape of M.
 
-    Pivot choice: the smallest nonzero absolute value of the remaining
-    block, scanned row-major, which keeps entry growth modest and the
-    output deterministic.  Diagonal entries are normalized positive.  The
-    row operations that would form W^-1 are applied to M alone.
+    Pivot: the smallest nonzero |entry| of the remaining block, the first
+    in row-major order; rows are reduced before columns, a row holding an
+    entry the pivot misses is added to row t, and rows are negated to make
+    d positive.  V is kept as rows under M, so a column operation updates
+    both in one pass, and W is never formed.  A unit pivot ends its step.
     """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    v = identity(nc)
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-
-    def add_col(dst, src, q):
-        for row in m:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    m = [list(r) for r in rows] + identity(nc)
     for t in range(min(nr, nc)):
         while True:
-            piv = None
-            best = None
+            best = 0
             for i in range(t, nr):
-                for j in range(t, nc):
-                    x = abs(m[i][j])
-                    if x and (best is None or x < best):
-                        best = x
-                        piv = (i, j)
-            if piv is None:
+                for j, x in enumerate(m[i][t:], t):
+                    if x and (not best or abs(x) < best):
+                        best, pi, pj = abs(x), i, j
+            if not best:
                 break
-            if piv != (t, t):
-                if piv[0] != t:
-                    m[t], m[piv[0]] = m[piv[0]], m[t]
-                if piv[1] != t:
-                    swap_cols(t, piv[1])
-            dirty = False
+            m[t], m[pi] = m[pi], m[t]
+            if pj != t:
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+            p = m[t][t]
             for i in range(t + 1, nr):
                 if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t]:
-                        dirty = True
+                    q = m[i][t] // p
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
             for j in range(t + 1, nc):
                 if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j]:
-                        dirty = True
-            if dirty:
+                    q = m[t][j] // p
+                    for row in m:
+                        row[j] -= q * row[t]
+            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1:]):
                 continue
-            # Row and column are clear; fold in any entry the pivot misses
-            # so the divisibility chain d_t | d_{t+1} holds.
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % m[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if best == 1:
                 break
-            add_row(t, offender, 1)
-        if t < min(nr, nc) and m[t][t] < 0:
+            # Row and column are clear; fold in a row with an entry the
+            # pivot misses so the divisibility chain d_t | d_{t+1} holds.
+            i = next((i for i in range(t + 1, nr)
+                      if any(x % p for x in m[i][t + 1:])), None)
+            if i is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], m[i])]
+        if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-    d = [m[i][i] for i in range(min(nr, nc))]
-    return d, v
+    return [m[i][i] for i in range(min(nr, nc))], m[nr:]
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +646,15 @@ def overlattice_from_metabolizer(f: IntegerSymmetricForm,
     return f1, index
 
 
+def _check_theorem(applies: bool, sig: int) -> None:
+    """Raise ArithmeticError when a form meeting the vanishing hypothesis
+    has signature ``sig`` not divisible by 8, which the theorem rules out."""
+    if applies and sig % 8:
+        raise ArithmeticError(
+            f"signature {sig} not divisible by 8 on a form satisfying the "
+            "vanishing hypothesis; this contradicts a proved theorem")
+
+
 @dataclass(frozen=True)
 class MainTheoremReport:
     """Everything the signature-divisibility statement needs, in one place.
@@ -712,10 +693,7 @@ def verify_main_theorem(f: IntegerSymmetricForm,
         metabolizer = tuple(found) if found is not None else None
     applies = even and det_odd and boundary_zero
     holds = sig % 8 == 0
-    if applies and not holds:
-        raise ArithmeticError(
-            f"signature {sig} not divisible by 8 on a form satisfying the "
-            "vanishing hypothesis; this contradicts a proved theorem")
+    _check_theorem(applies, sig)
     return MainTheoremReport(is_even=even, det=det, det_odd=det_odd,
                              boundary_zero=boundary_zero,
                              metabolizer=metabolizer, signature=sig,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, sub
 
+from .discriminant import _check_theorem
 from .errors import DegenerateParameterError, InvalidSeifertError
 from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
                     determinant, form_from_rows, signature,
@@ -144,10 +145,12 @@ def murasugi_check(s: SeifertMatrix) -> bool:
 
 def analyze_knot(s: SeifertMatrix) -> KnotReport:
     """Full pipeline: symmetrize, read the pivot minors its validation
-    computed, residue-test, report."""
+    computed, residue-test, report; S + S^T is even with odd det, so the
+    theorem check of :func:`verify_main_theorem` applies."""
     minors = symmetrize(s).minors
     sig = signature_from_minors(minors)
     bz = boundary_zero_from_minors(minors)
+    _check_theorem(bz, sig)
     return KnotReport(signature=sig, determinant=minors[-1],
                       murasugi_class=sig % 4, boundary_zero=bz,
                       signature_mod_8=sig % 8 if bz else None)

@@ -3,14 +3,17 @@
 The oracles here (cofactor and unsymmetric Bareiss determinants, the
 Pfaffian by its permutation expansion, brute-force isotropic-subspace and
 linking-radical searches, diagonalization in Fractions with the library's
-and with the opposite pivot policy, whole-group Gauss enumeration and its
-float value, naive window search) deliberately reimplement functionality
-along different paths so the library can be checked against them.
+and with the opposite pivot policy, the Smith form with V kept apart,
+whole-group Gauss enumeration and its float value, naive window search)
+deliberately reimplement functionality along different paths so the
+library can be checked against them.
 """
 
 from fractions import Fraction
 
 import pytest
+
+from wittlink._mat import identity
 
 # --- reference Gram matrices -------------------------------------------------
 
@@ -255,6 +258,89 @@ def linking_radical_is_trivial(d):
                           for row in d.link):
             return False
     return True
+
+
+def reference_smith_normal_form(rows):
+    """The library's Smith form as it was written with closures, kept as
+    the oracle that pins its exact (d, V).
+
+    (d, V) with M * V = W * D for unimodular V and W, where D is the
+    diagonal d_1 | d_2 | ... padded with zeros to the shape of M.
+
+    Pivot choice: the smallest nonzero absolute value of the remaining
+    block, scanned row-major, which keeps entry growth modest and the
+    output deterministic.  Diagonal entries are normalized positive.  The
+    row operations that would form W^-1 are applied to M alone.
+    """
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    v = identity(nc)
+
+    def swap_cols(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+
+    def add_col(dst, src, q):
+        for row in m:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    for t in range(min(nr, nc)):
+        while True:
+            piv = None
+            best = None
+            for i in range(t, nr):
+                for j in range(t, nc):
+                    x = abs(m[i][j])
+                    if x and (best is None or x < best):
+                        best = x
+                        piv = (i, j)
+            if piv is None:
+                break
+            if piv != (t, t):
+                if piv[0] != t:
+                    m[t], m[piv[0]] = m[piv[0]], m[t]
+                if piv[1] != t:
+                    swap_cols(t, piv[1])
+            dirty = False
+            for i in range(t + 1, nr):
+                if m[i][t]:
+                    q = m[i][t] // m[t][t]
+                    add_row(i, t, -q)
+                    if m[i][t]:
+                        dirty = True
+            for j in range(t + 1, nc):
+                if m[t][j]:
+                    q = m[t][j] // m[t][t]
+                    add_col(j, t, -q)
+                    if m[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # Row and column are clear; fold in any entry the pivot misses
+            # so the divisibility chain d_t | d_{t+1} holds.
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if m[i][j] % m[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if t < min(nr, nc) and m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+    d = [m[i][i] for i in range(min(nr, nc))]
+    return d, v
 
 
 def naive_window_search(bound, sign, m_max, r_bound=None, p_range=None,

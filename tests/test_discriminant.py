@@ -10,7 +10,7 @@ import pytest
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, bareiss_det,
                       cofactor_det, enumerate_gauss_terms, fsum_gauss_value,
                       linking_radical_is_trivial, random_even_form_rows,
-                      random_mixed_even_rows)
+                      random_mixed_even_rows, reference_smith_normal_form)
 from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       determinant, diagonalize, direct_sum, discriminant_form,
                       find_metabolizer,
@@ -54,9 +54,11 @@ def _smith_w(rows, d, v):
 
 
 def _check_square_smith(rows):
-    """M V = W D with V and W = M V D^-1 integral and unimodular, d a
-    divisor chain and |det M| = prod d."""
+    """(d, V) equal the reference oracle's; M V = W D with V and
+    W = M V D^-1 integral and unimodular, d a divisor chain and
+    |det M| = prod d."""
     d, v = smith_normal_form(rows)
+    assert (d, v) == reference_smith_normal_form(rows)
     w = _smith_w(rows, d, v)
     assert _is_unimodular(v) and _is_unimodular(w)
     assert _is_divisor_chain(d) and all(d)
@@ -67,48 +69,82 @@ def _check_square_smith(rows):
 def test_smith_normal_form_basic():
     # det -8, invariant factors 2 | 4
     assert _check_square_smith([[2, 4], [6, 8]]) == [2, 4]
+    assert _check_square_smith([]) == []
 
 
 def test_smith_normal_form_random(rng):
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        _check_square_smith(random_even_form_rows(rng, n, entry_bound=5))
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        _check_square_smith(random_even_form_rows(
+            rng, n, entry_bound=rng.choice((5, 40))))
 
 
 def _determinantal_divisors(rows):
     """D_i, the gcd of the i x i minors of ``rows``, for i = 1 .. min shape."""
-    nr, nc = len(rows), len(rows[0])
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     out = []
     for i in range(1, min(nr, nc) + 1):
         g = 0
-        for rs in itertools.combinations(range(nr), i):
-            for cs in itertools.combinations(range(nc), i):
-                g = math.gcd(g, cofactor_det([[rows[r][c] for c in cs]
-                                              for r in rs]))
+        for rs, cs in itertools.product(itertools.combinations(range(nr), i),
+                                        itertools.combinations(range(nc), i)):
+            g = math.gcd(g, bareiss_det([[rows[r][c] for c in cs]
+                                         for r in rs]))
+            if g == 1:
+                break
         out.append(g)
     return out
 
 
-def test_smith_normal_form_rectangular(rng):
-    """On 1-5 x 1-5 matrices of both shapes, some with zero rows and zero
-    columns: d_1 ... d_i is the gcd of the i x i minors, V is unimodular,
-    and column j of M V is d_j times an integer column, zero where d_j = 0
-    or j is past the diagonal, so M V = W D with W unimodular."""
-    fixtures = [[[0]], [[0, 0, 0]], [[0], [0]], [[0, 2], [0, 4], [0, 6]],
-                [[2, 4, 6]], [[6], [10], [15]]]
+def _caller_smith_inputs(monkeypatch):
+    """The non-Gram matrices handed to smith_normal_form on small forms
+    with a metabolizer: [A; diag(d)] from linking_is_nondegenerate and the
+    transposed generator rows from overlattice_from_metabolizer."""
+    from wittlink import discriminant
+    seen = []
+
+    def record(rows):
+        seen.append([list(r) for r in rows])
+        return smith_normal_form(rows)
+
+    a2_minus_a2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]]
+    for rows in (DIAG_2_M2, [[2, 1], [1, -4]], a2_minus_a2):
+        f = form_from_rows(rows)
+        d = discriminant_form(f)
+        meta = find_metabolizer(d)
+        assert meta
+        with monkeypatch.context() as mp:
+            mp.setattr(discriminant, "smith_normal_form", record)
+            linking_is_nondegenerate(d)
+            overlattice_from_metabolizer(f, d, meta)
+    return seen
+
+
+def test_smith_normal_form_rectangular(rng, monkeypatch):
+    """On 0 x 0 to 7 x 7 matrices of both shapes with entries up to 40,
+    some with zero rows and zero columns, and on the non-Gram matrices the
+    library builds: (d, V) equal the reference oracle's, d_1 ... d_i is
+    the gcd of the i x i minors, V is unimodular, and column j of M V is
+    d_j times an integer column, zero where d_j = 0 or j is past the
+    diagonal, so M V = W D with W unimodular."""
+    callers = _caller_smith_inputs(monkeypatch)
+    assert len(callers) == 6
+    fixtures = [[], [[0]], [[0, 0, 0]], [[0], [0]], [[0, 2], [0, 4], [0, 6]],
+                [[2, 4, 6]], [[6], [10], [15]]] + callers
     shapes, zeros = set(), 0
-    for _ in range(150):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        bound = rng.choice((6, 40))
         dead_rows = {i for i in range(nr) if rng.random() < 0.2}
         dead_cols = {j for j in range(nc) if rng.random() < 0.2}
         zeros += bool(dead_rows or dead_cols)
         fixtures.append([[0 if i in dead_rows or j in dead_cols
-                          else rng.randint(-6, 6) for j in range(nc)]
+                          else rng.randint(-bound, bound) for j in range(nc)]
                          for i in range(nr)])
     for rows in fixtures:
-        nr, nc = len(rows), len(rows[0])
+        nr, nc = len(rows), len(rows[0]) if rows else 0
         shapes.add((nr > nc) - (nr < nc))
         d, v = smith_normal_form(rows)
+        assert (d, v) == reference_smith_normal_form(rows)
         assert len(d) == min(nr, nc) and len(v) == nc
         assert _is_unimodular(v) and _is_divisor_chain(d)
         assert (list(itertools.accumulate(d, operator.mul))

@@ -185,6 +185,24 @@ def test_analyze_trefoil():
     assert rep.murasugi_class == 2
 
 
+def test_analyze_knot_raises_on_a_theorem_contradiction(tmp_path, capsys,
+                                                       monkeypatch):
+    """A vanishing boundary with the trefoil's signature -2 contradicts the
+    theorem; knot reports it as analyze does, as an internal error."""
+    from wittlink import cli, knots
+    monkeypatch.setattr(knots, "boundary_zero_from_minors", lambda m: True)
+    message = ("signature -2 not divisible by 8 on a form satisfying the "
+               "vanishing hypothesis; this contradicts a proved theorem")
+    with pytest.raises(ArithmeticError) as err:
+        analyze_knot(seifert_from_rows(TREFOIL_SEIFERT))
+    assert str(err.value) == message
+    path = tmp_path / "trefoil.json"
+    path.write_text(json.dumps({"seifert": TREFOIL_SEIFERT}))
+    assert cli.main(["knot", "--seifert", str(path)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "internal", "message": message}
+
+
 def test_analyze_connected_sum_six_three_eight_one():
     s63 = seifert_from_rows(SEIFERT_6_3)
     s81 = seifert_from_rows(SEIFERT_8_1)
