@@ -25,7 +25,8 @@ def _frac_str(x) -> str:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    # every report is a fresh tree built here, so it can hold no cycle
+    print(json.dumps(obj, sort_keys=True, check_circular=False))
 
 
 def _read_key(path, key):
@@ -62,8 +63,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    f = _load_gram(args.gram)
-    d = forms.diagonalize(f)
+    d = forms.diagonalize(forms._symmetric_form(_read_key(args.gram, "gram")))
     out = {"entries": [_frac_str(e) for e in d.entries],
            "transition": [[_frac_str(x) for x in row] for row in d.transition]}
     if args.approx:

@@ -10,10 +10,10 @@ overlattice that a metabolizer spans, and nondegeneracy of a linking form
 (from the invariant factors of one 2k x k table); the linking data is held
 once, as integers mod N and mod 2N over one denominator N, and both the
 Gauss sum and the metabolizer search read it; the Gauss sum is stored as a
-multiset of roots of unity, merged from one histogram per prime component,
-in closed form for an odd component whose cyclic orders are all equal and
-otherwise from one lexicographic walk, which the metabolizer search
-shares; and the signature identity sqrt|det| * e^(2 pi i sigma/8) is
+multiset of roots of unity, one dense table of counts per prime component
+merged by Chinese remainders, in closed form for an odd component whose
+cyclic orders are all equal and otherwise from one lexicographic walk,
+which the metabolizer search shares; and sqrt|det| * e^(2 pi i sigma/8) is
 checked per prime component: from a Legendre symbol in closed form, and
 on a walked component by one routine for odd p and p = 2, in the
 cyclotomic ring that holds the component's sum.
@@ -332,8 +332,8 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
 class GaussSumValue:
     """Sum over the discriminant group of e^(pi i b(u,u)), held exactly.
 
-    ``terms`` maps a residue r mod 2N to its multiplicity; the value is
-    sum_r terms[r] * zeta^r with zeta the primitive 2N-th root e^(pi i / N).
+    ``terms`` holds (r, count) for the residues r mod 2N that occur, r
+    increasing; the value is sum count zeta^r, zeta = e^(pi i / N).
     ``phase`` is the k mod 8 for which the value is
     sqrt(total_count()) * e^(2 pi i k / 8), computed exactly by
     :func:`gauss_sum`; it is None on a hand-built value and when some walked
@@ -367,9 +367,8 @@ def gauss_sum(f: IntegerSymmetricForm,
     G_p are all equal, which covers every cyclic G_p and every X + X or
     X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed orders such
     as (3, 9), by :func:`_walk` over every element and the exact Milgram
-    check :func:`_component_phase`.  The histograms are merged by residue
-    addition mod 2N, smallest first, into ``terms``; the k add up to
-    ``phase``.
+    check :func:`_component_phase`.  The dense histograms (lengths p^a and
+    2^(a+1)) merge into ``terms`` by :func:`_merge`; the k sum to ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -380,9 +379,8 @@ def gauss_sum(f: IntegerSymmetricForm,
     d = discriminant_form(f)
     n, quad, link = d.denominator, d.quad, d.link
     mod = 2 * n
-    hists = []
+    table = [1]
     phase = 0
-    walked = False
     for p, exps, strides in _primary_components(d.orders):
         idx = [i for i, e in enumerate(exps) if e]
         a = exps[-1]
@@ -392,25 +390,17 @@ def gauss_sum(f: IntegerSymmetricForm,
         if p > 2 and exps[idx[0]] == a:
             counts, k = _homogeneous_counts(*tables, p, a, mod)
         else:
-            counts = Counter()
-            _walk(*tables, [range(p ** exps[i]) for i in idx], mod,
-                  counts.update)
-            k = _component_phase(counts, p, sum(exps), a, mod)
-            walked = True
+            hist = Counter()
+            _walk(*tables, [range(p ** e) for e in exps if e], mod, hist.update)
+            k = _component_phase(hist, p, sum(exps), a, mod)
+            size = p ** a if p > 2 else 2 ** (a + 1)
+            counts = [hist.get(r, 0) for r in range(0, mod, mod // size)]
         phase = None if phase is None or k is None else (phase + k) % 8
-        hists.append(counts)
-    # A lone closed-form histogram is built in key order, so its items are
-    # ``terms`` as they stand; a walked or merged one is sorted first.
-    in_order = len(hists) < 2 and not walked
-    hists.sort(key=len, reverse=True)
-    merged = hists.pop() if hists else {0: 1}
-    while hists:
-        merged = _convolve(merged, hists.pop(), mod)
-    if in_order:
-        terms = tuple(merged.items())
-    else:
-        keys = sorted(merged)
-        terms = tuple(zip(keys, map(merged.__getitem__, keys)))
+        table = _merge(table, counts) if len(table) > 1 else counts
+    # A list first: tuple() of an iterator with no length resizes as it
+    # grows, and each resize puts it back in the GC's youngest generation.
+    keys = itertools.compress(range(0, mod, mod // len(table)), table)
+    terms = tuple(list(zip(keys, filter(None, table))))
     return GaussSumValue(denominator=n, terms=terms, phase=phase)
 
 
@@ -442,10 +432,10 @@ def _walk(quad, link, coords, mod, leaf):
 
 
 def _homogeneous_counts(quad, link, p, a, mod):
-    """(histogram, phase) of a p-primary component, p odd, whose k orders
-    all equal p^a, in closed form: {N b(u,u) mod 2N: count}, keys in
-    increasing order, and the j mod 8 with sum_u e^(pi i b(u,u)) =
-    p^(ka/2) e^(2 pi i j / 8).
+    """(table, phase) of a p-primary component, p odd, whose k orders all
+    equal p^a, in closed form: the counts of N b(u,u) mod 2N, index x of
+    the table of length p^a counting the residue x 2N / p^a, and the j mod 8
+    with sum_u e^(pi i b(u,u)) = p^(ka/2) e^(2 pi i j / 8).
 
     With w = 2N / p^a, S(u) = N b(u,u) / w mod p^a is the quadratic form
     c^T A c over Z/p^a, A_ii = quad_i / w and A_ij = (2 link_ij / w) 2^-1,
@@ -507,18 +497,23 @@ def _homogeneous_counts(quad, link, p, a, mod):
     # even a, (u_i/p) eps_p p^(a/2) for odd a, eps_p = 1 or i as p = 1 or 3
     # mod 4 (Ireland and Rosen, ch. 6); and prod_i (u_i/p) = eta.
     phase = ((eta < 0) * 4 + (p % 4 == 3) * 2 * k) % 8 if a % 2 else 0
-    return dict(zip(itertools.compress(range(0, mod, w), counts),
-                    filter(None, counts))), phase
+    return counts, phase
 
 
-def _convolve(a, b, mod):
-    """The histogram of r + s mod ``mod`` for r, s drawn from a and b.
-
-    The residues of distinct prime components lie in subgroups of Z/mod of
-    coprime orders, so no two sums collide.
-    """
-    return {(ra + rb) % mod: ca * cb
-            for ra, ca in a.items() for rb, cb in b.items()}
+def _merge(a, b):
+    """The dense table of r + s for r, s from dense tables of coprime lengths;
+    with a the shorter (m <= n), x of a and y of b land at n x + m y mod m n
+    (CRT), so b scaled by a[x] and rotated by n x // m fills out[n x % m::m]."""
+    a, b = sorted((a, b), key=len)
+    m, n = len(a), len(b)
+    out = [0] * (m * n)
+    scaled = {1: b}
+    for x, c in enumerate(a):
+        if c:
+            row = scaled.get(c) or scaled.setdefault(c, [c * y for y in b])
+            s = n - n * x // m % n
+            out[n * x % m::m] = row[s:] + row[:s]
+    return out
 
 
 def _component_phase(counts, p, e, a, mod):

@@ -3,9 +3,9 @@
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
 exact: one symmetric fraction-free (Bareiss) elimination validates a form
 and gives the leading minors, which yield its determinant, signature and
-rational diagonal.  The same elimination, run once more on an identity
+rational diagonal.  The same elimination, carried along on an identity
 matrix, gives the transition matrix of the diagonalization over Q for
-display.  No floating point anywhere.
+display, and validates the form for it too.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ def form_from_rows(rows) -> IntegerSymmetricForm:
     A 0x0 matrix is accepted and represents the empty (rank zero) form,
     with determinant 1 by convention.
     """
+    f = _symmetric_form(rows)
+    f.minors  # the elimination raises DegenerateError when det is 0
+    return f
+
+
+def _symmetric_form(rows) -> IntegerSymmetricForm:
+    """``rows`` checked for all but det != 0, which its elimination checks."""
     gram = _int_rows(rows, NotIntegerError, "Gram")
     if gram != tuple(zip(*gram)):
         for i, row in enumerate(gram):
@@ -72,9 +79,7 @@ def form_from_rows(rows) -> IntegerSymmetricForm:
                 if row[j] != gram[j][i]:
                     raise NotSymmetricError(
                         f"gram[{i}][{j}] = {row[j]} != gram[{j}][{i}] = {gram[j][i]}")
-    f = IntegerSymmetricForm(n=len(gram), gram=gram)
-    f.minors  # the elimination raises DegenerateError when det is 0
-    return f
+    return IntegerSymmetricForm(n=len(gram), gram=gram)
 
 
 def _int_rows(rows, error, kind) -> tuple[tuple[int, ...], ...]:

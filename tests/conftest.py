@@ -4,7 +4,8 @@ The oracles here (cofactor and unsymmetric Bareiss determinants, the
 Pfaffian by its permutation expansion, brute-force isotropic-subspace and
 linking-radical searches, diagonalization in Fractions with the library's
 and with the opposite pivot policy, the Smith form with V kept apart,
-whole-group Gauss enumeration and its float value, naive window search)
+whole-group Gauss enumeration and its float value, the merge of Gauss
+histograms by residue addition, naive window search)
 deliberately reimplement functionality along different paths so the
 library can be checked against them.
 """
@@ -406,6 +407,23 @@ def enumerate_gauss_terms(rows):
         counts.update((base + t * (lin + t * qk)) % mod
                       for t in range(orders[last]))
     return tuple(sorted(counts.items()))
+
+
+def convolve(a, b, mod):
+    """The histogram of r + s mod ``mod`` for r, s drawn from a and b.
+
+    The residues of distinct prime components lie in subgroups of Z/mod of
+    coprime orders, so no two sums collide.
+    """
+    return {(ra + rb) % mod: ca * cb
+            for ra, ca in a.items() for rb, cb in b.items()}
+
+
+def dense_histogram(table, mod):
+    """The {residue: count} histogram of a dense Gauss table over Z/mod,
+    whose index x stands for the residue x (mod / len(table))."""
+    w = mod // len(table)
+    return {x * w: c for x, c in enumerate(table) if c}
 
 
 def fsum_gauss_value(g):

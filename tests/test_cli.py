@@ -500,6 +500,57 @@ def test_gauss_terms_near_a_million_equal_the_whole_group_enumeration():
         assert gauss_sum_matches(f, g), rows
 
 
+def test_gauss_prints_the_enumerated_terms_byte_for_byte(tmp_path, capsys):
+    """On two- and three-prime groups near 10^6, gauss prints exactly the
+    sorted-key JSON of the whole-group enumeration, whose terms are in
+    increasing residue order, and --approx adds a value within
+    1e-6 sqrt|det| of their fsum."""
+    import math
+
+    from conftest import fsum_gauss_value
+    from wittlink import GaussSumValue, cli, discriminant_form, form_from_rows
+    for rows in ([[600, 1], [1, 1002]], [[600, 1], [1, 1004]]):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"gram": rows}))
+        f = form_from_rows(rows)
+        n = discriminant_form(f).denominator
+        terms = enumerate_gauss_terms(rows)
+        assert cli.main(["gauss", "--gram", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"check": True, "denominator": n, "terms": terms},
+            sort_keys=True) + "\n"
+        assert cli.main(["gauss", "--gram", str(path), "--approx"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        want = fsum_gauss_value(GaussSumValue(n, terms))
+        assert abs(complex(*rep.pop("approx")) - want) <= 1e-6 * math.sqrt(
+            abs(f.minors[-1]))
+        assert rep == {"check": True, "denominator": n,
+                       "terms": [list(t) for t in terms]}
+
+
+def test_diag_reports_bad_input_as_validation_does(tmp_path, capsys):
+    """diag, which validates inside its one elimination, prints the error
+    object and exit code that form_from_rows gives analyze: for a ragged,
+    a non-symmetric, a non-integer and a singular matrix."""
+    from wittlink import cli
+    path = tmp_path / "bad.json"
+    for rows, kind in (([[2, 1]], "not_square"),
+                       ([[1, 2], [3, 4]], "not_symmetric"),
+                       ([[2, 1], [1, 2.0]], "not_integer"),
+                       ([[1, 1], [1, 1]], "degenerate"),
+                       ([[0, 0, 0], [0, 2, 1], [0, 1, 2]], "degenerate")):
+        path.write_text(json.dumps({"gram": rows}))
+        assert cli.main(["diag", "--gram", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert cli.main(["analyze", "--gram", str(path)]) == 1
+        assert capsys.readouterr().out == out
+        assert json.loads(out)["error"]["type"] == kind, rows
+    path.write_text(json.dumps({"gram": [[1, 1], [1, 1]]}))
+    cli.main(["diag", "--gram", str(path)])
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == (
+        "Gram matrix has determinant 0")
+
+
 def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
     # The form of test_analyze_skips_search_when_no_metabolizer_exists:
     # disc shares analyze's gate, so it answers without the exhaustive search.
@@ -519,9 +570,10 @@ def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
 
 
 def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
-    """Validation runs the one symmetric elimination; every command reads
-    its minors, and only diag runs the elimination a second time, on an
-    identity, for the transition matrix."""
+    """Every form is eliminated once: validation runs the symmetric
+    elimination and every command reads its minors, except diag, whose one
+    elimination, on an identity for the transition matrix, also
+    validates."""
     from collections import Counter
 
     from wittlink import cli, forms, knots
@@ -548,9 +600,9 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
         for cmd in ("analyze", "gauss", "boundary", "disc", "diag"):
             calls.clear()
             assert cli.main([cmd, "--gram", str(path)]) == 0
-            assert calls == Counter(pivot_minors=1,
+            assert calls == Counter(pivot_minors=int(cmd != "diag"),
                                     diagonalize=int(cmd == "diag"),
-                                    _eliminate=1 + (cmd == "diag")), cmd
+                                    _eliminate=1), cmd
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"seifert": NINE_ONE_SEIFERT}))
     calls.clear()

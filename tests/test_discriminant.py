@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, bareiss_det,
-                      cofactor_det, enumerate_gauss_terms, fsum_gauss_value,
+                      cofactor_det, convolve, dense_histogram,
+                      enumerate_gauss_terms, fsum_gauss_value,
                       linking_radical_is_trivial, random_even_form_rows,
                       random_mixed_even_rows, reference_smith_normal_form)
 from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
@@ -746,7 +747,7 @@ def _homogeneous_tables(rng, p, a, k, nonsquare):
 
 def test_homogeneous_counts_agree_with_the_walk(rng):
     """The closed-form histogram of an odd component whose orders all equal
-    p^a is the walk's, key for key and in increasing key order, for
+    p^a, a dense table of length p^a, is the walk's, key for key, for
     p = 1 and 3 mod 4, exponents 1 to 3, ranks 1 to 4, both classes of
     det A and non-diagonal tables.  Groups beyond 2 * 10^4 elements are
     left out, since the walk is the oracle; every exponent and every rank
@@ -766,8 +767,9 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
                                        walk.update)
                     closed, _ = discriminant._homogeneous_counts(
                         quad, link, p, a, mod)
-                    assert closed == walk, (p, a, k, quad, link, mod)
-                    assert list(closed) == sorted(closed)
+                    assert len(closed) == p ** a
+                    assert dense_histogram(closed, mod) == walk, (
+                        p, a, k, quad, link, mod)
                     cases.add((p % 4, a, k, nonsquare))
     assert {(r, a, s) for r, a, _, s in cases} == set(
         itertools.product((1, 3), (1, 2, 3), (False, True)))
@@ -788,11 +790,48 @@ def test_homogeneous_phase_agrees_with_the_ring_check(rng):
         quad, link, mod = _homogeneous_tables(rng, p, a, k, nonsquare)
         counts, phase = discriminant._homogeneous_counts(quad, link, p, a,
                                                          mod)
-        assert phase == discriminant._component_phase(counts, p, k * a, a,
-                                                      mod), (p, a, quad, link)
+        assert phase == discriminant._component_phase(
+            dense_histogram(counts, mod), p, k * a, a, mod), (p, a, quad, link)
         cases.add((p % 4, a % 2, k % 2, nonsquare))
     assert cases == set(itertools.product((1, 3), (0, 1), (0, 1),
                                           (False, True)))
+
+
+def test_merge_agrees_with_the_convolution(rng):
+    """The CRT merge of dense Gauss tables is the residue-addition
+    convolution of their histograms, on random tables with zero entries
+    whose coprime lengths are 1, 2^(a+1), p^a and products of these, and
+    three-way merges give one table in every order and grouping."""
+    from wittlink import discriminant
+    powers = {2: (2, 4, 8, 16), 3: (3, 9, 27), 5: (5, 25), 7: (7,),
+              11: (11,), 13: (13,)}
+
+    def table(size):
+        return [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(size)]
+
+    lengths = set()
+    for _ in range(300):
+        parts = [1, 1, 1]
+        for p in rng.sample(sorted(powers), rng.randint(0, 4)):
+            parts[rng.randrange(3)] *= rng.choice(powers[p])
+        tables = [table(size) for size in parts]
+        lengths.update(parts)
+        mod = math.prod(parts) * rng.choice((1, 2, 3, 10))
+        hists = [dense_histogram(t, mod) for t in tables]
+        want = convolve(convolve(hists[0], hists[1], mod), hists[2], mod)
+        assert dense_histogram(discriminant._merge(*tables[:2]), mod) == (
+            convolve(*hists[:2], mod)), (tables[:2], mod)
+        merged = set()
+        for a, b, c in itertools.permutations(tables):
+            for out in (discriminant._merge(discriminant._merge(a, b), c),
+                        discriminant._merge(a, discriminant._merge(b, c))):
+                assert len(out) == math.prod(parts)
+                assert dense_histogram(out, mod) == want, (tables, mod)
+                merged.add(tuple(out))
+        assert len(merged) == 1
+    assert {1, 2, 16, 3, 27, 25, 13} <= lengths
+    assert any(x % 6 == 0 for x in lengths)
+    assert any(x % 35 == 0 for x in lengths)
 
 
 def _milgram_by_fsum(f, g):
@@ -875,7 +914,8 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
 
     def record_closed(quad, link, p, a, mod):
         counts, k = real_closed(quad, link, p, a, mod)
-        calls.append((counts, (p, len(quad) * a, a, mod), k))
+        calls.append((dense_histogram(counts, mod), (p, len(quad) * a, a, mod),
+                      k))
         return counts, k
 
     for rows in fixtures:
