@@ -3,20 +3,18 @@
 The discriminant group of a nondegenerate integer form B is the finite
 abelian quotient of the dual lattice by the lattice; it carries a Q/Z-valued
 linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
-that the Gauss sum exponentiates.  Everything is exact: one integer Smith
+that the Gauss sum exponentiates.  Everything is exact.  One integer Smith
 normal form B V = W D, with V kept and W never formed, gives the group
-structure (generators are the columns of V D^-1), the basis of the
-overlattice that a metabolizer spans, and nondegeneracy of a linking form
-(from the invariant factors of one 2k x k table); the linking data is held
-once, as integers mod N and mod 2N over one denominator N, and both the
-Gauss sum and the metabolizer search read it; the Gauss sum is stored as a
-multiset of roots of unity, one dense table of counts per prime component
-merged by Chinese remainders, in closed form for an odd component whose
-cyclic orders are all equal and otherwise from one lexicographic walk,
-which the metabolizer search shares; and sqrt|det| * e^(2 pi i sigma/8) is
-checked per prime component: from a Legendre symbol in closed form, and
-on a walked component by one routine for odd p and p = 2, in the
-cyclotomic ring that holds the component's sum.
+(generators are the columns of V D^-1), the basis of the overlattice that a
+metabolizer spans, and nondegeneracy of a linking form.  The linking data is
+held once, over one denominator N, and each p-primary component gets one
+table in its own units: integers mod size = p^a (2^(a+1) for p = 2), index
+x standing for the residue x 2N / size of N b(u,u) mod 2N.  One walk over
+that table serves the metabolizer search and the Gauss sum.  The sum is a
+multiset of roots of unity, one dense table per component merged by Chinese
+remainders, in closed form for odd p and equal orders; sqrt|det| *
+e^(2 pi i sigma/8) is checked per component, from a Legendre symbol in
+closed form and otherwise in the cyclotomic ring that holds the sum.
 """
 
 from __future__ import annotations
@@ -172,11 +170,13 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
                             generators=tuple(gens))
 
 
-def _link_sum(d: DiscriminantForm, x, y) -> int:
-    """N b(x, y) mod N for coefficient vectors x and y."""
+def _link_sum(link, x, y, mod) -> int:
+    """sum_ij x_i y_j link_ij mod ``mod``: N b(x, y) mod N on a discriminant
+    form's ``link``, and a multiple of ``mod`` iff b(x, y) = 0 mod 1 on a
+    component's ``link2``."""
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    return sum(xi * yj * row[j] for xi, row in zip(x, d.link) if xi
-               for j, yj in ys) % d.denominator
+    return sum(xi * yj * row[j] for xi, row in zip(x, link) if xi
+               for j, yj in ys) % mod
 
 
 def linking_value(d: DiscriminantForm, x, y) -> Fraction:
@@ -184,7 +184,7 @@ def linking_value(d: DiscriminantForm, x, y) -> Fraction:
     k = len(d.orders)
     if len(x) != k or len(y) != k:
         raise LengthMismatchError(f"coefficient vectors must have length {k}")
-    return Fraction(_link_sum(d, x, y), d.denominator)
+    return Fraction(_link_sum(d.link, x, y, d.denominator), d.denominator)
 
 
 def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
@@ -204,57 +204,49 @@ def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
     return all(x == 1 for x in smith_normal_form(rows)[0])
 
 
-def _add_elem(x, y, orders):
-    return tuple((a + b) % d for a, b, d in zip(x, y, orders))
-
-
 def _subgroup_closure(base, gen, orders):
     """The subgroup generated by ``base`` (already a subgroup) and ``gen``."""
     out = set(base)
     current = gen
-    while not all(c == 0 for c in current):
-        out.update(_add_elem(s, current, orders) for s in base)
-        current = _add_elem(current, gen, orders)
+    while any(current):
+        out.update(tuple((a + b) % d for a, b, d in zip(s, current, orders))
+                   for s in base)
+        current = tuple((a + b) % d for a, b, d in zip(current, gen, orders))
     return frozenset(out)
 
 
-def _isotropic_elements(d, p, exps, strides):
-    """The nonzero x of one p-primary component with N b(x, x) = 0 mod N,
-    in the lexicographic order of their coefficients c, x_i = c_i strides_i.
-
-    N b(x, x) comes from :func:`_walk` over the values x_i, on quad, which
-    is link_ii mod N.
+def _isotropic_elements(quad, link2, orders, size):
+    """The nonzero c of a component's table with b(c, c) = 0 mod 1, in
+    lexicographic order: 2 S(c) = 0 mod size, so S(c) = 0 mod size/(2, size).
     """
-    coords = [[c * s % di for c in range(p ** e)]
-              for e, s, di in zip(exps, strides, d.orders)]
     values = []
-    _walk(d.quad, d.link, coords, d.denominator, values.extend)
-    isotropic = itertools.compress(itertools.product(*coords),
+    _walk(quad, link2, orders, size // math.gcd(2, size), values.extend)
+    isotropic = itertools.compress(itertools.product(*map(range, orders)),
                                    map(not_, values))
     return list(itertools.islice(isotropic, 1, None))  # 0 comes first
 
 
-def _component_metabolizer(d, isotropic, target, depth_cap):
-    """Lex-first totally-isotropic subgroup of order ``target`` generated
-    by the given isotropic elements (one prime-primary component), or
-    None."""
+def _component_metabolizer(quad, link2, orders, size):
+    """Generators of the lex-first totally-isotropic subgroup of order
+    sqrt|G_p| of one component's table, in its coordinates, or None.  At
+    most one generator per cyclic factor is tried along a branch."""
+    isotropic = _isotropic_elements(quad, link2, orders, size)
+    target = math.isqrt(math.prod(orders))
     seen = set()
 
     def extend(gens, closure, start):
         if len(closure) == target:
             return list(gens)
-        if len(gens) == depth_cap:
+        if len(gens) == len(orders):
             return None
         for idx in range(start, len(isotropic)):
             x = isotropic[idx]
-            if x in closure:
+            if x in closure or any(_link_sum(link2, g, x, size)
+                                   for g in gens):
                 continue
-            if any(_link_sum(d, g, x) for g in gens):
-                continue
-            new_closure = _subgroup_closure(closure, x, d.orders)
-            if len(new_closure) > target or target % len(new_closure):
-                continue
-            if new_closure in seen:
+            new_closure = _subgroup_closure(closure, x, orders)
+            # both orders are powers of p
+            if target % len(new_closure) or new_closure in seen:
                 continue
             seen.add(new_closure)
             hit = extend(gens + [x], new_closure, idx + 1)
@@ -262,8 +254,7 @@ def _component_metabolizer(d, isotropic, target, depth_cap):
                 return hit
         return None
 
-    zero = frozenset({(0,) * len(d.orders)})
-    return extend([], zero, 0)
+    return extend([], frozenset({(0,) * len(orders)}), 0)
 
 
 def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
@@ -275,16 +266,34 @@ def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
             and (adet % 2 == 0 or boundary_zero_from_minors(f.minors)))
 
 
-def _primary_components(orders):
-    """(p, exps, strides) for each prime p dividing |G|, in increasing order.
+def _primary_components(d: DiscriminantForm):
+    """(p, idx, orders, size, quad, link2) per prime p dividing |G|, in
+    increasing order: the table of the p-primary component G_p.
 
-    exps[i] = v_p(d_i) and strides[i] = d_i / p^exps[i]: the p-primary
-    component is generated by the strides[i] * g_i, of orders p^exps[i].
+    G_p is generated by the u_i = (d_i / p^e_i) g_i, i in ``idx`` (where
+    e_i = v_p(d_i) > 0), of ``orders`` p^e_i.  2N b(u, v) mod 2N on G_p is
+    a multiple of 2N / size, and so is N b(u, u) for p = 2 or an even form.
+    quad_i stands for N b(u_i, u_i) and link2_ij for 2N b(u_i, u_j), so
+    S(c) = sum_i c_i^2 quad_i + sum_(i<j) c_i c_j link2_ij stands for
+    N b(c, c), and b(c, c') = 0 mod 1 iff sum_ij c_i c'_j link2_ij = 0 mod
+    size.  For odd p, quad_i = link2_ii / 2 mod size: N b(u_i, u_i) on an
+    even form, and on an odd one, where b(u, u) mod 2 is no invariant,
+    still b(c, c) = 0 mod 1 iff 2 S(c) = 0 mod size.
     """
+    mod = 2 * d.denominator
     out = []
-    for p in factorize(math.prod(orders)).primes():
-        exps, strides = zip(*(_split(di, p) for di in orders))
-        out.append((p, exps, strides))
+    for p in factorize(d.group_order()).primes():
+        idx = [i for i, di in enumerate(d.orders) if di % p == 0]
+        strides = [_split(d.orders[i], p)[1] for i in idx]
+        orders = [d.orders[i] // s for i, s in zip(idx, strides)]
+        size = orders[-1] * (2 if p == 2 else 1)
+        w = mod // size
+        link2 = [[2 * s * t * d.link[i][j] % mod // w
+                  for j, t in zip(idx, strides)] for i, s in zip(idx, strides)]
+        quad = [s * s * d.quad[i] % mod // w if p == 2
+                else link2[t][t] * (size + 1) // 2 % size
+                for t, (i, s) in enumerate(zip(idx, strides))]
+        out.append((p, idx, orders, size, quad, link2))
     return out
 
 
@@ -303,24 +312,18 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
     g_order = d.group_order()
     if g_order > bound:
         raise GroupTooLargeError(f"|G| = {g_order} exceeds bound {bound}")
-    m = math.isqrt(g_order)
-    if m * m != g_order:
+    if math.isqrt(g_order) ** 2 != g_order:
         return None
-    if m == 1:
-        return []
     combined = []
-    for p, exps, strides in _primary_components(d.orders):
-        total = sum(exps)
-        # |G| being a square makes every p-exponent even
-        target = p ** (total // 2)
-        if target == 1:
-            continue
-        depth_cap = sum(1 for e in exps if e)
-        part = _component_metabolizer(
-            d, _isotropic_elements(d, p, exps, strides), target, depth_cap)
+    for _, idx, orders, size, quad, link2 in _primary_components(d):
+        part = _component_metabolizer(quad, link2, orders, size)
         if part is None:
             return None
-        combined.extend(part)
+        for c in part:  # back to Smith coordinates, x_i = c_i d_i / p^e_i
+            x = [0] * len(d.orders)
+            for i, ci, o in zip(idx, c, orders):
+                x[i] = ci * (d.orders[i] // o)
+            combined.append(tuple(x))
     return combined
 
 
@@ -361,14 +364,14 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
-    components.  So each G_p gives one histogram of N b(u,u) mod 2N and a
+    components.  So each G_p gives one table of counts of S(c) and a
     phase k, its sum being sqrt|G_p| e^(2 pi i k / 8): both in closed form
     by :func:`_homogeneous_counts` when p is odd and the cyclic orders of
     G_p are all equal, which covers every cyclic G_p and every X + X or
     X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed orders such
     as (3, 9), by :func:`_walk` over every element and the exact Milgram
-    check :func:`_component_phase`.  The dense histograms (lengths p^a and
-    2^(a+1)) merge into ``terms`` by :func:`_merge`; the k sum to ``phase``.
+    check :func:`_component_phase`.  The component tables merge into
+    ``terms`` by :func:`_merge`; the k sum to ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -377,71 +380,62 @@ def gauss_sum(f: IntegerSymmetricForm,
         raise DeterminantTooLargeError(
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
-    n, quad, link = d.denominator, d.quad, d.link
-    mod = 2 * n
+    mod = 2 * d.denominator
     table = [1]
     phase = 0
-    for p, exps, strides in _primary_components(d.orders):
-        idx = [i for i, e in enumerate(exps) if e]
-        a = exps[-1]
-        tables = ([strides[i] ** 2 * quad[i] % mod for i in idx],
-                  [[strides[i] * strides[j] * link[i][j] % mod for j in idx]
-                   for i in idx])
-        if p > 2 and exps[idx[0]] == a:
-            counts, k = _homogeneous_counts(*tables, p, a, mod)
+    for p, _, orders, size, quad, link2 in _primary_components(d):
+        e = _split(math.prod(orders), p)[0]
+        if orders[0] == size:  # odd p, all orders equal
+            counts, k = _homogeneous_counts(quad, link2, p, e // len(orders))
         else:
             hist = Counter()
-            _walk(*tables, [range(p ** e) for e in exps if e], mod, hist.update)
-            k = _component_phase(hist, p, sum(exps), a, mod)
-            size = p ** a if p > 2 else 2 ** (a + 1)
-            counts = [hist.get(r, 0) for r in range(0, mod, mod // size)]
+            _walk(quad, link2, orders, size, hist.update)
+            counts = [hist.get(x, 0) for x in range(size)]
+            k = _component_phase(counts, p, e)
         phase = None if phase is None or k is None else (phase + k) % 8
         table = _merge(table, counts) if len(table) > 1 else counts
     # A list first: tuple() of an iterator with no length resizes as it
     # grows, and each resize puts it back in the GC's youngest generation.
     keys = itertools.compress(range(0, mod, mod // len(table)), table)
     terms = tuple(list(zip(keys, filter(None, table))))
-    return GaussSumValue(denominator=n, terms=terms, phase=phase)
+    return GaussSumValue(denominator=d.denominator, terms=terms, phase=phase)
 
 
-def _walk(quad, link, coords, mod, leaf):
-    """Call ``leaf`` with the values sum_i x_i (x_i quad_i + lin_i) mod
-    ``mod``, lin_i = 2 sum_(j<i) x_j link_ji, of the x in
-    ``itertools.product(*coords)``, in that order: one list for each choice
-    of every coordinate but the last.
-
-    With x_i = c_i in the integer tables of a component this is N b(u,u)
-    mod 2N.  A depth-first walk over the factors carries the value so far
-    and the lin of the factors still to come, so each step adds one term
-    per later factor rather than a k x k sum per element.
+def _walk(quad, link2, orders, mod, leaf):
+    """Call ``leaf`` with the values S(c) = sum_i c_i (c_i quad_i + lin_i)
+    mod ``mod``, lin_i = sum_(j<i) c_j link2_ji, of the c in
+    ``itertools.product(*map(range, orders))``, in that order: one list for
+    each choice of every coordinate but the last.  Depth-first, carrying the
+    value so far and the lin of the factors still to come, so each step adds
+    one term per later factor rather than a k x k sum per element.
     """
-    last = len(coords) - 1
+    last = len(orders) - 1
 
     def descend(i, base, lins):
-        q, row, lin = quad[i], link[i], lins[0]
-        values = [(base + x * (x * q + lin)) % mod for x in coords[i]]
+        q, row, lin = quad[i], link2[i], lins[0]
+        xs = range(orders[i])
+        values = [(base + x * (x * q + lin)) % mod for x in xs]
         if i == last:
             leaf(values)
             return
-        for x, value in zip(coords[i], values):
+        for x, value in zip(xs, values):
             descend(i + 1, value,
-                    [(y + 2 * x * row[j]) % mod
+                    [(y + x * row[j]) % mod
                      for j, y in enumerate(lins[1:], i + 1)])
 
-    descend(0, 0, [0] * len(coords))
+    descend(0, 0, [0] * len(orders))
 
 
-def _homogeneous_counts(quad, link, p, a, mod):
-    """(table, phase) of a p-primary component, p odd, whose k orders all
-    equal p^a, in closed form: the counts of N b(u,u) mod 2N, index x of
-    the table of length p^a counting the residue x 2N / p^a, and the j mod 8
-    with sum_u e^(pi i b(u,u)) = p^(ka/2) e^(2 pi i j / 8).
+def _homogeneous_counts(quad, link2, p, a):
+    """(counts, phase) of a p-primary component's table, p odd, whose k
+    orders all equal p^a = size, in closed form: the counts of S(c) mod p^a,
+    and the j mod 8 with sum_u e^(pi i b(u,u)) = p^(ka/2) e^(2 pi i j / 8).
 
-    With w = 2N / p^a, S(u) = N b(u,u) / w mod p^a is the quadratic form
-    c^T A c over Z/p^a, A_ii = quad_i / w and A_ij = (2 link_ij / w) 2^-1,
-    and A is invertible mod p since the linking form is nondegenerate.  The
-    number of solutions of S(c) = t therefore depends only on p, a, k and
-    eta, the Legendre symbol of det A mod p.  Over F_p it is
+    S(c) is the quadratic form c^T A c over Z/p^a, A_ii = quad_i and
+    A_ij = link2_ij 2^-1, and A is invertible mod p since the linking form
+    is nondegenerate.  The number of solutions of S(c) = t therefore
+    depends only on p, a, k and eta, the Legendre symbol of det A mod p.
+    Over F_p it is
     (Lidl and Niederreiter, Finite Fields, Theorems 6.26 and 6.27)
     F(t) = p^(k-1) + p^((k-1)/2) eta((-1)^((k-1)/2) t det A) for odd k and
     F(t) = p^(k-1) + nu(t) p^((k-2)/2) eta((-1)^(k/2) det A) for even k,
@@ -455,10 +449,9 @@ def _homogeneous_counts(quad, link, p, a, mod):
     O(p^a) steps rather than the walk's p^(ka) / 2.
     """
     size = p ** a
-    w = mod // size
     k = len(quad)
     half = (p + 1) // 2  # 2^-1 mod p; only det A mod p is needed
-    table = [[quad[i] // w % p if i == j else 2 * link[i][j] // w * half % p
+    table = [[quad[i] % p if i == j else link2[i][j] * half % p
               for j in range(k)] for i in range(k)]
     eta = 1 if quadratic_residue(_eliminate(table)[-1], p) else -1
     # h = p^((k-1)/2) eta((-1)^((k-1)/2) det A) for odd k, and
@@ -516,46 +509,40 @@ def _merge(a, b):
     return out
 
 
-def _component_phase(counts, p, e, a, mod):
-    """The k mod 8 with sum_r counts[r] zeta^r = sqrt(p^e) e^(2 pi i k / 8),
-    zeta = e^(2 pi i / mod), for a p-primary component of order p^e and
-    exponent p^a; None when the sum has no such form.  Run on walked
-    components, and in tests as the oracle for closed-form phases.
+def _component_phase(table, p, e):
+    """The k mod 8 with sum_x table[x] zeta^x = sqrt(p^e) e^(2 pi i k / 8),
+    zeta = e^(2 pi i / R), for the dense table (length R = size) of a
+    component of order p^e; None when the sum has no such form.  Run on
+    walked components, and in tests as the oracle for closed-form phases.
 
-    Exact: each e^(pi i b(u,u)) is an R-th root of unity, R = p^a for odd p
-    and R = 2^(a+1) for p = 2, taken at least 8 so that zeta_8 lies in
+    Exact: for p = 2, R is widened to 8 first so that zeta_8 lies in
     Z[zeta_R].  The only relations among the powers of zeta_R are the sums
-    zeta_R^x (1 + zeta_p + ... + zeta_p^(p-1)), with zeta_p = zeta_R^(R/p),
-    so a vector of counts is zero in Z[zeta_R] iff it is constant on each
-    class x + (R/p)Z.  The candidates m = p^(e//2) times
+    zeta_R^x (1 + zeta_p + ... + zeta_p^(p-1)), zeta_p = zeta_R^(R/p), so a
+    table is zero in Z[zeta_R] iff it is constant on each class x + (R/p)Z.
+    The candidates m = p^(e//2) times
     - +-1 or, for odd e, +-g_p = +-sum_t zeta_p^(t^2), which is sqrt(p) for
       p = 1 mod 4 and i sqrt(p) for p = 3 mod 4 (odd p), or
     - zeta_8^k or, for odd e, sqrt 2 zeta_8^k = zeta_8^(k+1) + zeta_8^(k+7)
       (p = 2)
-    live on the multiples of w = R/p (odd p) or w = R/8 (p = 2).  So every
-    other class must be constant in ``counts`` itself, and the coefficients
-    u[j] on the multiples j w are compared with each candidate's.  For odd
-    p, the sum minus s g_p (s = +-m) is constant K iff u[0] = K + s,
-    u[i] = K + 2s on the (p-1)/2 nonzero squares i and u[i] = K on the
-    others; the sum minus s is constant iff u[i] = u[1] for every i != 0.
-    For p = 2 the classes on the multiples of w are {j, j + 4}, and a sum
-    is a candidate iff it has the candidate's u[j] - u[j+4], j < 4.
+    live on the multiples of w = R/p (odd p) or w = R/8 (p = 2).  So off
+    those multiples the table must equal its rotation by R/p, and the
+    u[j] = table[j w] are compared with each candidate's.  For odd p, the
+    sum minus s g_p (s = +-m) is constant K iff u[0] = K + s, u[i] = K + 2s
+    on the (p-1)/2 nonzero squares i and u[i] = K on the others; the sum
+    minus s is constant iff u[i] = u[1] for every i != 0.  For p = 2 the
+    classes on the multiples of w are {j, j + 4}, and a sum is a candidate
+    iff it has the candidate's u[j] - u[j+4], j < 4.
     """
-    size = p ** a if p > 2 else max(2 ** (a + 1), 8)
+    if len(table) < 8 and p == 2:
+        wide = [0] * 8
+        wide[::8 // len(table)] = table
+        table = wide
+    size = len(table)
     w = size // (p if p > 2 else 8)
-    g = math.gcd(mod, size)
-    step, scale = mod // g, size // g
-    shift = size // p // scale * step
-    u = [0] * (size // w)
-    for r, c in counts.items():
-        x, rest = divmod(r, step)
-        if rest:
-            return None
-        j, off = divmod(x * scale, w)
-        if not off:
-            u[j] = c
-        elif counts.get((r + shift) % mod) != c:
-            return None
+    rotated = table[size // p:] + table[:size // p]
+    rotated[::w] = u = table[::w]
+    if rotated != table:
+        return None
     m = p ** (e // 2)
     if p == 2:
         for k in range(8):

@@ -74,7 +74,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd's tortoise and hare)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -274,9 +274,9 @@ def boundary_at_prime(c: WittClassQ, p: int) -> FiniteWittClass:
 def _residue(entries, p: int) -> FiniteWittClass:
     units = []
     for e in entries:
-        frac = Fraction(e)
-        vn, num = _split(frac.numerator, p)
-        vd, den = _split(frac.denominator, p)
+        # int and Fraction both carry numerator and denominator
+        vn, num = _split(e.numerator, p)
+        vd, den = _split(e.denominator, p)
         if (vn - vd) % 2:
             units.append(num * den % p)
     return finite_witt_from_units(p, units)

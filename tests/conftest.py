@@ -409,6 +409,71 @@ def enumerate_gauss_terms(rows):
     return tuple(sorted(counts.items()))
 
 
+def unpruned_metabolizer(d):
+    """The lex-first metabolizer of a discriminant form, or None, by the
+    search ``find_metabolizer`` prunes, run without its prunes.
+
+    Per prime p in increasing order, the elements of the p-primary
+    component are x_i = c_i d_i / p^e_i mod d_i in the lexicographic order
+    of c, isotropic when N b(x, x) = 0 mod N on the Smith tables.  A
+    depth-first search adds, in that order, every isotropic x outside the
+    subgroup so far and orthogonal to it whose subgroup still divides
+    sqrt|G_p|; it keeps no record of subgroups already tried and has no
+    depth cap.  Exponential: for small groups only.
+    """
+    import itertools
+    import math
+
+    from wittlink import factorize
+
+    n, orders, link = d.denominator, d.orders, d.link
+    g_order = math.prod(orders)
+    if math.isqrt(g_order) ** 2 != g_order:
+        return None
+
+    def link_sum(x, y):
+        return sum(xi * yj * link[i][j] for i, xi in enumerate(x)
+                   for j, yj in enumerate(y)) % n
+
+    def closure(base, x):
+        out, current = set(base), x
+        while any(current):
+            out.update(tuple((a + b) % o for a, b, o in zip(s, current, orders))
+                       for s in base)
+            current = tuple((a + b) % o for a, b, o in zip(current, x, orders))
+        return frozenset(out)
+
+    combined = []
+    for p in factorize(g_order).primes():
+        exps = [next(e for e in itertools.count() if di % p ** (e + 1))
+                for di in orders]
+        target = math.isqrt(p ** sum(exps))
+        coords = [[c * (di // p ** e) % di for c in range(p ** e)]
+                  for e, di in zip(exps, orders)]
+        isotropic = [x for x in itertools.product(*coords)
+                     if any(x) and link_sum(x, x) == 0]
+
+        def extend(gens, sub, start):
+            if len(sub) == target:
+                return gens
+            for t in range(start, len(isotropic)):
+                x = isotropic[t]
+                if x in sub or any(link_sum(g, x) for g in gens):
+                    continue
+                bigger = closure(sub, x)
+                if target % len(bigger) == 0:
+                    hit = extend(gens + [x], bigger, t + 1)
+                    if hit is not None:
+                        return hit
+            return None
+
+        part = extend([], frozenset({(0,) * len(orders)}), 0)
+        if part is None:
+            return None
+        combined.extend(part)
+    return combined
+
+
 def convolve(a, b, mod):
     """The histogram of r + s mod ``mod`` for r, s drawn from a and b.
 

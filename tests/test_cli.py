@@ -352,18 +352,17 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
         calls.append(args)
         return real(*args, **kwargs)
 
-    def counted_walk(quad, link, coords, mod, leaf):
-        served.append(("walk", [len(c) for c in coords]))
-        return real_walk(quad, link, coords, mod, leaf)
+    def counted_walk(quad, link2, orders, mod, leaf):
+        served.append(("walk", list(orders)))
+        return real_walk(quad, link2, orders, mod, leaf)
 
-    def counted_closed(quad, link, p, a, mod):
+    def counted_closed(quad, link2, p, a):
         served.append(("closed", p))
-        counts, k = real_closed(quad, link, p, a, mod)
-        return counts, k
+        return real_closed(quad, link2, p, a)
 
-    def counted_phase(counts, p, e, a, mod):
+    def counted_phase(table, p, e):
         served.append(("phase", p))
-        return real_phase(counts, p, e, a, mod)
+        return real_phase(table, p, e)
 
     monkeypatch.setattr(discriminant, "gauss_sum", counted)
     monkeypatch.setattr(discriminant, "_walk", counted_walk)

@@ -11,12 +11,13 @@ from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, bareiss_det,
                       cofactor_det, convolve, dense_histogram,
                       enumerate_gauss_terms, fsum_gauss_value,
                       linking_radical_is_trivial, random_even_form_rows,
-                      random_mixed_even_rows, reference_smith_normal_form)
+                      random_mixed_even_rows, reference_smith_normal_form,
+                      unpruned_metabolizer)
 from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       determinant, diagonalize, direct_sum, discriminant_form,
                       find_metabolizer,
                       form_from_rows, gauss_sum, gauss_sum_check,
-                      gauss_sum_matches,
+                      gauss_sum_matches, is_even,
                       linking_is_nondegenerate, linking_value,
                       overlattice_from_metabolizer, rational_witt_class,
                       signature, smith_normal_form, verify_main_theorem,
@@ -330,9 +331,56 @@ def test_find_metabolizer_lex_first_outputs():
         # orders (6, 6, 6, 6): a 2-primary and a 3-primary metabolizer
         (_block_sum([[2, 0], [0, 6]], [[-2, 0], [0, -6]], A2, _neg(A2)),
          [(0, 0, 3, 3), (3, 3, 0, 0), (0, 0, 2, 2), (2, 2, 0, 0)]),
+        # the search meets a subgroup it has tried (<6> + <54>) and its
+        # depth cap (<-54> + <-54>); both have no metabolizer
+        (_block_sum([[6]], [[54]]), None),
+        (_block_sum([[-54]], [[-54]]), None),
+        # two or three primes, generators mapped back to Smith coordinates:
+        # orders (2, 450), (6, 216), (10, 90) and (90, 90)
+        (_block_sum([[-18]], [[50]]), [(0, 225), (0, 150), (0, 90)]),
+        (_block_sum([[-24]], [[54]]),
+         [(0, 108), (3, 54), (0, 72), (2, 24)]),
+        (_block_sum([[-10]], [[90]]), [(5, 45), (0, 30), (2, 36)]),
+        (_block_sum([[-90]], [[90]]),
+         [(45, 45), (0, 30), (30, 0), (18, 18)]),
+        # odd forms, where b(u, u) mod 2 is no invariant: orders (17, 17)
+        # and (3, 12)
+        (_block_sum([[-17]], [[17]]), [(1, 1)]),
+        (_block_sum([[3]], [[12]]), None),
     ]
     for f, want in cases:
-        assert find_metabolizer(discriminant_form(f)) == want
+        d = discriminant_form(f)
+        assert find_metabolizer(d) == want == unpruned_metabolizer(d), f
+
+
+def test_find_metabolizer_matches_the_unpruned_search(rng):
+    """The search, which skips subgroups it has tried and stops a branch at
+    one generator per cyclic factor, returns what the same lexicographic
+    search without either prune returns, on 300 forms with square |det| <=
+    3000: random mixed and random even forms, and <+-2a> + <+-b>, odd
+    forms among them."""
+    found = set()
+    count = 0
+    while count < 300:
+        kind = count % 3
+        if kind == 0:
+            rows = random_mixed_even_rows(rng, max_rank=6)
+        elif kind == 1:
+            rows = [[rng.choice((-2, 2)) * rng.randint(1, 60), 0],
+                    [0, rng.choice((-1, 1)) * rng.randint(1, 120)]]
+        else:
+            rows = random_even_form_rows(rng, rng.randint(2, 4),
+                                         max_abs_det=3000)
+        f = form_from_rows(rows)
+        g = abs(f.minors[-1])
+        if not 1 < g <= 3000 or math.isqrt(g) ** 2 != g:
+            continue
+        count += 1
+        d = discriminant_form(f)
+        got = find_metabolizer(d)
+        assert got == unpruned_metabolizer(d), rows
+        found.add(got is None)
+    assert found == {False, True}
 
 
 def test_find_metabolizer_multi_prime():
@@ -357,11 +405,13 @@ def test_find_metabolizer_multi_prime():
 
 
 def test_isotropic_elements_match_the_direct_filter():
-    """The walk's isotropic elements of each primary component are the
-    nonzero x_i = c_i s_i mod d_i with _link_sum(d, x, x) = 0, in the
-    lexicographic order of c: on cyclic and mixed 2-primary groups, on
-    mixed and homogeneous odd ones, on two primes at once, on A1^8 and on
-    D4^4."""
+    """Each primary component's table has orders p^v_p(d_i) on the d_i that
+    p divides, and its walk gives N b(x, x), x_i = c_i d_i / p^e_i, as its
+    value S(c) times 2N / size, mod 2N on even forms and mod N on odd ones
+    such as <5> + <25>; its isotropic elements are the
+    nonzero c with N b(x, x) = 0 mod N on the Smith tables, in
+    lexicographic order: on cyclic and mixed 2-primary groups, on mixed and
+    homogeneous odd ones, on two primes at once, on A1^8 and on D4^4."""
     from wittlink import discriminant
     cases = [([[4]], (4,)), ([[8]], (8,)), ([[2, 0], [0, 4]], (2, 4)),
              ([[4, 0], [0, 4]], (4, 4)),
@@ -372,15 +422,31 @@ def test_isotropic_elements_match_the_direct_filter():
              (_block_sum(*[[[2]]] * 8).rows(), (2,) * 8),
              (_block_sum(D4, D4, D4, D4).rows(), (2,) * 8)]
     for rows, orders in cases:
-        d = discriminant_form(form_from_rows(rows))
+        form = form_from_rows(rows)
+        d = discriminant_form(form)
         assert d.orders == orders
-        for p, exps, strides in discriminant._primary_components(orders):
+        n = d.denominator
+        for p, idx, sub, size, quad, link2 in (
+                discriminant._primary_components(d)):
+            assert idx == [i for i, di in enumerate(orders) if di % p == 0]
+            assert sub == [math.gcd(orders[i], p ** orders[i]) for i in idx]
+            assert size == sub[-1] * (2 if p == 2 else 1)
+            values = []
+            discriminant._walk(quad, link2, sub, size, values.extend)
             want = []
-            for c in itertools.product(*(range(p ** e) for e in exps)):
-                x = tuple(ci * s % di for ci, s, di in zip(c, strides, orders))
-                if any(x) and discriminant._link_sum(d, x, x) == 0:
-                    want.append(x)
-            got = discriminant._isotropic_elements(d, p, exps, strides)
+            for c, value in zip(itertools.product(*map(range, sub)), values):
+                x = [0] * len(orders)
+                for i, ci, o in zip(idx, c, sub):
+                    x[i] = ci * orders[i] // o
+                qx = sum(x[i] * (x[i] * d.quad[i] + 2 * sum(
+                    x[j] * d.link[i][j] for j in range(i + 1, len(x))))
+                    for i in range(len(x))) % (2 * n)
+                # b(x, x) mod 2 is an invariant of even forms only
+                assert (value * (2 * n // size) - qx) % (
+                    2 * n if is_even(form) else n) == 0, (orders, p, c)
+                if any(c) and qx % n == 0:
+                    want.append(c)
+            got = discriminant._isotropic_elements(quad, link2, sub, size)
             assert got == want, (orders, p)
 
 
@@ -721,10 +787,10 @@ def _gauss_fixture_rows(rng):
 
 
 def _homogeneous_tables(rng, p, a, k, nonsquare):
-    """Integer tables (quad, link, 2N) of a component (Z/p^a)^k whose form
-    c^T A c mod p^a has A = U diag(u) U^T, U a random integer unimodular
-    matrix and u random units with det A a non-square mod p iff
-    ``nonsquare``; N = p^a m for a random m."""
+    """The table (quad, link2) of a component (Z/p^a)^k, in its own units
+    mod p^a, whose form S(c) = c^T A c mod p^a has A = U diag(u) U^T, U a
+    random integer unimodular matrix and u random units with det A a
+    non-square mod p iff ``nonsquare``."""
     size = p ** a
     units = [rng.choice([x for x in range(1, size) if x % p])
              for _ in range(k)]
@@ -738,16 +804,13 @@ def _homogeneous_tables(rng, p, a, k, nonsquare):
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
     form = [[sum(u[i][t] * units[t] * u[j][t] for t in range(k)) % size
              for j in range(k)] for i in range(k)]
-    n = size * rng.choice((1, 2, 3, 4, 10))
-    w = 2 * n // size
-    return ([w * form[i][i] for i in range(k)],
-            [[n // size * (2 * form[i][j] % size) for j in range(k)]
-             for i in range(k)], 2 * n)
+    return ([form[i][i] for i in range(k)],
+            [[2 * form[i][j] % size for j in range(k)] for i in range(k)])
 
 
 def test_homogeneous_counts_agree_with_the_walk(rng):
     """The closed-form histogram of an odd component whose orders all equal
-    p^a, a dense table of length p^a, is the walk's, key for key, for
+    p^a, a dense table of length p^a, is the walk's, count for count, for
     p = 1 and 3 mod 4, exponents 1 to 3, ranks 1 to 4, both classes of
     det A and non-diagonal tables.  Groups beyond 2 * 10^4 elements are
     left out, since the walk is the oracle; every exponent and every rank
@@ -760,16 +823,14 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
                 if p ** (a * k) > 2 * 10 ** 4:
                     continue
                 for nonsquare, _ in itertools.product((False, True), range(3)):
-                    quad, link, mod = _homogeneous_tables(rng, p, a, k,
-                                                          nonsquare)
+                    quad, link2 = _homogeneous_tables(rng, p, a, k, nonsquare)
                     walk = Counter()
-                    discriminant._walk(quad, link, [range(p ** a)] * k, mod,
+                    discriminant._walk(quad, link2, [p ** a] * k, p ** a,
                                        walk.update)
                     closed, _ = discriminant._homogeneous_counts(
-                        quad, link, p, a, mod)
-                    assert len(closed) == p ** a
-                    assert dense_histogram(closed, mod) == walk, (
-                        p, a, k, quad, link, mod)
+                        quad, link2, p, a)
+                    assert closed == [walk[x] for x in range(p ** a)], (
+                        p, a, k, quad, link2)
                     cases.add((p % 4, a, k, nonsquare))
     assert {(r, a, s) for r, a, _, s in cases} == set(
         itertools.product((1, 3), (1, 2, 3), (False, True)))
@@ -787,11 +848,10 @@ def test_homogeneous_phase_agrees_with_the_ring_check(rng):
     for p, a, k, nonsquare in itertools.product(
             (3, 5, 7, 11, 13, 17, 19, 23), (1, 2, 3, 4), (1, 2, 3, 4, 5),
             (False, True)):
-        quad, link, mod = _homogeneous_tables(rng, p, a, k, nonsquare)
-        counts, phase = discriminant._homogeneous_counts(quad, link, p, a,
-                                                         mod)
-        assert phase == discriminant._component_phase(
-            dense_histogram(counts, mod), p, k * a, a, mod), (p, a, quad, link)
+        quad, link2 = _homogeneous_tables(rng, p, a, k, nonsquare)
+        counts, phase = discriminant._homogeneous_counts(quad, link2, p, a)
+        assert phase == discriminant._component_phase(counts, p, k * a), (
+            p, a, quad, link2)
         cases.add((p % 4, a % 2, k % 2, nonsquare))
     assert cases == set(itertools.product((1, 3), (0, 1), (0, 1),
                                           (False, True)))
@@ -891,11 +951,11 @@ def test_gauss_sum_on_generated_binary_blocks():
 
 
 def test_gauss_check_rejects_a_moved_count(monkeypatch):
-    """A hand-built value with one count moved is not the Gauss sum; and
-    in the exact ring check, every component histogram, walked (p = 2 and
-    orders (3, 9)) or in closed form (p = 3 and 5), has its phase, and
-    loses it with one count moved to any other residue or with the counts
-    at two residues swapped."""
+    """A hand-built value with one count moved, also off the residues a
+    component can take, is not the Gauss sum; and in the exact ring check,
+    every component's dense table, walked (p = 2 and orders (3, 9)) or in
+    closed form (p = 3 and 5), has its phase, and loses it with one count
+    moved to any other index or with the counts at two indices swapped."""
     from wittlink import discriminant
     fixtures = [A8_NEG, [[2, 1], [1, 14]], [[2, 0], [0, 8]],
                 _block_sum(A2, A8_NEG).rows(),
@@ -907,15 +967,14 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
     real = discriminant._component_phase
     real_closed = discriminant._homogeneous_counts
 
-    def record(counts, *rest):
-        k = real(counts, *rest)
-        calls.append((dict(counts), rest, k))
+    def record(table, p, e):
+        k = real(table, p, e)
+        calls.append((list(table), (p, e), k))
         return k
 
-    def record_closed(quad, link, p, a, mod):
-        counts, k = real_closed(quad, link, p, a, mod)
-        calls.append((dense_histogram(counts, mod), (p, len(quad) * a, a, mod),
-                      k))
+    def record_closed(quad, link2, p, a):
+        counts, k = real_closed(quad, link2, p, a)
+        calls.append((list(counts), (p, len(quad) * a), k))
         return counts, k
 
     for rows in fixtures:
@@ -938,17 +997,15 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
     assert {rest[0] for _, rest, _ in calls} == {2, 3, 5}
     for counts, rest, k in calls:
         assert real(counts, *rest) == k is not None
-        mod = rest[-1]
-        for r in counts:
-            for to in range(mod):
+        for r in filter(counts.__getitem__, range(len(counts))):
+            for to in range(len(counts)):
                 if to == r:
                     continue
-                moved = dict(counts)
+                moved = list(counts)
                 moved[r] -= 1
-                moved[to] = moved.get(to, 0) + 1
-                swapped = dict(counts)
-                swapped[r], swapped[to] = counts.get(to, 0), counts[r]
+                moved[to] += 1
+                swapped = list(counts)
+                swapped[r], swapped[to] = counts[to], counts[r]
                 for bad in (moved, swapped):
-                    bad = {x: y for x, y in bad.items() if y}
                     if bad != counts:
                         assert real(bad, *rest) != k, (counts, r, to, bad)

@@ -139,9 +139,42 @@ def test_factorize():
         factorize(0)
 
 
+def test_factorize_past_trial_division():
+    """Cofactors above the trial-division limit go to Pollard rho: two
+    distinct primes, a square and three primes, all above 10^6."""
+    from wittlink.witt import _TRIAL_LIMIT, _pollard_rho
+    p, q, r = 1000003, 1000033, 1000117
+    assert min(p, q, r) > _TRIAL_LIMIT
+    assert _pollard_rho(p * q) in (p, q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(p * q * r).factors == ((p, 1), (q, 1), (r, 1))
+
+
+def test_factorize_agrees_with_sympy(rng):
+    """factorize equals sympy.factorint on seeded products of two or three
+    primes, each below or above the trial-division limit."""
+    sympy = pytest.importorskip("sympy")
+    from wittlink.witt import _TRIAL_LIMIT
+    sides = set()
+    for _ in range(12):
+        n = 1
+        for _ in range(rng.randint(2, 3)):
+            high = rng.random() < 0.5
+            sides.add(high)
+            low = _TRIAL_LIMIT if high else 2
+            n *= sympy.nextprime(rng.randint(low, 10 * low + 10 ** 4))
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+    assert sides == {False, True}
+
+
 def test_is_prime():
     assert is_prime(2) and is_prime(998117) and is_prime(1000003)
     assert not is_prime(1) and not is_prime(561) and not is_prime(10 ** 6)
+    # strong pseudoprimes: to the bases 2, 3, 5 and 7, and to every base
+    # through 31, so only the base 37 rejects the second
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
 
 
 def test_primality_certification_bound():
