@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import diophantine, discriminant, forms, knots, witt
 from .errors import WittLinkError
@@ -73,11 +74,12 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    f = _load_gram(args.gram)
-    c = witt.rational_witt_class(f)
-    classes = [_finite_class_json(witt.boundary_at_prime(c, p))
-               for p in witt.relevant_primes(c)]
-    _emit({"witt_entries": list(c.entries), "classes": classes,
+    m = _load_gram(args.gram).minors
+    # _residue, not boundary_at_prime: the primes come out proved
+    entries, primes = witt._square_classes(
+        Fraction(b, a) for a, b in zip(m, m[1:]))
+    classes = [_finite_class_json(witt._residue(entries, p)) for p in primes]
+    _emit({"witt_entries": list(entries), "classes": classes,
            "boundary_zero": all(k["zero"] for k in classes)})
     return 0
 

@@ -107,7 +107,7 @@ class DiscriminantForm:
     Gauss sum and the metabolizer search both read these tables.
 
     orders       cyclic orders (d_1 | d_2 | ... | d_k, all > 1)
-    denominator  N, the least common denominator of the b(g_i, g_j)
+    denominator  N = d_k, the least common denominator of the b(g_i, g_j)
     link         k x k symmetric ints N b(g_i, g_j) mod N
     quad         ints N b(g_i, g_i) mod 2N (meaningful for even forms)
     generators   representatives of the g_i as rational vectors in the
@@ -147,6 +147,11 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     B^-1 W = V D^-1, that is column i of V divided by d_i, a rational
     vector in the dual lattice.  Unit factors are dropped.  With v_i that
     column, b(g_i, g_j) = s_ij / (d_i d_j) for the integer s_ij = v_i^T B v_j.
+
+    The denominator N is d_k, the largest order (1 for the trivial group).
+    B v_j = d_j w_j gives b(g_i, g_j) = v_i^T w_j / d_i, so every value
+    has a denominator dividing d_k; the linking form is nondegenerate, so
+    b(g_k, .) has order exactly d_k.
     """
     b = f.rows()
     d, v = smith_normal_form(b)
@@ -154,14 +159,12 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     cols = [[v[r][i] for r in range(f.n)] for i in range(f.n) if d[i] != 1]
     gens = [tuple(Fraction(x, di) for x in col) for col, di in zip(cols, orders)]
     k = len(orders)
+    n = orders[-1] if orders else 1
     s = [[0] * k for _ in range(k)]
-    n = 1
     for i in range(k):
         bi = mat_vec(b, cols[i])
         for j in range(i, k):
             s[i][j] = s[j][i] = sum(x * y for x, y in zip(bi, cols[j]))
-            den = orders[i] * orders[j]
-            n = math.lcm(n, den // math.gcd(s[i][j], den))
     link = [[s[i][j] * n // (orders[i] * orders[j]) % n for j in range(k)]
             for i in range(k)]
     quad = [s[i][i] * n // orders[i] ** 2 % (2 * n) for i in range(k)]
@@ -282,7 +285,7 @@ def _primary_components(d: DiscriminantForm):
     """
     mod = 2 * d.denominator
     out = []
-    for p in factorize(d.group_order()).primes():
+    for p in factorize(d.denominator).primes():  # N = d_k: those of |G|
         idx = [i for i, di in enumerate(d.orders) if di % p == 0]
         strides = [_split(d.orders[i], p)[1] for i in idx]
         orders = [d.orders[i] // s for i, s in zip(idx, strides)]

@@ -129,23 +129,29 @@ def quadratic_residue(u: int, p: int) -> bool:
     return pow(u, (p - 1) // 2, p) == 1
 
 
-def square_free_part(a) -> int:
-    """The square-free integer representative of the square class of a.
+def _square_classes(values) -> tuple[tuple[int, ...], list[int]]:
+    """Sorted square-free parts of nonzero rationals, and the primes that
+    divide some part, with 2.  a = x/y in lowest terms is in the square
+    class of x*y; x and y are coprime, so each is factored on its own, and
+    the part is sign(a) times the primes of odd exponent in either.  This
+    keeps each cofactor that must be proved prime as small as it can be."""
+    parts, primes = [], {2}
+    for a in values:
+        a = Fraction(a)
+        if a == 0:
+            raise ZeroEntryError("0 has no square class")
+        odd = [p for n in (a.numerator, a.denominator)
+               for p, e in _factor_magnitude(abs(n)) if e % 2]
+        primes.update(odd)
+        parts.append(math.prod(odd, start=-1 if a < 0 else 1))
+    return tuple(sorted(parts)), sorted(primes)
 
-    For a = x/y this is sign(a) times the product of the primes dividing
-    x*y with odd multiplicity, so <a> = <square_free_part(a)> in any Witt
-    group of characteristic zero.
-    """
-    a = Fraction(a)
-    if a == 0:
-        raise ZeroEntryError("0 has no square class")
-    v = a.numerator * a.denominator
-    sign = -1 if v < 0 else 1
-    out = 1
-    for p, e in _factor_magnitude(abs(v)):
-        if e % 2:
-            out *= p
-    return sign * out
+
+def square_free_part(a) -> int:
+    """The square-free integer in the square class of a, found as in
+    ``_square_classes``, so <a> = <square_free_part(a)> in any Witt group
+    of characteristic zero."""
+    return _square_classes([a])[0][0]
 
 
 @dataclass(frozen=True)
@@ -168,12 +174,7 @@ class WittClassQ:
 
 def witt_from_diagonal(entries) -> WittClassQ:
     """Normalize a diagonal rational form into a Witt class (relation R2)."""
-    normalized = []
-    for a in entries:
-        if Fraction(a) == 0:
-            raise ZeroEntryError("diagonal Witt entries must be nonzero")
-        normalized.append(square_free_part(a))
-    return WittClassQ(entries=tuple(sorted(normalized)))
+    return WittClassQ(entries=_square_classes(entries)[0])
 
 
 def witt_sum(c1: WittClassQ, c2: WittClassQ) -> WittClassQ:
@@ -283,17 +284,10 @@ def _residue(entries, p: int) -> FiniteWittClass:
 
 
 def relevant_primes(c: WittClassQ) -> list[int]:
-    """Primes that can carry a nonzero residue: those dividing some entry.
-
-    Entries are square-free, so any prime with odd valuation in some entry
-    divides that entry; every other prime maps the class to zero.  2 is
-    always included and computed rather than assumed.
-    """
-    primes = {2}
-    for e in c.entries:
-        if abs(e) > 1:
-            primes.update(factorize(e).primes())
-    return sorted(primes)
+    """Primes that can carry a nonzero residue: those of odd valuation in
+    some entry; every other prime maps the class to zero.  2 is always
+    included and computed rather than assumed."""
+    return _square_classes(c.entries)[1]
 
 
 def boundary_is_zero(c: WittClassQ) -> bool:

@@ -5,7 +5,8 @@ Pfaffian by its permutation expansion, brute-force isotropic-subspace and
 linking-radical searches, diagonalization in Fractions with the library's
 and with the opposite pivot policy, the Smith form with V kept apart,
 whole-group Gauss enumeration and its float value, the merge of Gauss
-histograms by residue addition, naive window search)
+histograms by residue addition, naive window search, the square-free part
+from numerator times denominator)
 deliberately reimplement functionality along different paths so the
 library can be checked against them.
 """
@@ -46,6 +47,38 @@ SEIFERT_6_3 = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 # Genus-1 twist-knot Seifert matrix with Alexander polynomial 3t^2 - 7t + 3,
 # determinant 13, signature 0 (the 8_1 knot).
 SEIFERT_8_1 = [[1, 1], [0, -3]]
+
+
+# A dense rank-24 even form, entries in [-3, 3].  Its diagonal entry
+# D_23 / D_22 has a numerator divisible by 35072225197651 and a denominator
+# divisible by 211543505683.  Their product 7419301470414740116750633 lies
+# above the Miller-Rabin certification bound, so factoring numerator times
+# denominator stops; factored apart, each part is proved.
+DENSE_24 = [
+    [0, -3, 1, 1, 3, 3, 3, 3, 1, 2, 2, 1, -2, -1, 2, -1, 0, -3, 2, 0, 2, -3, 3, -2],
+    [-3, 2, 1, -1, 2, 3, 1, 3, 0, -1, 0, 2, 0, 2, 3, 1, -1, -2, -1, -1, 2, -1, 3, -1],
+    [1, 1, -4, 0, 3, -2, 3, 2, -2, 3, -3, -2, 2, -3, -2, -1, -3, -3, -3, 2, 0, 2, 3, -3],
+    [1, -1, 0, 2, 0, 3, -2, 3, -3, -1, -3, 2, 2, 0, -2, -1, -2, -3, 2, -2, -1, -1, -2, 3],
+    [3, 2, 3, 0, -4, -2, -2, 3, 1, -2, -2, 1, 2, 1, -3, -1, 1, 2, 0, -2, 0, -2, 1, -1],
+    [3, 3, -2, 3, -2, -4, -1, 3, 3, -3, 0, 2, 0, -1, 1, 3, 2, -2, -2, -2, -1, -1, 0, 1],
+    [3, 1, 3, -2, -2, -1, -6, 0, 0, -3, -2, 3, -3, -3, -2, -1, -3, -2, 3, 1, 0, 2, -1, -2],
+    [3, 3, 2, 3, 3, 3, 0, 2, -1, 1, 0, 3, 2, 2, -1, 1, -2, 0, -3, 1, 2, 2, 2, -3],
+    [1, 0, -2, -3, 1, 3, 0, -1, -4, 2, -2, 0, -2, 2, -3, 0, 2, 3, 2, -2, 1, 3, -3, -3],
+    [2, -1, 3, -1, -2, -3, -3, 1, 2, 0, 1, 1, -2, -3, -1, -1, -1, -2, 1, 2, 1, -1, -2, 2],
+    [2, 0, -3, -3, -2, 0, -2, 0, -2, 1, -2, -2, 0, 1, -3, 1, -2, 2, -1, -3, -1, 1, -3, -2],
+    [1, 2, -2, 2, 1, 2, 3, 3, 0, 1, -2, 2, 3, 2, 0, 2, -3, 3, -2, 2, 1, 3, -2, -3],
+    [-2, 0, 2, 2, 2, 0, -3, 2, -2, -2, 0, 3, 6, 0, 1, 0, -2, 1, 3, 3, -3, 0, 3, -2],
+    [-1, 2, -3, 0, 1, -1, -3, 2, 2, -3, 1, 2, 0, -4, 1, -1, 3, -2, 0, -1, -2, -3, -3, -2],
+    [2, 3, -2, -2, -3, 1, -2, -1, -3, -1, -3, 0, 1, 1, 2, 1, 1, 0, 0, 0, 0, 2, 0, 1],
+    [-1, 1, -1, -1, -1, 3, -1, 1, 0, -1, 1, 2, 0, -1, 1, 4, -1, 3, -3, -1, -3, 0, 0, -1],
+    [0, -1, -3, -2, 1, 2, -3, -2, 2, -1, -2, -3, -2, 3, 1, -1, -6, 1, -1, -1, 2, -1, -3, 3],
+    [-3, -2, -3, -3, 2, -2, -2, 0, 3, -2, 2, 3, 1, -2, 0, 3, 1, 2, 1, 3, 1, -1, 2, -2],
+    [2, -1, -3, 2, 0, -2, 3, -3, 2, 1, -1, -2, 3, 0, 0, -3, -1, 1, -6, -2, -1, 1, 0, -1],
+    [0, -1, 2, -2, -2, -2, 1, 1, -2, 2, -3, 2, 3, -1, 0, -1, -1, 3, -2, -4, -1, -2, -1, 3],
+    [2, 2, 0, -1, 0, -1, 0, 2, 1, 1, -1, 1, -3, -2, 0, -3, 2, 1, -1, -1, -6, -3, -3, -3],
+    [-3, -1, 2, -1, -2, -1, 2, 2, 3, -1, 1, 3, 0, -3, 2, 0, -1, -1, 1, -2, -3, 4, -3, 0],
+    [3, 3, 3, -2, 1, 0, -1, 2, -3, -2, -3, -2, 3, -3, 0, 0, -3, 2, 0, -1, -3, -3, 0, 3],
+    [-2, -1, -3, 3, -1, 1, -2, -3, -3, 2, -2, -3, -2, -2, 1, -1, 3, -2, -1, 3, -3, 0, 3, 2]]
 
 
 # --- independent oracles -----------------------------------------------------
@@ -503,6 +536,20 @@ def fsum_gauss_value(g):
 
     return complex(math.fsum(c * math.cos(angle(r)) for r, c in g.terms),
                    math.fsum(c * math.sin(angle(r)) for r, c in g.terms))
+
+
+def reference_square_free_part(a):
+    """The square-free integer in the square class of a = x/y in lowest
+    terms, from one factorization of the product x*y: sign(a) times its
+    primes of odd exponent."""
+    from wittlink import factorize
+    a = Fraction(a)
+    v = a.numerator * a.denominator
+    out = 1 if v > 0 else -1
+    for p, e in factorize(v).factors:
+        if e % 2:
+            out *= p
+    return out
 
 
 def is_rational_square(x: Fraction) -> bool:

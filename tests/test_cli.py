@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
 
-from conftest import (A8_NEG, NINE_ONE_SEIFERT, TREFOIL_SEIFERT,
+from conftest import (A8_NEG, DENSE_24, NINE_ONE_SEIFERT, TREFOIL_SEIFERT,
                       enumerate_gauss_terms, fraction_diagonalize)
 
 
@@ -292,35 +293,6 @@ def test_analyze_skips_search_when_no_metabolizer_exists(tmp_path):
     assert rep["boundary_zero"] is False and rep["metabolizer"] is None
 
 
-# A dense rank-24 even form, entries in [-3, 3].  Square-free parts of its
-# diagonal entries have cofactors above the Miller-Rabin certification bound.
-DENSE_24 = [
-    [0, -3, 1, 1, 3, 3, 3, 3, 1, 2, 2, 1, -2, -1, 2, -1, 0, -3, 2, 0, 2, -3, 3, -2],
-    [-3, 2, 1, -1, 2, 3, 1, 3, 0, -1, 0, 2, 0, 2, 3, 1, -1, -2, -1, -1, 2, -1, 3, -1],
-    [1, 1, -4, 0, 3, -2, 3, 2, -2, 3, -3, -2, 2, -3, -2, -1, -3, -3, -3, 2, 0, 2, 3, -3],
-    [1, -1, 0, 2, 0, 3, -2, 3, -3, -1, -3, 2, 2, 0, -2, -1, -2, -3, 2, -2, -1, -1, -2, 3],
-    [3, 2, 3, 0, -4, -2, -2, 3, 1, -2, -2, 1, 2, 1, -3, -1, 1, 2, 0, -2, 0, -2, 1, -1],
-    [3, 3, -2, 3, -2, -4, -1, 3, 3, -3, 0, 2, 0, -1, 1, 3, 2, -2, -2, -2, -1, -1, 0, 1],
-    [3, 1, 3, -2, -2, -1, -6, 0, 0, -3, -2, 3, -3, -3, -2, -1, -3, -2, 3, 1, 0, 2, -1, -2],
-    [3, 3, 2, 3, 3, 3, 0, 2, -1, 1, 0, 3, 2, 2, -1, 1, -2, 0, -3, 1, 2, 2, 2, -3],
-    [1, 0, -2, -3, 1, 3, 0, -1, -4, 2, -2, 0, -2, 2, -3, 0, 2, 3, 2, -2, 1, 3, -3, -3],
-    [2, -1, 3, -1, -2, -3, -3, 1, 2, 0, 1, 1, -2, -3, -1, -1, -1, -2, 1, 2, 1, -1, -2, 2],
-    [2, 0, -3, -3, -2, 0, -2, 0, -2, 1, -2, -2, 0, 1, -3, 1, -2, 2, -1, -3, -1, 1, -3, -2],
-    [1, 2, -2, 2, 1, 2, 3, 3, 0, 1, -2, 2, 3, 2, 0, 2, -3, 3, -2, 2, 1, 3, -2, -3],
-    [-2, 0, 2, 2, 2, 0, -3, 2, -2, -2, 0, 3, 6, 0, 1, 0, -2, 1, 3, 3, -3, 0, 3, -2],
-    [-1, 2, -3, 0, 1, -1, -3, 2, 2, -3, 1, 2, 0, -4, 1, -1, 3, -2, 0, -1, -2, -3, -3, -2],
-    [2, 3, -2, -2, -3, 1, -2, -1, -3, -1, -3, 0, 1, 1, 2, 1, 1, 0, 0, 0, 0, 2, 0, 1],
-    [-1, 1, -1, -1, -1, 3, -1, 1, 0, -1, 1, 2, 0, -1, 1, 4, -1, 3, -3, -1, -3, 0, 0, -1],
-    [0, -1, -3, -2, 1, 2, -3, -2, 2, -1, -2, -3, -2, 3, 1, -1, -6, 1, -1, -1, 2, -1, -3, 3],
-    [-3, -2, -3, -3, 2, -2, -2, 0, 3, -2, 2, 3, 1, -2, 0, 3, 1, 2, 1, 3, 1, -1, 2, -2],
-    [2, -1, -3, 2, 0, -2, 3, -3, 2, 1, -1, -2, 3, 0, 0, -3, -1, 1, -6, -2, -1, 1, 0, -1],
-    [0, -1, 2, -2, -2, -2, 1, 1, -2, 2, -3, 2, 3, -1, 0, -1, -1, 3, -2, -4, -1, -2, -1, 3],
-    [2, 2, 0, -1, 0, -1, 0, 2, 1, 1, -1, 1, -3, -2, 0, -3, 2, 1, -1, -1, -6, -3, -3, -3],
-    [-3, -1, 2, -1, -2, -1, 2, 2, 3, -1, 1, 3, 0, -3, 2, 0, -1, -1, 1, -2, -3, 4, -3, 0],
-    [3, 3, 3, -2, 1, 0, -1, 2, -3, -2, -3, -2, 3, -3, 0, 0, -3, 2, 0, -1, -3, -3, 0, 3],
-    [-2, -1, -3, 3, -1, 1, -2, -3, -3, 2, -2, -3, -2, -2, 1, -1, 3, -2, -1, 3, -3, 0, 3, 2]]
-
-
 def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
     from wittlink import determinant, form_from_rows
     path = tmp_path / "dense24.json"
@@ -333,6 +305,73 @@ def test_analyze_dense_rank_24_needs_no_large_primality_proof(tmp_path):
     entries = fraction_diagonalize(DENSE_24).entries
     assert rep["signature"] == sum(1 if e > 0 else -1 for e in entries)
     assert rep["boundary_zero"] is False
+
+
+@pytest.fixture(scope="module")
+def dense24_boundary(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dense24") / "dense24.json"
+    path.write_text(json.dumps({"gram": DENSE_24}))
+    code, out, _ = run_cli("boundary", "--gram", str(path))
+    assert code == 0, out
+    return json.loads(out)
+
+
+def test_boundary_dense_rank_24(dense24_boundary):
+    """boundary answers on DENSE_24, and its table is checked here without
+    the program's factoring: each entry times D_k D_(k-1) is a square, it is
+    square-free over the printed primes, and each printed prime is prime."""
+    from wittlink import is_prime
+    rep = dense24_boundary
+    entries = rep["witt_entries"]
+    primes = [k["prime"] for k in rep["classes"]]
+    matched = []
+    for a in fraction_diagonalize(DENSE_24).entries:
+        v = a.numerator * a.denominator
+        hit = [e for e in set(entries)
+               if e * v > 0 and math.isqrt(e * v) ** 2 == e * v]
+        assert len(hit) == 1, a
+        matched += hit
+    assert sorted(matched) == entries
+    assert primes == sorted(set(primes)) and 2 in primes
+    for e in entries:
+        rest = abs(e)
+        for p in primes:
+            if rest % p == 0:
+                rest //= p
+                assert rest % p, (e, p)
+        assert rest == 1, e
+    assert all(p == 2 or any(e % p == 0 for e in entries) for p in primes)
+    assert all(is_prime(p) for p in primes)
+    assert rep["boundary_zero"] is False
+
+
+def test_boundary_dense_rank_24_agrees_with_sympy(dense24_boundary):
+    sympy = pytest.importorskip("sympy")
+    parts = []
+    for a in fraction_diagonalize(DENSE_24).entries:
+        odd = [p for x in (a.numerator, a.denominator)
+               for p, e in sympy.factorint(abs(x)).items() if e % 2]
+        parts.append(math.prod(odd, start=1 if a > 0 else -1))
+    assert dense24_boundary["witt_entries"] == sorted(parts)
+    primes = sorted({2}.union(*(sympy.primefactors(e) for e in parts)))
+    assert [k["prime"] for k in dense24_boundary["classes"]] == primes
+
+
+def test_boundary_factors_the_reduced_entry(tmp_path):
+    """<2P> + <2Q>: the minor 4PQ leaves the cofactor PQ, above the
+    Miller-Rabin certification bound, but its entry 4PQ / 2P reduces to 2Q
+    before it is factored.  The output is pinned byte for byte."""
+    p, q = 2000000000003, 2000000000123
+    path = tmp_path / "2p2q.json"
+    path.write_text(json.dumps({"gram": [[2 * p, 0], [0, 2 * q]]}))
+    code, out, _ = run_cli("boundary", "--gram", str(path))
+    assert code == 0
+    assert out == (
+        '{"boundary_zero": false, "classes": [{"disc_square": null, '
+        '"prime": 2, "rank_parity": 0, "zero": true}, {"disc_square": false, '
+        '"prime": 2000000000003, "rank_parity": 1, "zero": false}, '
+        '{"disc_square": false, "prime": 2000000000123, "rank_parity": 1, '
+        '"zero": false}], "witt_entries": [4000000000006, 4000000000246]}\n')
 
 
 def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):

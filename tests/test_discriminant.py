@@ -719,6 +719,7 @@ def test_discriminant_generators_match_inverse_oracle(rng):
                 values.append(b(gi, gj) % 1)
                 assert disc.linking[i][j] == values[-1]
         assert disc.denominator == math.lcm(*(x.denominator for x in values))
+        assert disc.denominator == max(disc.orders, default=1)
 
 
 def test_metabolizer_skip_agrees_with_exhaustive_search():

@@ -4,16 +4,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import NINE_ONE_SYM, random_mixed_even_rows, witt_zero_bruteforce
+from conftest import (NINE_ONE_SYM, random_mixed_even_rows,
+                      reference_square_free_part, witt_zero_bruteforce)
 from wittlink import (WittClassQ, boundary_at_prime, boundary_is_zero,
                       boundary_zero_from_minors, factorize,
                       finite_witt_add, finite_witt_from_units,
                       finite_witt_is_zero, finite_witt_zero, form_from_rows,
                       is_prime, pivot_minors, quadratic_residue,
-                      rational_witt_class,
+                      rational_witt_class, relevant_primes,
                       square_free_part, witt_from_diagonal, witt_negate,
                       witt_q_equal, witt_q_is_zero, witt_sum)
 from wittlink.errors import (NotCoprimeError, NotPrimeError,
@@ -190,6 +192,36 @@ def test_square_free_part():
     assert square_free_part(Fraction(-3, 2)) == -6
     assert square_free_part(Fraction(-9, 8)) == -2
     assert square_free_part(1) == 1
+
+
+def test_square_classes_match_the_product_reference(rng):
+    """square_free_part, witt_from_diagonal and relevant_primes factor a
+    reduced numerator and denominator apart; the reference factors their
+    product.  Draws carry squares on both sides and primes above the
+    trial-division limit."""
+    def draw():
+        x = rng.choice((1, rng.randint(2, 400), rng.choice((1000003, 1000033))))
+        return x * rng.randint(1, 40) ** rng.randint(1, 3)
+
+    for _ in range(300):
+        values = [Fraction(rng.choice((-1, 1)) * draw(), draw())
+                  for _ in range(rng.randint(0, 5))] + [-draw()]
+        parts = [reference_square_free_part(a) for a in values]
+        assert [square_free_part(a) for a in values] == parts
+        c = witt_from_diagonal(values)
+        assert c.entries == tuple(sorted(parts))
+        primes = sorted({2}.union(*(factorize(e).primes() for e in parts)))
+        assert relevant_primes(c) == primes
+        assert relevant_primes(WittClassQ(tuple(values))) == primes
+
+
+def test_square_classes_refuse_a_zero_entry():
+    with pytest.raises(ZeroEntryError):
+        square_free_part(0)
+    with pytest.raises(ZeroEntryError):
+        witt_from_diagonal([Fraction(3, 2), 0])
+    with pytest.raises(ZeroEntryError):
+        relevant_primes(SimpleNamespace(entries=(3, 0)))
 
 
 def test_boundary_is_zero_examples():
