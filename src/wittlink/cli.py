@@ -4,7 +4,8 @@ All numeric output is exact (rationals rendered as "num/den" strings);
 floating approximations appear only behind --approx.  Reports are JSON with
 sorted keys so identical invocations are byte-identical; dioph emits CSV
 records.  Exit codes: 0 success, 1 domain or internal error (with a
-machine-readable error object on stdout), 2 usage error.
+machine-readable error object on stdout), 2 usage error; a reader that
+closes stdout early ends any command with exit 0.
 """
 
 from __future__ import annotations
@@ -141,18 +142,9 @@ def _cmd_dioph(args) -> int:
         _emit({"error": {"type": "restriction_violated",
                          "message": "a solution with p+q != 0 mod 8 exists"}})
         return 1
-    try:
-        sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n")
-        sys.stdout.writelines(
-            diophantine.csv_chunks(w, args.sign, dedupe=args.dedupe))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone (`dioph ... | head`), which ends the run, not
-        # an error.  Point stdout's fd at devnull so that the flush at exit
-        # cannot raise again (the recipe in the docs of the signal module).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n")
+    sys.stdout.writelines(
+        diophantine.csv_chunks(w, args.sign, dedupe=args.dedupe))
     return 0
 
 
@@ -226,22 +218,40 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args) -> int:
+    """Run one command; an error is printed as a structured object, exit 1."""
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader has gone, which is not bad input: see main
     except WittLinkError as exc:
-        _emit({"error": {"type": exc.code, "message": str(exc)}})
-        return 1
+        error = {"type": exc.code, "message": str(exc)}
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _emit({"error": {"type": "input", "message": str(exc)}})
-        return 1
+        error = {"type": "input", "message": str(exc)}
     except ArithmeticError as exc:
         # A failed internal consistency check (rho exhausted, a theorem
         # contradicted, a non-integral overlattice) is a defect, not bad
         # input, but it is still reported as structured output.
-        _emit({"error": {"type": "internal", "message": str(exc)}})
-        return 1
+        error = {"type": "internal", "message": str(exc)}
+    _emit({"error": error})
+    return 1
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`wittlink ... | head`), which ends the run
+        # quietly, not an error.  Point stdout's fd at devnull so that the
+        # flush at exit cannot raise again (the recipe in the docs of the
+        # signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -3,12 +3,16 @@
 The negative-sign equation forces p + q = 0 mod 8 (the underlying even
 form satisfies the vanishing hypothesis, so its signature -(p+q) is a
 multiple of 8); the positive-sign variant only forces p + q to 2 or 6
-mod 8 and realizes both.  Searches are exhaustive over finite windows.
+mod 8 and realizes both.  Searches are exhaustive over finite windows:
+each pair (p, q) is one lookup in a table of odd square roots modulo
+2|p + q|, and each p-row of pairs is looked up in one C-level pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import NotFoundError
 
@@ -59,48 +63,68 @@ def _odd_roots(mod: int, m_max: int) -> dict[int, list[int]]:
     return table
 
 
-def _solve(w: SearchWindow, sign: int, pairs):
-    """Yield (p, q, [(r, m), ...]) for each pair with a solution in w.
+def _solve(w: SearchWindow, sign: int, dedupe: bool = False, keep=None):
+    """Yield (p, q, [(r, m), ...]) for each odd pair with a solution in w.
 
     For s = p + q != 0 the equation reads r = (sign*m^2 - pq)/s, and r is
-    an even integer exactly when m^2 = sign*pq (mod 2|s|): each pair is one
-    lookup in a table of odd roots built once per modulus 2|s|.  For s = 0
-    it reads -p^2 = sign*m^2, which holds for every r when sign = -1 and
-    m = |p|.  Pairs keep their order and rows come in increasing r.
+    an even integer exactly when m^2 = sign*pq (mod 2|s|).  For s = 0 it
+    reads -p^2 = sign*m^2, which holds for every r when sign = -1 and
+    m = |p|.  The tables of odd roots (one per modulus 2|s|) and the
+    moduli are laid out once, indexed by (s - s_min)/2: s = 0 gets a
+    sentinel table that every product hits, and each s that ``keep``
+    rejects an empty one.  Along one p, sign*pq is an arithmetic
+    progression in q, so a whole row of pairs is looked up in one C-level
+    pass and only the hits run Python code.  Pairs come in (p, q) order,
+    with p <= q under ``dedupe``, and rows in increasing r.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     r_lo, r_hi = w.r_range
-    evens = _parity_values(r_lo, r_hi, 0)
-    tables = {}
-    for p, q in pairs:
-        s = p + q
-        if not s:
-            if sign == -1 and abs(p) <= w.m_max and evens:
-                yield p, q, list(zip(evens, [abs(p)] * len(evens)))
-            continue
-        mod = 2 * abs(s)
-        table = tables.get(mod)
-        if table is None:
-            table = tables[mod] = _odd_roots(mod, w.m_max)
-        ms = table.get(sign * p * q % mod)
-        if not ms:
-            continue
-        pq = p * q
-        rows = [(r, m) for m in ms
-                if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
-        if rows:
-            if sign * s < 0:
-                rows.reverse()
-            yield p, q, rows
-
-
-def _pairs(w: SearchWindow, dedupe: bool = False):
-    """The odd pairs (p, q) of the window in order; p <= q with ``dedupe``."""
     q_lo, q_hi = w.q_range
-    return ((p, q) for p in _parity_values(*w.p_range, 1)
-            for q in _parity_values(max(p, q_lo) if dedupe else q_lo,
-                                    q_hi, 1))
+    evens = _parity_values(r_lo, r_hi, 0)
+    ps = _parity_values(*w.p_range, 1)
+    qs = _parity_values(q_lo, q_hi, 1)
+    if not ps or not qs:
+        return
+    s_min = ps[0] + qs[0]
+    roots = {}
+    tables = []
+    mods = []
+    for s in range(s_min, ps[-1] + qs[-1] + 1, 2):
+        mod = 2 * abs(s) or 1
+        if keep is not None and not keep(s):
+            table = {}
+        elif s:
+            table = roots.get(mod)
+            if table is None:
+                table = roots[mod] = _odd_roots(mod, w.m_max)
+        else:
+            table = {0: True} if sign == -1 and evens else {}
+        tables.append(table)
+        mods.append(mod)
+    for p in ps:
+        row = _parity_values(max(p, q_lo) if dedupe else q_lo, q_hi, 1)
+        if not row:
+            continue
+        a = (p + row[0] - s_min) // 2
+        b = a + len(row)
+        products = range(sign * p * row[0], sign * p * (row[-1] + 2),
+                         2 * sign * p)
+        hits = list(map(dict.get, tables[a:b],
+                        map(operator.mod, products, mods[a:b])))
+        for q, ms in zip(compress(row, hits), filter(None, hits)):
+            s = p + q
+            if not s:
+                if abs(p) <= w.m_max:
+                    yield p, q, list(zip(evens, [abs(p)] * len(evens)))
+                continue
+            pq = p * q
+            rows = [(r, m) for m in ms
+                    if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
+            if rows:
+                if sign * s < 0:
+                    rows.reverse()
+                yield p, q, rows
 
 
 def search(w: SearchWindow, sign: int,
@@ -113,7 +137,7 @@ def search(w: SearchWindow, sign: int,
     solver.  With ``dedupe`` only representatives with p <= q are kept.
     """
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
-            for p, q, rows in _solve(w, sign, _pairs(w, dedupe))
+            for p, q, rows in _solve(w, sign, dedupe)
             for r, m in rows]
 
 
@@ -127,7 +151,7 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     r strings built once.
     """
     even_rs = None
-    for p, q, rows in _solve(w, sign, _pairs(w, dedupe)):
+    for p, q, rows in _solve(w, sign, dedupe):
         s = p + q
         head = f"{p},{q},"
         if not s:
@@ -143,11 +167,11 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
 def verify_negative_restriction(w: SearchWindow) -> bool:
     """Every solution of pq+pr+qr = -m^2 in the window has p+q = 0 mod 8.
 
-    Only pairs with p + q != 0 mod 8 can violate it, so only those are
-    solved, and the first solution found answers False.
+    Only pairs with p + q != 0 mod 8 can violate it, so the tables of
+    every other s are empty: a window where the restriction holds is
+    scanned without a hit, and the first solution found answers False.
     """
-    pairs = ((p, q) for p, q in _pairs(w) if (p + q) % 8)
-    return next(_solve(w, -1, pairs), None) is None
+    return next(_solve(w, -1, keep=lambda s: s % 8), None) is None
 
 
 def residue_prefilter(sign: int) -> set[int]:
@@ -177,15 +201,14 @@ def witness_both_positive_residues(w: SearchWindow):
     """One solution of pq+pr+qr = +m^2 with p+q = 2 mod 8 and one with 6.
 
     Each is the first such record of ``search(w, 1)`` in (p, q, r) order.
-    The solver runs lazily, skips pairs of a residue already witnessed and
-    stops once both are found.
+    The solver runs lazily, scans only the s = 2, 6 mod 8 tables and
+    stops once both residues are found.
     """
     found = {}
-    pairs = ((p, q) for p, q in _pairs(w)
-             if (p + q) % 8 in (2, 6) and (p + q) % 8 not in found)
-    for p, q, rows in _solve(w, 1, pairs):
+    for p, q, rows in _solve(w, 1, keep=lambda s: s % 8 in (2, 6)):
         k = (p + q) % 8
-        found[k] = SolutionRecord(p, q, *rows[0], 1, k)
-        if len(found) == 2:
-            return found[2], found[6]
+        if k not in found:
+            found[k] = SolutionRecord(p, q, *rows[0], 1, k)
+            if len(found) == 2:
+                return found[2], found[6]
     raise NotFoundError("window contains no witness pair for residues 2 and 6")

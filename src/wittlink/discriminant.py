@@ -32,8 +32,7 @@ from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
 from .forms import (IntegerSymmetricForm, _eliminate, determinant,
                     form_from_rows, is_even, signature_from_minors)
-from .witt import (_split, boundary_zero_from_minors, factorize,
-                   quadratic_residue)
+from .witt import _euler, _split, boundary_zero_from_minors, factorize
 
 DEFAULT_GROUP_BOUND = 10 ** 4
 DEFAULT_DET_BOUND = 10 ** 6
@@ -456,7 +455,7 @@ def _homogeneous_counts(quad, link2, p, a):
     half = (p + 1) // 2  # 2^-1 mod p; only det A mod p is needed
     table = [[quad[i] % p if i == j else link2[i][j] * half % p
               for j in range(k)] for i in range(k)]
-    eta = 1 if quadratic_residue(_eliminate(table)[-1], p) else -1
+    eta = 1 if _euler(_eliminate(table)[-1], p) else -1
     # h = p^((k-1)/2) eta((-1)^((k-1)/2) det A) for odd k, and
     # p^((k-2)/2) eta((-1)^(k/2) det A) for even k; eta(-1) = -1 iff p = 3 mod 4
     m = k // 2

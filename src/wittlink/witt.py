@@ -124,6 +124,12 @@ def quadratic_residue(u: int, p: int) -> bool:
     """Euler criterion: is u a nonzero square modulo the odd prime p?"""
     if p == 2 or not is_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
+    return _euler(u, p)
+
+
+def _euler(u: int, p: int) -> bool:
+    """``quadratic_residue`` for an odd p already proved prime, as the
+    primes of a factorization are, so Miller-Rabin does not run again."""
     if u % p == 0:
         raise NotCoprimeError(f"{u} is divisible by {p}")
     return pow(u, (p - 1) // 2, p) == 1
@@ -222,6 +228,14 @@ def finite_witt_from_units(p: int, units) -> FiniteWittClass:
     units = [u % p for u in units]
     if any(u == 0 for u in units):
         raise NotCoprimeError("diagonal units must be prime to p")
+    if p != 2 and not is_prime(p):
+        raise NotPrimeError(f"{p} is not an odd prime")
+    return _finite_witt(p, units)
+
+
+def _finite_witt(p: int, units) -> FiniteWittClass:
+    """``finite_witt_from_units`` for a proved prime p and units already
+    reduced mod p and nonzero."""
     r = len(units)
     if p == 2:
         return FiniteWittClass(prime=2, rank_parity=r % 2, disc_is_square=None)
@@ -230,7 +244,7 @@ def finite_witt_from_units(p: int, units) -> FiniteWittClass:
         d = d * u % p
     d = d * pow(-1, r * (r - 1) // 2, p) % p
     return FiniteWittClass(prime=p, rank_parity=r % 2,
-                           disc_is_square=quadratic_residue(d, p))
+                           disc_is_square=_euler(d, p))
 
 
 def finite_witt_add(x: FiniteWittClass, y: FiniteWittClass) -> FiniteWittClass:
@@ -273,6 +287,7 @@ def boundary_at_prime(c: WittClassQ, p: int) -> FiniteWittClass:
 
 
 def _residue(entries, p: int) -> FiniteWittClass:
+    """``boundary_at_prime`` on the entries, for a p already proved prime."""
     units = []
     for e in entries:
         # int and Fraction both carry numerator and denominator
@@ -280,7 +295,7 @@ def _residue(entries, p: int) -> FiniteWittClass:
         vd, den = _split(e.denominator, p)
         if (vn - vd) % 2:
             units.append(num * den % p)
-    return finite_witt_from_units(p, units)
+    return _finite_witt(p, units)
 
 
 def relevant_primes(c: WittClassQ) -> list[int]:

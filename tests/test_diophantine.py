@@ -96,7 +96,9 @@ def test_window_validation():
 
 
 # (p_range, q_range, r_range, m_max): asymmetric windows, m_max below and
-# above the window, with and without pairs p + q = 0.
+# above the window, with and without pairs p + q = 0.  The later ones probe
+# the scan's offsets: rows of p > q_hi that dedupe leaves empty, s = p + q
+# ranges that exclude 0 on either side, no even r, m_max = 1, no odd q.
 ORACLE_WINDOWS = [
     ((-13, 7), (-5, 15), (-9, 12), 11),
     ((-13, 7), (-5, 15), (-9, 12), 3),
@@ -105,6 +107,13 @@ ORACLE_WINDOWS = [
     ((-7, 9), (-9, 7), (2, 14), 5),
     ((-9, 9), (-9, 9), (-12, -2), 45),
     ((4, 4), (-11, 11), (-10, 10), 13),
+    ((-5, 21), (-9, 9), (-14, 14), 27),
+    ((6, 20), (-8, 2), (-16, 12), 23),
+    ((5, 19), (-3, 1), (-12, 12), 21),
+    ((-19, -5), (-1, 3), (-12, 12), 21),
+    ((-9, 9), (-9, 9), (3, 3), 15),
+    ((-9, 9), (-7, 11), (-10, 10), 1),
+    ((-9, 9), (2, 2), (-10, 10), 9),
 ]
 
 
@@ -119,6 +128,21 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
             deduped = [(r.p, r.q, r.r, r.m)
                        for r in search(w, sign, dedupe=True)]
             assert deduped == [row for row in want if row[0] <= row[1]]
+
+
+def test_verify_and_witness_match_their_search_definitions():
+    for window in ORACLE_WINDOWS:
+        w = SearchWindow(*window)
+        assert verify_negative_restriction(w) == all(
+            r.p_plus_q_mod_8 == 0 for r in search(w, -1))
+        recs = search(w, 1)
+        firsts = tuple(next((x for x in recs if x.p_plus_q_mod_8 == k), None)
+                       for k in (2, 6))
+        if None in firsts:
+            with pytest.raises(NotFoundError):
+                witness_both_positive_residues(w)
+        else:
+            assert witness_both_positive_residues(w) == firsts
 
 
 def test_search_separate_r_bound_matches_naive_oracle():
