@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -102,14 +103,26 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_gauss(args) -> int:
+    # Everything is computed before the first write, so an error still
+    # prints as one error object.  The terms are then streamed one slice
+    # of the dense table at a time: the report is the bytes _emit would
+    # write, with "terms", the last key, filled in slice by slice.
     f = _load_gram(args.gram)
-    g = discriminant.gauss_sum(f, enum_bound=args.bound_det)
-    out = {"denominator": g.denominator, "terms": g.terms,
-           "check": discriminant.gauss_sum_matches(f, g)}
+    n, table, phase = discriminant._gauss_table(f, args.bound_det)
+    out = {"denominator": n, "terms": [],
+           "check": discriminant._milgram_holds(f, phase, sum(table))}
     if args.approx:
-        z = g.approx()
+        z = discriminant._approx(n, itertools.chain.from_iterable(
+            discriminant._term_slices(n, table)))
         out["approx"] = [z.real, z.imag]
-    _emit(out)
+    write = sys.stdout.write
+    write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])
+    sep = ""
+    for part in discriminant._term_slices(n, table):
+        if part:
+            write(sep + json.dumps(part, check_circular=False)[1:-1])
+            sep = ", "
+    write("]}\n")
     return 0
 
 

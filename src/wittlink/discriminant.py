@@ -14,7 +14,10 @@ that table serves the metabolizer search and the Gauss sum.  The sum is a
 multiset of roots of unity, one dense table per component merged by Chinese
 remainders, in closed form for odd p and equal orders; sqrt|det| *
 e^(2 pi i sigma/8) is checked per component, from a Legendre symbol in
-closed form and otherwise in the cyclotomic ring that holds the sum.
+closed form and otherwise in the cyclotomic ring that holds the sum.  The
+merged table is the only list of its size: its (r, count) terms are read
+off it in fixed-size slices, which the CLI streams to stdout, so the memory
+of a ``gauss`` report is bounded by the table, not by the number of terms.
 """
 
 from __future__ import annotations
@@ -353,8 +356,7 @@ class GaussSumValue:
         return sum(map(itemgetter(1), self.terms))
 
     def approx(self) -> complex:
-        n = self.denominator
-        return sum(c * cmath.exp(1j * math.pi * r / n) for r, c in self.terms)
+        return _approx(self.denominator, self.terms)
 
 
 def gauss_sum(f: IntegerSymmetricForm,
@@ -362,7 +364,20 @@ def gauss_sum(f: IntegerSymmetricForm,
     """The Gauss sum sum_u e^(pi i b(u,u)) over the discriminant group.
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
-    and |det| <= enum_bound.
+    and |det| <= enum_bound.  The terms are read from the dense table of
+    :func:`_gauss_table` by :func:`_term_slices`.
+    """
+    n, table, phase = _gauss_table(f, enum_bound)
+    # A list first: tuple() of an iterator with no length resizes as it
+    # grows, and each resize puts it back in the GC's youngest generation.
+    terms = tuple(list(itertools.chain.from_iterable(_term_slices(n, table))))
+    return GaussSumValue(denominator=n, terms=terms, phase=phase)
+
+
+def _gauss_table(f, enum_bound):
+    """(N, table, phase) of the Gauss sum of f: table[x] counts the u with
+    N b(u,u) = x 2N / len(table) mod 2N, and phase is as in
+    :class:`GaussSumValue`.
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
@@ -372,8 +387,8 @@ def gauss_sum(f: IntegerSymmetricForm,
     G_p are all equal, which covers every cyclic G_p and every X + X or
     X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed orders such
     as (3, 9), by :func:`_walk` over every element and the exact Milgram
-    check :func:`_component_phase`.  The component tables merge into
-    ``terms`` by :func:`_merge`; the k sum to ``phase``.
+    check :func:`_component_phase`.  The component tables merge into one
+    by :func:`_merge`; the k sum to ``phase``.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -382,7 +397,6 @@ def gauss_sum(f: IntegerSymmetricForm,
         raise DeterminantTooLargeError(
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
-    mod = 2 * d.denominator
     table = [1]
     phase = 0
     for p, _, orders, size, quad, link2 in _primary_components(d):
@@ -396,11 +410,29 @@ def gauss_sum(f: IntegerSymmetricForm,
             k = _component_phase(counts, p, e)
         phase = None if phase is None or k is None else (phase + k) % 8
         table = _merge(table, counts) if len(table) > 1 else counts
-    # A list first: tuple() of an iterator with no length resizes as it
-    # grows, and each resize puts it back in the GC's youngest generation.
-    keys = itertools.compress(range(0, mod, mod // len(table)), table)
-    terms = tuple(list(zip(keys, filter(None, table))))
-    return GaussSumValue(denominator=d.denominator, terms=terms, phase=phase)
+    return d.denominator, table, phase
+
+
+# Entries per slice: one json.dumps call per slice costs little beside the
+# slice's terms, and a slice of pairs is small beside a table of 10^6.
+_SLICE = 1 << 13
+
+
+def _term_slices(n, table):
+    """The (r, count) pairs of the nonzero entries of a dense table over
+    denominator n, r increasing, as one list per slice of _SLICE entries
+    (empty where the slice holds no term), so that no more than one slice
+    of pairs is held at a time."""
+    step = 2 * n // len(table)
+    for start in range(0, len(table), _SLICE):
+        part = table[start:start + _SLICE]
+        keys = itertools.compress(itertools.count(start * step, step), part)
+        yield list(zip(keys, filter(None, part)))
+
+
+def _approx(n, terms):
+    """sum count e^(pi i r / n) over the (r, count) pairs ``terms``."""
+    return sum(c * cmath.exp(1j * math.pi * r / n) for r, c in terms)
 
 
 def _walk(quad, link2, orders, mod, leaf):
@@ -477,16 +509,20 @@ def _homogeneous_counts(quad, link2, p, a):
             n += p ** k * lifted(e - 2, v - 2, unit)
         return n
 
-    counts = [0] * size
     for v in range(a):
         # the counts of t = p^v u by u mod p; u = 0 mod p is overwritten by
-        # the next valuation, and t = 0 last
+        # the next valuation, and t = 0 last.  Repeated in place, the row of
+        # v = 0 becomes the table, the only list of size p^a.
         value, other = lifted(a, v, square), lifted(a, v, nonsquare)
         row = [other] * p
         if value != other:
             for x in range(1, (p + 1) // 2):
                 row[x * x % p] = value
-        counts[::p ** v] = row * p ** (a - v - 1)
+        row *= p ** (a - v - 1)
+        if v:
+            counts[::p ** v] = row
+        else:
+            counts = row
     counts[0] = lifted(a, a, None)
     # With A ~ <u_1, ..., u_k>, the sum is prod_i G(u_i, p^a): p^(a/2) for
     # even a, (u_i/p) eps_p p^(a/2) for odd a, eps_p = 1 or i as p = 1 or 3
@@ -588,9 +624,15 @@ def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
         if computed != g:
             return False
         g = computed
+    return _milgram_holds(f, g.phase, g.total_count())
+
+
+def _milgram_holds(f: IntegerSymmetricForm, phase, total) -> bool:
+    """phase = sigma mod 8 and total = |det|: the check of a Gauss sum of f
+    with certified ``phase`` over a group of order ``total``."""
     minors = f.minors
-    return (g.phase == signature_from_minors(minors) % 8
-            and g.total_count() == abs(minors[-1]))
+    return (phase == signature_from_minors(minors) % 8
+            and total == abs(minors[-1]))
 
 
 # ---------------------------------------------------------------------------

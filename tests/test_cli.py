@@ -389,14 +389,14 @@ def test_boundary_factors_the_reduced_entry(tmp_path):
 
 
 def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
-    """One gauss_sum per op, and within it one histogram per prime dividing
-    |G|: |G| = 9 for A8, in closed form, and 30 = 2 * 3 * 5 for
+    """One dense Gauss table per op, and within it one histogram per prime
+    dividing |G|: |G| = 9 for A8, in closed form, and 30 = 2 * 3 * 5 for
     <2> + A2 + [[2, 1], [1, -2]], walked at 2 and in closed form at 3, 5.
     The ring check of the phase runs on the walked component only."""
     from wittlink import cli, discriminant
     calls = []
     served = []
-    real = discriminant.gauss_sum
+    real = discriminant._gauss_table
     real_walk = discriminant._walk
     real_closed = discriminant._homogeneous_counts
     real_phase = discriminant._component_phase
@@ -417,7 +417,7 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
         served.append(("phase", p))
         return real_phase(table, p, e)
 
-    monkeypatch.setattr(discriminant, "gauss_sum", counted)
+    monkeypatch.setattr(discriminant, "_gauss_table", counted)
     monkeypatch.setattr(discriminant, "_walk", counted_walk)
     monkeypatch.setattr(discriminant, "_homogeneous_counts", counted_closed)
     monkeypatch.setattr(discriminant, "_component_phase", counted_phase)
@@ -434,6 +434,77 @@ def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["check"] is True
         assert len(calls) == 1
         assert served == want
+
+
+def _emitted_gauss_report(rows, approx):
+    """The gauss report as one json.dumps of the public GaussSumValue."""
+    from wittlink import discriminant, form_from_rows
+    f = form_from_rows(rows)
+    g = discriminant.gauss_sum(f)
+    out = {"check": discriminant.gauss_sum_matches(f, g),
+           "denominator": g.denominator, "terms": g.terms}
+    if approx:
+        z = g.approx()
+        out["approx"] = [z.real, z.imag]
+    return json.dumps(out, sort_keys=True) + "\n"
+
+
+# A8, whose table is shorter than one slice; 601199 = 29 * 20731, a table
+# merged from two components; and the lone prime 599999.
+STREAMED_FORMS = (A8_NEG, [[600, 1], [1, 1002]], [[600, 1], [1, 1000]])
+
+
+@pytest.mark.parametrize("approx", (False, True))
+@pytest.mark.parametrize("rows", STREAMED_FORMS, ids=("a8", "f3", "f2"))
+def test_gauss_stream_is_the_emitted_report(rows, approx, tmp_path, capsys):
+    """The streamed gauss report is byte for byte the one json.dumps of the
+    whole report gives, with and without --approx."""
+    from wittlink import cli
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"gram": rows}))
+    argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _emitted_gauss_report(rows, approx)
+
+
+@pytest.mark.parametrize("size", (1, 2, 5))
+def test_gauss_stream_skips_empty_slices(size, tmp_path, monkeypatch, capsys):
+    """With slices so short that some hold no term, the stream is still the
+    emitted report: on A8 (4 terms in a table of 9) and on
+    <2> + A2 + [[2, 1], [1, -2]] (12 terms in a table of 60)."""
+    from wittlink import cli, discriminant
+    monkeypatch.setattr(discriminant, "_SLICE", size)
+    mixed = [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0], [0, -1, 2, 0, 0],
+             [0, 0, 0, 2, 1], [0, 0, 0, 1, -2]]
+    for rows in (A8_NEG, mixed):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"gram": rows}))
+        for approx in (False, True):
+            argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == _emitted_gauss_report(
+                rows, approx), (rows, size)
+
+
+def test_gauss_memory_is_bounded_by_the_table(tmp_path):
+    import contextlib
+    import os
+    import tracemalloc
+    from wittlink import cli
+    # 300000 terms, 3.7 MiB of JSON: a tuple per term and one encoded
+    # string peaked near 35 MiB; the dense table of 599999 entries is
+    # 4.6 MiB, and the stream holds one slice of terms beside it.
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps({"gram": [[600, 1], [1, 1000]]}))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["gauss", "--gram", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 15 * 2 ** 20
 
 
 def test_metabolizer_search_reads_integer_tables(a8_json, tmp_path,

@@ -858,6 +858,50 @@ def test_homogeneous_phase_agrees_with_the_ring_check(rng):
                                           (False, True)))
 
 
+def test_homogeneous_counts_build_the_table_once():
+    """On the lone prime 599999 of [[600, 1], [1, 1000]] the closed form
+    peaks at its result, a table of 4.6 MiB: it held the row, a copy of it
+    and the table at once, near 18.3 MiB."""
+    import sys
+    import tracemalloc
+    from wittlink import discriminant
+    d = discriminant_form(form_from_rows([[600, 1], [1, 1000]]))
+    [(p, _, orders, _, quad, link2)] = discriminant._primary_components(d)
+    assert (p, orders) == (599999, [599999])
+    tracemalloc.start()
+    try:
+        counts, _ = discriminant._homogeneous_counts(quad, link2, p, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == p
+    assert peak < 1.1 * sys.getsizeof(counts)
+
+
+def test_term_slices_are_the_terms_in_key_order(monkeypatch):
+    """The slices of the dense table chain to its nonzero entries in order,
+    each slice holding those of _SLICE consecutive entries, on a one-slice
+    table, on tables cut into slices with and without terms, and on a
+    merged table of 601199 entries."""
+    from wittlink import discriminant
+    for rows, size in ((A8_NEG, None), (A8_NEG, 2), (DIAG_2_M2, 1),
+                       ([[600, 1], [1, 1002]], None)):
+        if size:
+            monkeypatch.setattr(discriminant, "_SLICE", size)
+        f = form_from_rows(rows)
+        n, table, _ = discriminant._gauss_table(f, 10 ** 6)
+        slices = list(discriminant._term_slices(n, table))
+        assert len(slices) == -(-len(table) // discriminant._SLICE)
+        step = 2 * n // len(table)
+        for i, part in enumerate(slices):
+            lo = i * discriminant._SLICE * step
+            assert all(lo <= r < lo + discriminant._SLICE * step
+                       for r, _ in part)
+        assert list(itertools.chain.from_iterable(slices)) == [
+            (x * step, c) for x, c in enumerate(table) if c]
+        monkeypatch.undo()
+
+
 def test_merge_agrees_with_the_convolution(rng):
     """The CRT merge of dense Gauss tables is the residue-addition
     convolution of their histograms, on random tables with zero entries
