@@ -607,7 +607,8 @@ def _component_phase(table, p, e):
 def gauss_sum_check(f: IntegerSymmetricForm,
                     enum_bound: int = DEFAULT_DET_BOUND) -> bool:
     """Does the computed Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?"""
-    return gauss_sum_matches(f, gauss_sum(f, enum_bound=enum_bound))
+    _, table, phase = _gauss_table(f, enum_bound)
+    return _milgram_holds(f, phase, sum(table))
 
 
 def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:

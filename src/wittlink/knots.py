@@ -9,9 +9,9 @@ determinant are the knot signature and determinant; running the residue
 maps on its diagonalization decides whether the knot satisfies the
 vanishing hypothesis, in which case the signature is divisible by 8.
 
-Pretzel knots P(p,q,r) with p, q odd and r even bypass Seifert matrices
-entirely: determinant, rational Witt class (up to <+-1> summands, which all
-residue maps kill) and signature have closed forms in the parameters.
+Pretzel knots P(p,q,r) with p, q odd and r even bypass Seifert matrices:
+determinant and rational Witt class (up to <+-1> summands, which all residue
+maps kill) have closed forms, and the signature comes from a Goeritz form.
 """
 
 from __future__ import annotations
@@ -64,45 +64,36 @@ def _pfaffian(a) -> int:
     """Pfaffian of the skew-symmetric integer rows ``a``, by fraction-free
     elimination in place; only the upper triangle is read or written.
 
-    Step k pivots on the 2x2 block (k, k+1) with piv = a[k][k+1], after
-    swapping the first j > k with a[k][j] != 0 into position k+1 (rows and
-    columns, flipping the sign) when piv is 0; if there is none, Pf = 0.
-    The trailing entries become piv * a_ij - a_ki * a_(k+1)j + a_kj * a_(k+1)i
-    divided by the previous pivot.  The division is exact: each result is
-    the Pfaffian of the principal submatrix on 0..k+1, i, j of the matrix
-    as swapped so far (a 4x4 sub-Pfaffian at the first step).  The last
-    pivot is the Pfaffian, and det = Pf^2.
+    Step k pivots on the 2x2 block (k, k+1) with piv = a[k][k+1].  A zero
+    piv is made a[k][j], for the first j > k + 1 with a[k][j] != 0, by the
+    congruence e_(k+1) -> e_(k+1) + e_j of determinant 1, which keeps Pf;
+    with no such j, Pf = 0.  The trailing entries become piv * a_ij -
+    a_ki * a_(k+1)j + a_kj * a_(k+1)i divided by the previous pivot.  The
+    division is exact: each result is the Pfaffian of the principal
+    submatrix on 0..k+1, i, j of the matrix so far (a 4x4 sub-Pfaffian at
+    the first step).  The last pivot is the Pfaffian, and det = Pf^2.
     """
     n = len(a)
     if n % 2:
         return 0
-    sign = prev = 1
+    prev = 1
     for k in range(0, n, 2):
-        rk = a[k]
+        rk, r1 = a[k], a[k + 1]
         if not rk[k + 1]:
             j = next((j for j in range(k + 2, n) if rk[j]), None)
             if j is None:
                 return 0
-            _swap_skew(a, k + 1, j)
-            sign = -sign
-        r1, piv = a[k + 1], rk[k + 1]
+            rk[k + 1] = rk[j]
+            for m in range(k + 2, j):
+                r1[m] -= a[m][j]
+            r1[j + 1:] = map(add, r1[j + 1:], a[j][j + 1:])
+        piv = rk[k + 1]
         for i in range(k + 2, n - 1):
             ri, c, d = a[i], rk[i], r1[i]
             ri[i + 1:] = [(piv * x - c * y + d * z) // prev for x, y, z
                           in zip(ri[i + 1:], r1[i + 1:], rk[i + 1:])]
         prev = piv
-    return sign * prev
-
-
-def _swap_skew(a, p, q):
-    """Swap indices p < q of a skew-symmetric matrix kept in the upper
-    triangle of rows p - 1 onwards: rows and columns both."""
-    a[p - 1][p], a[p - 1][q] = a[p - 1][q], a[p - 1][p]
-    rp, rq = a[p], a[q]
-    for m in range(p + 1, q):
-        rp[m], a[m][q] = -a[m][q], -rp[m]
-    rp[q] = -rp[q]
-    rp[q + 1:], rq[q + 1:] = rq[q + 1:], rp[q + 1:]
+    return prev
 
 
 def seifert_from_rows(rows) -> SeifertMatrix:
@@ -168,17 +159,12 @@ def pretzel_witt_class(k: PretzelKnot) -> WittClassQ:
     return witt_from_diagonal([k.p, k.q, k.r, k.p * k.q * k.r])
 
 
-def _sign(x: int) -> int:
-    if x == 0:
-        raise DegenerateParameterError("sign of 0 is undefined")
-    return 1 if x > 0 else -1
-
-
 def pretzel_signature(k: PretzelKnot) -> int:
-    """Closed-form signature of P(p,q,r); needs p+q != 0 and det != 0."""
+    """sigma(G) - s for the Goeritz form G = [[s, -q], [-q, q+r]], s = p + q
+    (Gordon-Litherland); needs s != 0.  By Jacobi's rule, sigma(G) = sign(s)
+    + sign(s det G); as sign(p) + sign(q) - sign(pqs) = sign(s) for any
+    nonzero p, q, this is sign(p) + sign(q) - sign(pqs) + sign(s det G) - s."""
     p, q, r = k.p, k.q, k.r
     if p + q == 0:
         raise DegenerateParameterError("signature formula needs p + q != 0")
-    det = pretzel_determinant(k)
-    return (-(p + q) + _sign(p) + _sign(q)
-            - _sign(p * q * (p + q)) + _sign((p + q) * det))
+    return signature(form_from_rows([[p + q, -q], [-q, q + r]])) - (p + q)

@@ -225,11 +225,11 @@ def finite_witt_zero(p: int) -> FiniteWittClass:
 
 def finite_witt_from_units(p: int, units) -> FiniteWittClass:
     """Class of the diagonal form <u_1,...,u_r> over F_p (units mod p)."""
+    if p != 2 and not is_prime(p):
+        raise NotPrimeError(f"{p} is not an odd prime")
     units = [u % p for u in units]
     if any(u == 0 for u in units):
         raise NotCoprimeError("diagonal units must be prime to p")
-    if p != 2 and not is_prime(p):
-        raise NotPrimeError(f"{p} is not an odd prime")
     return _finite_witt(p, units)
 
 

@@ -1,12 +1,13 @@
 """Shared fixtures: reference matrices and independent oracles.
 
 The oracles here (cofactor and unsymmetric Bareiss determinants, the
-Pfaffian by its permutation expansion, brute-force isotropic-subspace and
-linking-radical searches, diagonalization in Fractions with the library's
-and with the opposite pivot policy, the Smith form with V kept apart,
-whole-group Gauss enumeration and its float value, the merge of Gauss
-histograms by residue addition, naive window search, the square-free part
-from numerator times denominator)
+Pfaffian by its permutation expansion, the pretzel signature in closed
+form, brute-force isotropic-subspace and linking-radical searches,
+diagonalization in Fractions with the library's and with the opposite
+pivot policy, the Smith form with V kept apart, whole-group Gauss
+enumeration and its float value, the merge of Gauss histograms by residue
+addition, naive window search, the square-free part from numerator times
+denominator)
 deliberately reimplement functionality along different paths so the
 library can be checked against them.
 """
@@ -138,6 +139,25 @@ def permutation_pfaffian(a):
     scale = 2 ** (n // 2) * math.factorial(n // 2)
     assert total % scale == 0
     return total // scale
+
+
+def closed_form_pretzel_signature(p, q, r):
+    """The signature of P(p,q,r) with p + q != 0 in closed form:
+    sign(p) + sign(q) - sign(pqs) + sign(s det) - s, where s = p + q and
+    det = pq + pr + qr."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    s, det = p + q, p * q + p * r + q * r
+    return sign(p) + sign(q) - sign(p * q * s) + sign(s * det) - s
+
+
+def pretzel_window(odd_bound, even_bound):
+    """Every valid P(p,q,r) with |p|, |q| <= odd_bound (odd) and
+    |r| <= even_bound (even): pq + pr + qr is odd, so never 0."""
+    odd = range(-odd_bound, odd_bound + 1, 2)
+    return [(p, q, r) for p in odd for q in odd
+            for r in range(-even_bound, even_bound + 1, 2)]
 
 
 def fraction_diagonalize(rows):

@@ -130,6 +130,40 @@ def test_pretzel():
     assert rep["signature"] == -8
 
 
+def _pretzel_report(p, q, r):
+    """The pretzel report from the closed-form signature, the determinant
+    and the class <p, q, r, pqr>."""
+    from conftest import closed_form_pretzel_signature
+    from wittlink import (PretzelKnot, boundary_is_zero, pretzel_determinant,
+                          pretzel_witt_class)
+    k = PretzelKnot(p, q, r)
+    c = pretzel_witt_class(k)
+    sig = closed_form_pretzel_signature(p, q, r) if p + q else None
+    return json.dumps({"p": p, "q": q, "r": r,
+                       "determinant": pretzel_determinant(k),
+                       "witt_entries": list(c.entries),
+                       "boundary_zero": boundary_is_zero(c),
+                       "signature": sig}, sort_keys=True) + "\n"
+
+
+def test_pretzel_prints_the_closed_form_report(capsys):
+    """pretzel prints byte for byte the report of the closed forms on every
+    valid triple with |p|, |q| <= 15 and |r| <= 14, and on four more; at
+    r = 0 the class has a <0> entry and the command fails."""
+    from conftest import pretzel_window
+    from wittlink import cli
+    triples = pretzel_window(15, 14) + [(-613, 13, -236), (3, 7, 6),
+                                        (1, 1, 2), (5, -5, 4)]
+    for p, q, r in triples:
+        code = cli.main(["pretzel", str(p), str(q), str(r)])
+        out = capsys.readouterr().out
+        if r:
+            assert (code, out) == (0, _pretzel_report(p, q, r)), (p, q, r)
+        else:
+            assert code == 1, (p, q, r)
+            assert json.loads(out)["error"]["type"] == "degenerate_parameter"
+
+
 def test_dioph_csv():
     code, out, _ = run_cli("dioph", "--sign", "-1", "--pq", "5", "--r", "4",
                            "--m", "3")
@@ -608,7 +642,7 @@ def test_gauss_terms_near_a_million_equal_the_whole_group_enumeration():
     or even exponent (3^2 * 70199).  terms equal the one-loop enumeration
     and the exact check holds."""
     from wittlink import (determinant, form_from_rows, gauss_sum,
-                          gauss_sum_matches)
+                          gauss_sum_check, gauss_sum_matches)
     cases = [([[600, 1], [1, 1000]], 599999),
              ([[600, 1], [1, 1002]], 29 * 20731),
              ([[602, 1], [1, 1000]], 83 * 7253),
@@ -621,6 +655,24 @@ def test_gauss_terms_near_a_million_equal_the_whole_group_enumeration():
         g = gauss_sum(f)
         assert g.terms == enumerate_gauss_terms(rows), rows
         assert gauss_sum_matches(f, g), rows
+        assert gauss_sum_check(f) == gauss_sum_matches(f, g), rows
+
+
+def test_gauss_sum_check_memory_is_bounded_by_the_table():
+    """gauss_sum_check reads the phase and the group order off the dense
+    table: no terms tuple.  On [[600, 1], [1, 1000]] the table is 4.6 MiB;
+    building the 300000 terms as well peaked near 34.5 MiB."""
+    import tracemalloc
+    from wittlink import form_from_rows, gauss_sum_check
+    f = form_from_rows([[600, 1], [1, 1000]])
+    tracemalloc.start()
+    try:
+        holds = gauss_sum_check(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert holds is True
+    assert peak < 10 * 2 ** 20
 
 
 def test_gauss_prints_the_enumerated_terms_byte_for_byte(tmp_path, capsys):
@@ -731,6 +783,10 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert cli.main(["knot", "--seifert", str(path)]) == 0
     assert calls == Counter(pivot_minors=1, _pfaffian=1, _eliminate=1)
+    # pretzel eliminates its Goeritz form once and has no Seifert matrix
+    calls.clear()
+    assert cli.main(["pretzel", "3", "5", "-2"]) == 0
+    assert calls == Counter(pivot_minors=1, _eliminate=1)
     capsys.readouterr()
 
 

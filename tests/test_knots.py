@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (NINE_ONE_SEIFERT, NINE_ONE_SYM, SEIFERT_6_3,
                       SEIFERT_8_1, TREFOIL_SEIFERT, bareiss_det,
-                      permutation_pfaffian, random_seifert_rows)
+                      closed_form_pretzel_signature, permutation_pfaffian,
+                      pretzel_window, random_seifert_rows)
 from wittlink import (PretzelKnot, analyze_knot, boundary_is_zero, is_even,
                       knot_determinant, knot_signature, murasugi_check,
                       pretzel_determinant, pretzel_signature,
@@ -53,7 +54,7 @@ def test_seifert_validation(tmp_path, capsys):
 def test_seifert_pfaffian_sign_and_value():
     """det(S - S^T) = Pf^2 = 1 accepts Pf = -1 and rejects Pf = +-2, +-3."""
     assert seifert_from_rows([[0, 0], [1, 0]]).entries == ((0, 0), (1, 0))
-    # zero A[0][1]: the elimination swaps index 2 into place first
+    # zero A[0][1]: e_1 -> e_1 + e_2 makes the first pivot A[0][2]
     assert seifert_from_rows(
         [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]).n == 4
     for rows in ([[0, 2], [0, 0]], [[0, 0], [3, 0]], [[0, 3], [0, 0]],
@@ -87,8 +88,8 @@ def _random_skew(rng, n, bound=2, zeros=0.0):
 
 def test_pfaffian_squares_to_bareiss_det(rng):
     """Pf^2 = det on random skew matrices of size 0-12: dense, sparse (zero
-    pivots force swaps, and many are singular), with a zero row, and of
-    lower rank (B J B^T)."""
+    pivots force the e_(k+1) -> e_(k+1) + e_j repair, and many are
+    singular), with a zero row, and of lower rank (B J B^T)."""
     seen = {"zero": 0, "unit": 0}
     for n in range(13):
         cases = [_random_skew(rng, n) for _ in range(6)]
@@ -106,10 +107,10 @@ def test_pfaffian_squares_to_bareiss_det(rng):
                                for t in range(0, r, 2)) for j in range(n)]
                           for i in range(n)])
         if n >= 4 and n % 2 == 0:
-            swap = _random_skew(rng, n)
+            repair = _random_skew(rng, n)
             for k in range(0, n - 1, 2):
-                swap[k][k + 1] = swap[k + 1][k] = 0
-            cases.append(swap)
+                repair[k][k + 1] = repair[k + 1][k] = 0
+            cases.append(repair)
         for a in cases:
             pf = _pfaffian([list(row) for row in a])
             assert pf * pf == bareiss_det(a), a
@@ -127,7 +128,8 @@ def test_pfaffian_sign_matches_definition(rng):
                 a = _random_skew(rng, n, bound=3, zeros=zeros)
                 assert _pfaffian([list(row) for row in a]) == \
                     permutation_pfaffian(a), a
-    # a[0][1] = 0 swaps index 2 into place; Pf = a03 a12 - a02 a13
+    # a[0][1] = 0: e_1 -> e_1 + e_2 makes the first pivot a02 and keeps
+    # Pf = a03 a12 - a02 a13
     a = [[0, 0, 2, 5], [0, 0, 3, 7], [-2, -3, 0, 0], [-5, -7, 0, 0]]
     assert _pfaffian([list(row) for row in a]) == permutation_pfaffian(a) == 1
 
@@ -273,3 +275,18 @@ def test_pretzel_signature():
     assert pretzel_signature(PretzelKnot(-3, -5, 2)) == 8
     with pytest.raises(DegenerateParameterError):
         pretzel_signature(PretzelKnot(3, -3, 2))
+
+
+def test_pretzel_signature_is_the_closed_form():
+    """sigma(G) - (p + q) of the Goeritz form is the closed-form signature
+    on every valid triple with |p|, |q| <= 15 and |r| <= 14; p + q = 0
+    keeps its error."""
+    for p, q, r in pretzel_window(15, 14) + [(-613, 13, -236)]:
+        k = PretzelKnot(p, q, r)
+        if p + q:
+            assert pretzel_signature(k) == \
+                closed_form_pretzel_signature(p, q, r), (p, q, r)
+        else:
+            with pytest.raises(DegenerateParameterError) as err:
+                pretzel_signature(k)
+            assert str(err.value) == "signature formula needs p + q != 0"

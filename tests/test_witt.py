@@ -155,6 +155,14 @@ def test_residue_does_not_prove_its_prime_again(monkeypatch):
         finite_witt_from_units(7, [14])
 
 
+@pytest.mark.parametrize("p", (0, 1))
+def test_finite_witt_from_units_checks_p_first(p):
+    """p is refused before the units are reduced mod p: at 0 that would
+    divide by zero, and mod 1 every unit is 0."""
+    with pytest.raises(NotPrimeError):
+        finite_witt_from_units(p, [1])
+
+
 def test_factorize():
     assert factorize(81).factors == ((3, 4),)
     assert factorize(1).factors == ()
