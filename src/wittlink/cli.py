@@ -239,7 +239,8 @@ def _run(args) -> int:
         raise  # the reader has gone, which is not bad input: see main
     except WittLinkError as exc:
         error = {"type": exc.code, "message": str(exc)}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:  # an --approx value beyond the float range
         error = {"type": "input", "message": str(exc)}
     except ArithmeticError as exc:
         # A failed internal consistency check (rho exhausted, a theorem

@@ -232,34 +232,24 @@ def _isotropic_elements(quad, link2, orders, size):
 
 
 def _component_metabolizer(quad, link2, orders, size):
-    """Generators of the lex-first totally-isotropic subgroup of order
-    sqrt|G_p| of one component's table, in its coordinates, or None.  At
-    most one generator per cyclic factor is tried along a branch."""
-    isotropic = _isotropic_elements(quad, link2, orders, size)
+    """Generators of the lex-first metabolizer of one component's table, in
+    its coordinates, or None.  One pass adds each isotropic x outside H and
+    orthogonal to it, so H ends maximal isotropic and H-perp/H anisotropic:
+    of exponent p (b(p^(a-1)y, p^(a-1)y) lies in p^(a-2)Z), so of rank <= 2
+    by Chevalley-Warning, <= 1 for p = 2 (b(x, x) mod 1 is additive there).
+    If G_p has a metabolizer, |H-perp/H| = |G_p| / |H|^2 is a square and
+    H-perp/H is Witt-equivalent to G_p, so zero: rank 0, H = H-perp
+    (Milnor-Husemoller, Symmetric Bilinear Forms, ch. IV)."""
     target = math.isqrt(math.prod(orders))
-    seen = set()
-
-    def extend(gens, closure, start):
+    gens, closure = [], frozenset({(0,) * len(orders)})
+    for x in _isotropic_elements(quad, link2, orders, size):
         if len(closure) == target:
-            return list(gens)
-        if len(gens) == len(orders):
-            return None
-        for idx in range(start, len(isotropic)):
-            x = isotropic[idx]
-            if x in closure or any(_link_sum(link2, g, x, size)
-                                   for g in gens):
-                continue
-            new_closure = _subgroup_closure(closure, x, orders)
-            # both orders are powers of p
-            if target % len(new_closure) or new_closure in seen:
-                continue
-            seen.add(new_closure)
-            hit = extend(gens + [x], new_closure, idx + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    return extend([], frozenset({(0,) * len(orders)}), 0)
+            break
+        if x not in closure and not any(_link_sum(link2, g, x, size)
+                                        for g in gens):
+            gens.append(x)
+            closure = _subgroup_closure(closure, x, orders)
+    return gens if len(closure) == target else None
 
 
 def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
@@ -310,9 +300,9 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
 
     Distinct prime-primary components of G link to zero against each other,
     so H decomposes as a direct sum of per-prime metabolizers; each
-    component is searched independently, with candidate generator tuples
-    tried in increasing lexicographic order (first hit returned), keeping
-    the output deterministic and the enumeration tractable.
+    component's is the lex-first one, found in one pass over its isotropic
+    elements in lexicographic order, so a component without one costs one
+    pass, not an exhaustive search.
     """
     g_order = d.group_order()
     if g_order > bound:

@@ -306,7 +306,7 @@ def relevant_primes(c: WittClassQ) -> list[int]:
 
 
 def boundary_is_zero(c: WittClassQ) -> bool:
-    return all(boundary_at_prime(c, p).zero for p in relevant_primes(c))
+    return all(_residue(c.entries, p).zero for p in relevant_primes(c))
 
 
 def boundary_zero_from_minors(minors) -> bool:

@@ -463,16 +463,18 @@ def enumerate_gauss_terms(rows):
 
 
 def unpruned_metabolizer(d):
-    """The lex-first metabolizer of a discriminant form, or None, by the
-    search ``find_metabolizer`` prunes, run without its prunes.
+    """The lex-first metabolizer of a discriminant form, or None, by a full
+    depth-first search; ``find_metabolizer`` makes one pass, this search's
+    first branch, and relies on that branch succeeding whenever any does.
 
     Per prime p in increasing order, the elements of the p-primary
     component are x_i = c_i d_i / p^e_i mod d_i in the lexicographic order
     of c, isotropic when N b(x, x) = 0 mod N on the Smith tables.  A
     depth-first search adds, in that order, every isotropic x outside the
     subgroup so far and orthogonal to it whose subgroup still divides
-    sqrt|G_p|; it keeps no record of subgroups already tried and has no
-    depth cap.  Exponential: for small groups only.
+    sqrt|G_p|, and backtracks on failure; it keeps no record of subgroups
+    already tried and has no depth cap.  Exponential: for small groups
+    only.
     """
     import itertools
     import math

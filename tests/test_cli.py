@@ -322,8 +322,8 @@ def test_error_exit_codes(tmp_path):
 
 def test_analyze_skips_search_when_no_metabolizer_exists(tmp_path):
     # A2^7 + (-A2): |G| = 3^8 is a square and odd, but the boundary does not
-    # vanish, so no metabolizer exists; the exhaustive search over this group
-    # runs for minutes, the residue test answers at once.
+    # vanish, so no metabolizer exists; the residue test answers without a
+    # search.
     a2 = [[2, -1], [-1, 2]]
     blocks = [a2] * 7 + [[[-x for x in row] for row in a2]]
     rows = [[0] * 16 for _ in range(16)]
@@ -728,7 +728,7 @@ def test_diag_reports_bad_input_as_validation_does(tmp_path, capsys):
 
 def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
     # The form of test_analyze_skips_search_when_no_metabolizer_exists:
-    # disc shares analyze's gate, so it answers without the exhaustive search.
+    # disc shares analyze's gate, so it answers without a search.
     rows = [[0] * 16 for _ in range(16)]
     for k in range(8):
         s = 1 if k < 7 else -1
@@ -742,6 +742,38 @@ def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["orders"] == [3] * 8 and rep["metabolizer"] is None
+
+
+def test_no_metabolizer_on_an_even_square_det(tmp_path, capsys):
+    """diag(3^6, 2, 2): |det| = 2916 is an even square within the group
+    bound, so analyze and disc search, and the 3-primary component, of
+    nonzero Witt class, has no metabolizer."""
+    from wittlink import cli
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"gram": [[(3 if i < 6 else 2) * (i == j)
+                                          for j in range(8)]
+                                         for i in range(8)]}))
+    assert cli.main(["analyze", "--gram", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["det"] == 2916
+    assert rep["boundary_zero"] is False and rep["metabolizer"] is None
+    assert cli.main(["disc", "--gram", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["metabolizer"] is None
+
+
+def test_approx_beyond_the_float_range_is_bad_input(tmp_path, capsys):
+    """An entry too large for a float fails diag --approx as input, not as
+    a failed internal check; the exact report is unchanged."""
+    from fractions import Fraction
+
+    from wittlink import cli
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": [[2, 1], [1, 10 ** 400]]}))
+    assert cli.main(["diag", "--gram", str(path), "--approx"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "input"
+    assert cli.main(["diag", "--gram", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["entries"] == ["2/1", str(Fraction(2 * 10 ** 400 - 1, 2))]
 
 
 def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):

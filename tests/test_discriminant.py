@@ -331,8 +331,7 @@ def test_find_metabolizer_lex_first_outputs():
         # orders (6, 6, 6, 6): a 2-primary and a 3-primary metabolizer
         (_block_sum([[2, 0], [0, 6]], [[-2, 0], [0, -6]], A2, _neg(A2)),
          [(0, 0, 3, 3), (3, 3, 0, 0), (0, 0, 2, 2), (2, 2, 0, 0)]),
-        # the search meets a subgroup it has tried (<6> + <54>) and its
-        # depth cap (<-54> + <-54>); both have no metabolizer
+        # square |G| without a metabolizer: <6> + <54> and <-54> + <-54>
         (_block_sum([[6]], [[54]]), None),
         (_block_sum([[-54]], [[-54]]), None),
         # two or three primes, generators mapped back to Smith coordinates:
@@ -354,11 +353,9 @@ def test_find_metabolizer_lex_first_outputs():
 
 
 def test_find_metabolizer_matches_the_unpruned_search(rng):
-    """The search, which skips subgroups it has tried and stops a branch at
-    one generator per cyclic factor, returns what the same lexicographic
-    search without either prune returns, on 300 forms with square |det| <=
-    3000: random mixed and random even forms, and <+-2a> + <+-b>, odd
-    forms among them."""
+    """The one pass returns what the whole lexicographic depth-first search
+    returns, on 300 forms with square |det| <= 3000: random mixed and random
+    even forms, and <+-2a> + <+-b>, odd forms among them."""
     found = set()
     count = 0
     while count < 300:
@@ -381,6 +378,40 @@ def test_find_metabolizer_matches_the_unpruned_search(rng):
         assert got == unpruned_metabolizer(d), rows
         found.add(got is None)
     assert found == {False, True}
+
+
+def test_find_metabolizer_matches_the_unpruned_search_on_prime_powers():
+    """<x> + <y> for x, y = +-p^a u, p in {2, 3, 5, 7}, a <= 6 and u in {1,
+    2, 3, 5, 7}, with square |xy| <= 10^4: cyclic components of every
+    exponent, paired with a unit, a square class or an order of their own."""
+    values = sorted({s * p ** a * u for p in (2, 3, 5, 7) for a in range(7)
+                     for u in (1, 2, 3, 5, 7) for s in (1, -1)})
+    count = 0
+    for x, y in itertools.product(values, repeat=2):
+        g = abs(x * y)
+        if g <= 10 ** 4 and math.isqrt(g) ** 2 == g:
+            d = discriminant_form(form_from_rows([[x, 0], [0, y]]))
+            assert find_metabolizer(d) == unpruned_metabolizer(d), (x, y)
+            count += 1
+    assert count == 1228
+
+
+def test_find_metabolizer_on_elementary_3_groups():
+    """(Z/3)^8 with linking form 3^-1 (7<1> + <-1>) has none, and is past
+    what a search of its subgroups can do; 3^-1 (6<1> + 2<-1>) has one of
+    order 81, on which the linking form vanishes."""
+    assert find_metabolizer(discriminant_form(
+        form_from_rows([[(-3 if i == 7 else 3) * (i == j) for j in range(8)]
+                        for i in range(8)]))) is None
+    d = discriminant_form(form_from_rows(
+        [[(-3 if i > 5 else 3) * (i == j) for j in range(8)]
+         for i in range(8)]))
+    meta = find_metabolizer(d)
+    assert all(linking_value(d, x, y) == 0 for x in meta for y in meta)
+    span = {tuple(sum(c * x[i] for c, x in zip(cs, meta)) % o
+                  for i, o in enumerate(d.orders))
+            for cs in itertools.product(range(3), repeat=len(meta))}
+    assert len(span) == 81
 
 
 def test_find_metabolizer_multi_prime():
@@ -724,7 +755,7 @@ def test_discriminant_generators_match_inverse_oracle(rng):
 
 def test_metabolizer_skip_agrees_with_exhaustive_search():
     """For odd det, verify_main_theorem skips the search when the residue
-    test fails; the exhaustive search finds nothing on those forms either."""
+    test fails; find_metabolizer finds nothing on those forms either."""
     five = [[2, 1], [1, 3]]
 
     def neg(x):

@@ -131,20 +131,23 @@ def test_quadratic_residue():
 
 def test_residue_does_not_prove_its_prime_again(monkeypatch):
     """``_residue`` serves primes that come out of a proved factorization,
-    so it answers by Euler's criterion with no Miller-Rabin run; the public
-    entry points still refuse a composite."""
+    so it, and ``boundary_is_zero`` through it, answer by Euler's criterion
+    with no Miller-Rabin run; the public entry points still refuse a
+    composite."""
     from wittlink import witt
 
     c = rational_witt_class(form_from_rows(NINE_ONE_SYM))
     entries = c.entries + (Fraction(-7, 3), 5 * 7 ** 3, Fraction(11, 49))
     primes = relevant_primes(WittClassQ(entries=entries))
     want = [boundary_at_prime(WittClassQ(entries=entries), p) for p in primes]
+    zero = boundary_is_zero(WittClassQ(entries=entries))
 
     def refuse(n):
         raise AssertionError(f"is_prime({n}) called")
 
     monkeypatch.setattr(witt, "is_prime", refuse)
     assert [witt._residue(entries, p) for p in primes] == want
+    assert boundary_is_zero(WittClassQ(entries=entries)) == zero
     assert len(primes) > 2
     monkeypatch.undo()
     with pytest.raises(NotPrimeError):
