@@ -106,21 +106,22 @@ def _cmd_gauss(args) -> int:
     # Everything is computed before the first write, so an error still
     # prints as one error object.  The terms are then streamed one slice
     # of the dense table at a time: the report is the bytes _emit would
-    # write, with "terms", the last key, filled in slice by slice.
+    # write, with "terms", the last key, filled in slice by slice, each
+    # flat slice [r1, c1, ...] written with one % format.
     f = _load_gram(args.gram)
     n, table, phase = discriminant._gauss_table(f, args.bound_det)
     out = {"denominator": n, "terms": [],
            "check": discriminant._milgram_holds(f, phase, sum(table))}
     if args.approx:
         z = discriminant._approx(n, itertools.chain.from_iterable(
-            discriminant._term_slices(n, table)))
+            map(discriminant._pairs, discriminant._term_slices(n, table))))
         out["approx"] = [z.real, z.imag]
     write = sys.stdout.write
     write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])
     sep = ""
-    for part in discriminant._term_slices(n, table):
-        if part:
-            write(sep + json.dumps(part, check_circular=False)[1:-1])
+    for flat in discriminant._term_slices(n, table):
+        if flat:
+            write(sep + ("[%d, %d], " * (len(flat) // 2))[:-2] % tuple(flat))
             sep = ", "
     write("]}\n")
     return 0

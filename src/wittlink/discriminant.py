@@ -15,9 +15,10 @@ multiset of roots of unity, one dense table per component merged by Chinese
 remainders, in closed form for odd p and equal orders; sqrt|det| *
 e^(2 pi i sigma/8) is checked per component, from a Legendre symbol in
 closed form and otherwise in the cyclotomic ring that holds the sum.  The
-merged table is the only list of its size: its (r, count) terms are read
-off it in fixed-size slices, which the CLI streams to stdout, so the memory
-of a ``gauss`` report is bounded by the table, not by the number of terms.
+merged table is the only list of its size: its terms are read off it in
+fixed-size flat slices [r1, c1, r2, c2, ...], which the CLI writes to stdout
+with one % format each, so the memory of a ``gauss`` report is bounded by
+the table, not by the number of terms.
 """
 
 from __future__ import annotations
@@ -355,12 +356,13 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
     and |det| <= enum_bound.  The terms are read from the dense table of
-    :func:`_gauss_table` by :func:`_term_slices`.
+    :func:`_gauss_table` by :func:`_term_slices` and :func:`_pairs`.
     """
     n, table, phase = _gauss_table(f, enum_bound)
     # A list first: tuple() of an iterator with no length resizes as it
     # grows, and each resize puts it back in the GC's youngest generation.
-    terms = tuple(list(itertools.chain.from_iterable(_term_slices(n, table))))
+    terms = tuple(list(itertools.chain.from_iterable(
+        map(_pairs, _term_slices(n, table)))))
     return GaussSumValue(denominator=n, terms=terms, phase=phase)
 
 
@@ -403,21 +405,32 @@ def _gauss_table(f, enum_bound):
     return d.denominator, table, phase
 
 
-# Entries per slice: one json.dumps call per slice costs little beside the
-# slice's terms, and a slice of pairs is small beside a table of 10^6.
+# Entries per slice: one % format per slice costs little beside the
+# slice's terms, and a flat slice is small beside a table of 10^6.
 _SLICE = 1 << 13
 
 
 def _term_slices(n, table):
-    """The (r, count) pairs of the nonzero entries of a dense table over
-    denominator n, r increasing, as one list per slice of _SLICE entries
-    (empty where the slice holds no term), so that no more than one slice
-    of pairs is held at a time."""
+    """The terms of the nonzero entries of a dense table over denominator
+    n, r increasing, as one flat list [r1, c1, r2, c2, ...] per slice of
+    _SLICE entries (empty where the slice holds no term), so that no more
+    than one slice of terms is held at a time; :func:`_pairs` reads a
+    slice as (r, count) pairs."""
     step = 2 * n // len(table)
     for start in range(0, len(table), _SLICE):
         part = table[start:start + _SLICE]
-        keys = itertools.compress(itertools.count(start * step, step), part)
-        yield list(zip(keys, filter(None, part)))
+        counts = list(filter(None, part))
+        flat = counts * 2
+        flat[::2] = itertools.compress(
+            range(start * step, (start + len(part)) * step, step), part)
+        flat[1::2] = counts
+        yield flat
+
+
+def _pairs(flat):
+    """The (r, count) pairs of a flat slice [r1, c1, r2, c2, ...]."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 def _approx(n, terms):

@@ -520,6 +520,65 @@ def test_gauss_stream_skips_empty_slices(size, tmp_path, monkeypatch, capsys):
                 rows, approx), (rows, size)
 
 
+def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
+    """On block sums of up to three even blocks <2k> and [[2a, b], [b, 2c]]
+    with 1 <= |det| <= 3000, and slices of 1 to 7 entries, the streamed
+    report is the one json.dumps gives (at the default slice), with and
+    without --approx, and its terms are those of the whole-group
+    enumeration, which shares no code with the slices.  Among the forms
+    are walked p = 2 components, odd components of mixed orders such as
+    (3, 9), and tables merged from several components."""
+    import contextlib
+    import functools
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from wittlink import (cli, determinant, direct_sum, discriminant,
+                          form_from_rows)
+    entry = st.integers(-6, 6)
+    one = st.integers(-40, 40).filter(bool).map(lambda k: [[2 * k]])
+    two = st.tuples(entry, entry, entry).filter(
+        lambda t: 4 * t[0] * t[2] != t[1] ** 2).map(
+        lambda t: [[2 * t[0], t[1]], [t[1], 2 * t[2]]])
+    seen = set()
+    path = tmp_path / "f.json"
+    default = discriminant._SLICE
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.lists(one | two, min_size=1, max_size=3),
+                      st.integers(1, 7))
+    @hypothesis.example([[[2]], [[2, -1], [-1, 2]], [[2, 1], [1, -2]]], 2)
+    @hypothesis.example([[[6]], [[18]]], 3)
+    @hypothesis.example([[[2, 1], [1, 8]], [[10]]], 5)
+    def check(blocks, size):
+        f = functools.reduce(direct_sum, map(form_from_rows, blocks))
+        hypothesis.assume(0 < abs(determinant(f)) <= 3000)
+        rows = f.rows()
+        components = list(discriminant._primary_components(
+            discriminant.discriminant_form(f)))
+        for p, _, orders, width, _, _ in components:
+            if orders[0] != width:
+                seen.add("walked 2" if p == 2 else "mixed odd")
+        if len(components) > 1:
+            seen.add("merged")
+        path.write_text(json.dumps({"gram": rows}))
+        for approx in (False, True):
+            want = _emitted_gauss_report(rows, approx)
+            argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
+            buf = io.StringIO()
+            discriminant._SLICE = size
+            try:
+                with contextlib.redirect_stdout(buf):
+                    assert cli.main(argv) == 0
+            finally:
+                discriminant._SLICE = default
+            assert buf.getvalue() == want, (rows, size, approx)
+        assert [tuple(t) for t in json.loads(want)["terms"]] == list(
+            enumerate_gauss_terms(rows)), rows
+
+    check()
+    assert seen == {"walked 2", "mixed odd", "merged"}
+
+
 def test_gauss_memory_is_bounded_by_the_table(tmp_path):
     import contextlib
     import os

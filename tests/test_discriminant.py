@@ -910,10 +910,11 @@ def test_homogeneous_counts_build_the_table_once():
 
 
 def test_term_slices_are_the_terms_in_key_order(monkeypatch):
-    """The slices of the dense table chain to its nonzero entries in order,
-    each slice holding those of _SLICE consecutive entries, on a one-slice
-    table, on tables cut into slices with and without terms, and on a
-    merged table of 601199 entries."""
+    """The flat slices [r1, c1, r2, c2, ...] of the dense table, read as
+    pairs, chain to its nonzero entries in order, each slice holding those
+    of _SLICE consecutive entries, on a one-slice table, on tables cut into
+    slices with and without terms, and on a merged table of 601199
+    entries."""
     from wittlink import discriminant
     for rows, size in ((A8_NEG, None), (A8_NEG, 2), (DIAG_2_M2, 1),
                        ([[600, 1], [1, 1002]], None)):
@@ -924,11 +925,13 @@ def test_term_slices_are_the_terms_in_key_order(monkeypatch):
         slices = list(discriminant._term_slices(n, table))
         assert len(slices) == -(-len(table) // discriminant._SLICE)
         step = 2 * n // len(table)
-        for i, part in enumerate(slices):
+        for i, flat in enumerate(slices):
+            assert len(flat) % 2 == 0
             lo = i * discriminant._SLICE * step
             assert all(lo <= r < lo + discriminant._SLICE * step
-                       for r, _ in part)
-        assert list(itertools.chain.from_iterable(slices)) == [
+                       for r in flat[::2])
+        assert list(itertools.chain.from_iterable(
+            map(discriminant._pairs, slices))) == [
             (x * step, c) for x, c in enumerate(table) if c]
         monkeypatch.undo()
 
