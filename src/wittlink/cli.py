@@ -61,7 +61,7 @@ def _finite_class_json(c: witt.FiniteWittClass) -> dict:
 def _cmd_analyze(args) -> int:
     f = _load_gram(args.gram)
     rep = discriminant.verify_main_theorem(f, group_bound=args.bound_group)
-    _emit({**vars(rep), "rank": f.n})
+    _emit({**rep._asdict(), "rank": f.n})
     return 0
 
 
@@ -129,7 +129,7 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_knot(args) -> int:
     s = _load_seifert(args.seifert)
-    _emit(vars(knots.analyze_knot(s)))
+    _emit(knots.analyze_knot(s)._asdict())
     return 0
 
 

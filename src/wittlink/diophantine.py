@@ -11,27 +11,30 @@ each pair (p, q) is one lookup in a table of odd square roots modulo
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .errors import NotFoundError
 
 
-@dataclass(frozen=True)
-class SearchWindow:
-    """Inclusive parameter ranges; parity is enforced during iteration."""
+class SearchWindow(namedtuple("SearchWindow",
+                              "p_range q_range r_range m_max")):
+    """Inclusive parameter ranges, each an int pair (lo, hi), and the int
+    m_max; parity is enforced during iteration."""
 
-    p_range: tuple[int, int]
-    q_range: tuple[int, int]
-    r_range: tuple[int, int]
-    m_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for lo, hi in (self.p_range, self.q_range, self.r_range):
+    def __new__(cls, p_range, q_range, r_range, m_max):
+        for lo, hi in (p_range, q_range, r_range):
             if lo > hi:
                 raise ValueError("empty range")
-        if self.m_max < 1:
+        if m_max < 1:
             raise ValueError("m_max must be at least 1")
+        return super().__new__(cls, p_range, q_range, r_range, m_max)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
 
 def symmetric_window(pq_bound: int, r_bound: int, m_max: int) -> SearchWindow:
@@ -40,14 +43,11 @@ def symmetric_window(pq_bound: int, r_bound: int, m_max: int) -> SearchWindow:
                         r_range=(-r_bound, r_bound), m_max=m_max)
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    p: int
-    q: int
-    r: int
-    m: int
-    sign: int
-    p_plus_q_mod_8: int
+class SolutionRecord(namedtuple("SolutionRecord",
+                                "p q r m sign p_plus_q_mod_8")):
+    """One solution of pq + pr + qr = sign * m^2, all ints."""
+
+    __slots__ = ()
 
 
 def _parity_values(lo: int, hi: int, parity: int):

@@ -26,8 +26,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import itemgetter, not_
 
@@ -102,8 +101,8 @@ def smith_normal_form(rows):
 # Discriminant form
 
 
-@dataclass(frozen=True)
-class DiscriminantForm:
+class DiscriminantForm(namedtuple("DiscriminantForm", "orders denominator "
+                                  "link quad generators")):
     """The finite quotient (dual lattice)/(lattice) with its linking data.
 
     The linking data is held once, as integers over one denominator N; the
@@ -115,13 +114,11 @@ class DiscriminantForm:
     quad         ints N b(g_i, g_i) mod 2N (meaningful for even forms)
     generators   representatives of the g_i as rational vectors in the
                  source lattice basis
+
+    All are ints or tuples of them, except the Fractions of ``generators``.
     """
 
-    orders: tuple[int, ...]
-    denominator: int
-    link: tuple[tuple[int, ...], ...]
-    quad: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
     @property
     def linking(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -327,21 +324,29 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
 # Gauss sums
 
 
-@dataclass(frozen=True)
-class GaussSumValue:
+class GaussSumValue(namedtuple("GaussSumValue", "denominator terms phase",
+                               defaults=(None,))):
     """Sum over the discriminant group of e^(pi i b(u,u)), held exactly.
 
     ``terms`` holds (r, count) for the residues r mod 2N that occur, r
-    increasing; the value is sum count zeta^r, zeta = e^(pi i / N).
-    ``phase`` is the k mod 8 for which the value is
-    sqrt(total_count()) * e^(2 pi i k / 8), computed exactly by
+    increasing; the value is sum count zeta^r, zeta = e^(pi i / N), with
+    N the int ``denominator``.  ``phase`` is the int k mod 8 for which the
+    value is sqrt(total_count()) * e^(2 pi i k / 8), computed exactly by
     :func:`gauss_sum`; it is None on a hand-built value and when some walked
-    prime component fails the check.  Equality ignores it.
+    prime component fails the check.  Equality and hash ignore it, so a
+    value equals only another GaussSumValue.
     """
 
-    denominator: int
-    terms: tuple[tuple[int, int], ...]
-    phase: int | None = field(default=None, compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, GaussSumValue) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def total_count(self) -> int:
         return sum(map(itemgetter(1), self.terms))
@@ -685,23 +690,18 @@ def _check_theorem(applies: bool, sig: int) -> None:
             "vanishing hypothesis; this contradicts a proved theorem")
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(namedtuple(
+        "MainTheoremReport", "is_even det det_odd boundary_zero metabolizer "
+        "signature signature_mod_8 theorem_applies conclusion_holds")):
     """Everything the signature-divisibility statement needs, in one place.
 
     theorem_applies = even form, odd determinant, vanishing residue at every
-    prime; when it applies, the signature must be divisible by 8.
+    prime; when it applies, the signature must be divisible by 8.  det,
+    signature and signature_mod_8 are ints, metabolizer a tuple or None,
+    the rest bools.
     """
 
-    is_even: bool
-    det: int
-    det_odd: bool
-    boundary_zero: bool
-    metabolizer: tuple | None
-    signature: int
-    signature_mod_8: int
-    theorem_applies: bool
-    conclusion_holds: bool
+    __slots__ = ()
 
 
 def verify_main_theorem(f: IntegerSymmetricForm,

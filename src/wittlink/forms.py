@@ -10,7 +10,7 @@ display, and validates the form for it too.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -22,17 +22,14 @@ from .errors import (DegenerateError, NotIntegerError, NotSquareError,
 _INT = frozenset((int,))
 
 
-@dataclass(frozen=True)
-class IntegerSymmetricForm:
-    """A nondegenerate symmetric integer Gram matrix of rank ``n``.
+class IntegerSymmetricForm(namedtuple("IntegerSymmetricForm", "n gram")):
+    """A nondegenerate symmetric Gram matrix ``gram``, a tuple of n tuples
+    of n ints, of rank ``n``.
 
     Instances are immutable; build them through :func:`form_from_rows`,
     which validates squareness, integer entries, symmetry and
-    nondegeneracy.
+    nondegeneracy.  No ``__slots__``: the instance dict caches ``minors``.
     """
-
-    n: int
-    gram: tuple[tuple[int, ...], ...]
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.gram]
@@ -43,20 +40,19 @@ class IntegerSymmetricForm:
         return pivot_minors(self)
 
 
-@dataclass(frozen=True)
-class DiagonalRationalForm:
-    """Result of congruence diagonalization: P * B * P^T = diag(entries)."""
+class DiagonalRationalForm(namedtuple("DiagonalRationalForm",
+                                      "entries transition")):
+    """Result of congruence diagonalization: P * B * P^T = diag(entries),
+    for the Fractions of ``entries`` and of the rows P of ``transition``."""
 
-    entries: tuple[Fraction, ...]
-    transition: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FormReport:
-    rank: int
-    determinant: int
-    signature: int
-    is_even: bool
+class FormReport(namedtuple("FormReport",
+                            "rank determinant signature is_even")):
+    """rank, determinant and signature ints; is_even a bool."""
+
+    __slots__ = ()
 
 
 def form_from_rows(rows) -> IntegerSymmetricForm:

@@ -16,7 +16,7 @@ maps kill) have closed forms, and the signature comes from a Goeritz form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 from .discriminant import _check_theorem
@@ -27,37 +27,38 @@ from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
 from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
-    """An integer Seifert pairing; valid when det(S - S^T) = 1, that is
-    when the Pfaffian Pf(S - S^T) is +-1."""
+class SeifertMatrix(namedtuple("SeifertMatrix", "n entries")):
+    """An integer Seifert pairing, ``entries`` a tuple of n tuples of n
+    ints; valid when det(S - S^T) = 1, that is when the Pfaffian
+    Pf(S - S^T) is +-1."""
 
-    n: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PretzelKnot:
-    p: int
-    q: int
-    r: int
+class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
+    """P(p, q, r) for ints p, q odd and r even, with pq + pr + qr != 0."""
 
-    def __post_init__(self):
-        if self.p % 2 == 0 or self.q % 2 == 0:
+    __slots__ = ()
+
+    def __new__(cls, p, q, r):
+        if p % 2 == 0 or q % 2 == 0:
             raise DegenerateParameterError("p and q must be odd")
-        if self.r % 2 != 0:
+        if r % 2 != 0:
             raise DegenerateParameterError("r must be even")
-        if self.p * self.q + self.p * self.r + self.q * self.r == 0:
+        if p * q + p * r + q * r == 0:
             raise DegenerateParameterError("pq + pr + qr must be nonzero")
+        return super().__new__(cls, p, q, r)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class KnotReport:
-    signature: int
-    determinant: int
-    murasugi_class: int
-    boundary_zero: bool
-    signature_mod_8: int | None
+class KnotReport(namedtuple("KnotReport", "signature determinant "
+                            "murasugi_class boundary_zero signature_mod_8")):
+    """Ints; boundary_zero is a bool, and signature_mod_8 None when False."""
+
+    __slots__ = ()
 
 
 def _pfaffian(a) -> int:

@@ -16,7 +16,7 @@ rank parity alone decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,11 +30,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(namedtuple("PrimeFactorization", "factors")):
     """Complete factorization of a magnitude: ordered (prime, exponent) pairs."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def magnitude(self) -> int:
         out = 1
@@ -160,19 +159,23 @@ def square_free_part(a) -> int:
     return _square_classes([a])[0][0]
 
 
-@dataclass(frozen=True)
-class WittClassQ:
+class WittClassQ(namedtuple("WittClassQ", "entries")):
     """A rational Witt class as a sorted multiset of square-free integers.
 
-    A zero entry is refused: it has no square class, and the residue maps
-    could not take its valuation.
+    ``entries`` is a tuple of ints.  A zero entry is refused: it has no
+    square class, and the residue maps could not take its valuation.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if 0 in self.entries:
+    def __new__(cls, entries):
+        if 0 in entries:
             raise ZeroEntryError("Witt class entries must be nonzero")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
 
     def signature(self) -> int:
         return sum(1 if e > 0 else -1 for e in self.entries)
@@ -198,18 +201,16 @@ def rational_witt_class(f: IntegerSymmetricForm) -> WittClassQ:
     return witt_from_diagonal(Fraction(b, a) for a, b in zip(m, m[1:]))
 
 
-@dataclass(frozen=True)
-class FiniteWittClass:
+class FiniteWittClass(namedtuple("FiniteWittClass",
+                                 "prime rank_parity disc_is_square")):
     """Canonical element of the Witt group of the prime field F_p.
 
     ``disc_is_square`` stores the square class of the signed discriminant
     (-1)^(r(r-1)/2) * det, a genuine Witt invariant; it is None for p = 2,
-    where the rank parity is a complete invariant.
+    where ``rank_parity``, 0 or 1, is a complete invariant.
     """
 
-    prime: int
-    rank_parity: int
-    disc_is_square: bool | None
+    __slots__ = ()
 
     @property
     def zero(self) -> bool:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -278,6 +279,35 @@ def test_reports_reparse(a8_json, k91_json):
         code, out, _ = run_cli(*args)
         assert code == 0
         json.loads(out)
+
+
+def _readme_schema_keys(command):
+    """The keys of ``command``'s report in the README "Output schemas"."""
+    from pathlib import Path
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    schemas = readme.read_text(encoding="utf-8").split("### Output schemas")[1]
+    block = re.search(rf"\n`{command}`(.*?)\n\n`\w+`:", schemas, re.S)
+    return set(re.findall(r'"(\w+)":', block.group(1)))
+
+
+def test_report_keys_are_the_readme_schemas(tmp_path, capsys):
+    """analyze and knot print the fields of their report records: exactly
+    the keys the README promises, with and without a metabolizer and a
+    signature mod 8."""
+    from wittlink import cli
+    analyze = _readme_schema_keys("analyze")
+    knot = _readme_schema_keys("knot")
+    assert "rank" in analyze and "murasugi_class" in knot
+    for i, rows in enumerate((A8_NEG, [[2, 1], [1, 2]])):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps({"gram": rows}))
+        assert cli.main(["analyze", "--gram", str(path)]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == analyze
+    for i, rows in enumerate((NINE_ONE_SEIFERT, TREFOIL_SEIFERT)):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps({"seifert": rows}))
+        assert cli.main(["knot", "--seifert", str(path)]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == knot
 
 
 def test_error_exit_codes(tmp_path):
