@@ -1,11 +1,33 @@
 """Window searches for pq + pr + qr = (+-)m^2 with p, q, m odd and r even.
 
-The negative-sign equation forces p + q = 0 mod 8 (the underlying even
-form satisfies the vanishing hypothesis, so its signature -(p+q) is a
-multiple of 8); the positive-sign variant only forces p + q to 2 or 6
-mod 8 and realizes both.  Searches are exhaustive over finite windows:
-each pair (p, q) is one lookup in a table of odd square roots modulo
-2|p + q|, and each p-row of pairs is looked up in one C-level pass.
+Write s = p + q and sign for the +-1.  For s != 0 the equation reads
+r = (sign*m^2 - pq)/s, and r is an even integer exactly when
+m^2 = sign*pq (mod 2|s|).  Since p is odd, ps = s (mod 2s), so
+pq = ps - p^2 = s - p^2 and the congruence reads
+
+    m^2 + sign*p^2 = sign*s  (mod 2|s|).
+
+Here s is even, odd squares are 1 mod 8, and 8 divides 2|s| when 4
+divides s.
+
+- sign = -1: the left side is 0 mod 8.  With s = 2 mod 4 it gives
+  0 = 2 (mod 4), and with s = 4 mod 8 it gives 0 = 4 (mod 8), so
+  s = 0 (mod 8).  This is the paper's restriction: the even form behind
+  the equation has vanishing linking form, so its signature -(p+q) is a
+  multiple of 8.
+- sign = +1: the left side is 2 mod 8.  With 4 | s it would give
+  s = 2 (mod 8), which 4 does not divide, so s = 2 (mod 4); the searches
+  realize both 2 and 6 mod 8.
+
+For s = 0 the equation reads -p^2 = sign*m^2, solved for every even r by
+m = |p| when sign = -1 and never when sign = +1; 0 lies in the class
+0 mod 8.  So each sign has one live class of s, and the searches scan
+only it, each p-row with a stride of 8 or 4 in q.  Searches are
+exhaustive over finite windows: each pair (p, q) is one lookup in a table
+of odd square roots modulo 2|p + q|, each p-row of pairs is looked up in
+one C-level pass, and mirrored pairs (p, q), (q, p) are solved once.
+``verify_negative_restriction`` scans every other class of s of the
+negative sign, which checks this argument by exhaustion.
 """
 
 from __future__ import annotations
@@ -50,80 +72,111 @@ class SolutionRecord(namedtuple("SolutionRecord",
     __slots__ = ()
 
 
+# The class (k, c), s = c (mod k), of s = p + q that holds every solution
+# of each sign (module docstring).
+_LIVE = {-1: (8, 0), 1: (4, 2)}
+
+
 def _parity_values(lo: int, hi: int, parity: int):
     start = lo if lo % 2 == parity % 2 else lo + 1
     return range(start, hi + 1, 2)
 
 
-def _odd_roots(mod: int, m_max: int) -> dict[int, list[int]]:
-    """Map each residue x mod ``mod`` to the odd m <= m_max with m^2 = x."""
+def _odd_roots(mod: int, odds: range,
+               squares: list[int]) -> dict[int, list[int]]:
+    """Map each residue x mod ``mod`` to the m of ``odds`` with m^2 = x;
+    ``squares`` lists their squares."""
     table = {}
-    for m in range(1, m_max + 1, 2):
-        table.setdefault(m * m % mod, []).append(m)
+    for m, x in zip(odds, squares):
+        table.setdefault(x % mod, []).append(m)
     return table
 
 
-def _solve(w: SearchWindow, sign: int, dedupe: bool = False, keep=None):
-    """Yield (p, q, [(r, m), ...]) for each odd pair with a solution in w.
+def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
+           render=None):
+    """Yield (p, q, rows) for each odd pair with a solution in w.
 
-    For s = p + q != 0 the equation reads r = (sign*m^2 - pq)/s, and r is
-    an even integer exactly when m^2 = sign*pq (mod 2|s|).  For s = 0 it
-    reads -p^2 = sign*m^2, which holds for every r when sign = -1 and
-    m = |p|.  The tables of odd roots (one per modulus 2|s|) and the
-    moduli are laid out once, indexed by (s - s_min)/2: s = 0 gets a
-    sentinel table that every product hits, and each s that ``keep``
-    rejects an empty one.  Along one p, sign*pq is an arithmetic
-    progression in q, so a whole row of pairs is looked up in one C-level
-    pass and only the hits run Python code.  Pairs come in (p, q) order,
-    with p <= q under ``dedupe``, and rows in increasing r.
+    Only pairs whose s = p + q lies in the class ``live`` = (k, c), that
+    is s = c (mod k), are scanned: by default the live class of ``sign``.
+    For s != 0 a pair is one lookup of sign*pq mod 2|s| in the table of
+    odd roots modulo 2|s| (module docstring).  The tables (one per
+    modulus, built from one list of odd squares) and the moduli are laid
+    out once, indexed by (s - s_min)/k: s = 0 gets a sentinel table that
+    every product hits.  Along one p, sign*pq is an arithmetic progression
+    in q of step k*sign*p, so a whole row of pairs is looked up in one
+    C-level pass and only the hits run Python code.
+
+    rows are the (r, m) of the pair in increasing r, passed through
+    ``render`` when s != 0; for s = 0 they are (r, |p|) for every even r.
+    The equation is symmetric in p and q, so each unordered pair is solved
+    once: while the mirror (q, p) of a pair with p < q is still to come in
+    the window, the rendered rows wait in a dict, empty ones too, and row
+    q pops them.  Pairs come in (p, q) order, with p <= q under
+    ``dedupe``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    r_lo, r_hi = w.r_range
+    k, c = live or _LIVE[sign]
+    p_lo, p_hi = w.p_range
     q_lo, q_hi = w.q_range
+    r_lo, r_hi = w.r_range
     evens = _parity_values(r_lo, r_hi, 0)
-    ps = _parity_values(*w.p_range, 1)
+    ps = _parity_values(p_lo, p_hi, 1)
     qs = _parity_values(q_lo, q_hi, 1)
     if not ps or not qs:
         return
     s_min = ps[0] + qs[0]
+    s_min += (c - s_min) % k
+    odds = range(1, w.m_max + 1, 2)
+    squares = [m * m for m in odds]
     roots = {}
     tables = []
     mods = []
-    for s in range(s_min, ps[-1] + qs[-1] + 1, 2):
+    for s in range(s_min, ps[-1] + qs[-1] + 1, k):
         mod = 2 * abs(s) or 1
-        if keep is not None and not keep(s):
-            table = {}
-        elif s:
+        if s:
             table = roots.get(mod)
             if table is None:
-                table = roots[mod] = _odd_roots(mod, w.m_max)
+                table = roots[mod] = _odd_roots(mod, odds, squares)
         else:
             table = {0: True} if sign == -1 and evens else {}
         tables.append(table)
         mods.append(mod)
+    pending = {}
     for p in ps:
-        row = _parity_values(max(p, q_lo) if dedupe else q_lo, q_hi, 1)
+        start = max(p, q_lo) if dedupe else q_lo
+        row = range(start + (c - p - start) % k, q_hi + 1, k)
         if not row:
             continue
-        a = (p + row[0] - s_min) // 2
+        a = (p + row[0] - s_min) // k
         b = a + len(row)
-        products = range(sign * p * row[0], sign * p * (row[-1] + 2),
-                         2 * sign * p)
+        step = k * sign * p
+        products = range(sign * p * row[0], sign * p * row[-1] + step, step)
         hits = list(map(dict.get, tables[a:b],
                         map(operator.mod, products, mods[a:b])))
+        # the rows of (p, q) wait in ``pending`` since row q for q in
+        # [mirror_lo, p), and are kept there for row q for q in (p, keep_hi]
+        mirror_lo = p_lo if p <= q_hi else p
+        keep_hi = p if dedupe or p < q_lo else p_hi
         for q, ms in zip(compress(row, hits), filter(None, hits)):
             s = p + q
             if not s:
                 if abs(p) <= w.m_max:
                     yield p, q, list(zip(evens, [abs(p)] * len(evens)))
                 continue
-            pq = p * q
-            rows = [(r, m) for m in ms
-                    if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
-            if rows:
+            if mirror_lo <= q < p:
+                rows = pending.pop((p, q))
+            else:
+                pq = p * q
+                rows = [(r, m) for m in ms
+                        if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
                 if sign * s < 0:
                     rows.reverse()
+                if render is not None:
+                    rows = render(rows)
+                if p < q <= keep_hi:
+                    pending[q, p] = rows
+            if rows:
                 yield p, q, rows
 
 
@@ -141,17 +194,24 @@ def search(w: SearchWindow, sign: int,
             for r, m in rows]
 
 
+def _rm_lines(rows) -> str:
+    """The (r, m) rows of one pair as "r,m" lines joined by newlines."""
+    return "\n".join([f"{r},{m}" for r, m in rows])
+
+
 def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     """Yield the CSV rows of ``search(w, sign, dedupe)``, one chunk per pair.
 
     Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one solved
-    (p, q), in the same order as ``search``, so memory does not grow with
-    the number of rows.  A pair with p + q = 0 has a row for every even r
-    of the window with m = |p|; those rows are joined from one list of
-    r strings built once.
+    (p, q), in the same order as ``search``, so memory grows only with the
+    rows of the pairs whose mirror (q, p) is still to come: each waits as
+    one string of "r,m" lines, from which the chunks of both pairs are
+    written.  A pair with p + q = 0 has a row for every even r of the
+    window with m = |p|; those rows are joined from one list of r strings
+    built once.
     """
     even_rs = None
-    for p, q, rows in _solve(w, sign, dedupe):
+    for p, q, rows in _solve(w, sign, dedupe, render=_rm_lines):
         s = p + q
         head = f"{p},{q},"
         if not s:
@@ -161,17 +221,19 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
             yield head + (tail + head).join(even_rs) + tail
         else:
             tail = f",{sign},{s % 8}\n"
-            yield "".join([f"{head}{r},{m}{tail}" for r, m in rows])
+            yield head + rows.replace("\n", tail + head) + tail
 
 
 def verify_negative_restriction(w: SearchWindow) -> bool:
     """Every solution of pq+pr+qr = -m^2 in the window has p+q = 0 mod 8.
 
-    Only pairs with p + q != 0 mod 8 can violate it, so the tables of
-    every other s are empty: a window where the restriction holds is
-    scanned without a hit, and the first solution found answers False.
+    The check of the module docstring's argument, by exhaustion: it scans
+    the classes s = 2 (mod 4) and s = 4 (mod 8) of p + q, every pair that
+    could violate the restriction, and the first solution found answers
+    False.  A window where the restriction holds has no hit at all.
     """
-    return next(_solve(w, -1, keep=lambda s: s % 8), None) is None
+    return not any(next(_solve(w, -1, live=live), None)
+                   for live in ((4, 2), (8, 4)))
 
 
 def residue_prefilter(sign: int) -> set[int]:
@@ -181,7 +243,8 @@ def residue_prefilter(sign: int) -> set[int]:
     constraints, testing the equation modulo 4 (r(p+q) is 0 mod 4 and
     m^2 is 1, so only pq mod 4 constrains anything at this level).  This
     is the cheap screen: {0,4} for the -m^2 equation, {2,6} for +m^2.
-    Only the deeper vanishing argument cuts {0,4} down to {0}.
+    The same congruence taken modulo 2|p+q| (module docstring) cuts
+    {0,4} down to {0}; {2,6} is already the live class of +m^2.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -201,11 +264,11 @@ def witness_both_positive_residues(w: SearchWindow):
     """One solution of pq+pr+qr = +m^2 with p+q = 2 mod 8 and one with 6.
 
     Each is the first such record of ``search(w, 1)`` in (p, q, r) order.
-    The solver runs lazily, scans only the s = 2, 6 mod 8 tables and
-    stops once both residues are found.
+    The solver runs lazily over the live class s = 2 (mod 4), which is
+    s = 2 or 6 (mod 8), and stops once both residues are found.
     """
     found = {}
-    for p, q, rows in _solve(w, 1, keep=lambda s: s % 8 in (2, 6)):
+    for p, q, rows in _solve(w, 1):
         k = (p + q) % 8
         if k not in found:
             found[k] = SolutionRecord(p, q, *rows[0], 1, k)

@@ -20,7 +20,8 @@ from collections import namedtuple
 from operator import add, sub
 
 from .discriminant import _check_theorem
-from .errors import DegenerateParameterError, InvalidSeifertError
+from .errors import (DegenerateParameterError, InvalidSeifertError,
+                     NotIntegerError)
 from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
                     determinant, form_from_rows, signature,
                     signature_from_minors)
@@ -41,6 +42,9 @@ class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
     __slots__ = ()
 
     def __new__(cls, p, q, r):
+        for x in (p, q, r):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise NotIntegerError(f"non-integer pretzel parameter {x!r}")
         if p % 2 == 0 or q % 2 == 0:
             raise DegenerateParameterError("p and q must be odd")
         if r % 2 != 0:

@@ -1,10 +1,12 @@
 import pytest
 
 from conftest import naive_window_search
-from wittlink import (PretzelKnot, SearchWindow, boundary_is_zero,
-                      pretzel_signature, pretzel_witt_class, residue_prefilter,
-                      search, symmetric_window, verify_negative_restriction,
+from wittlink import (PretzelKnot, SearchWindow, SolutionRecord,
+                      boundary_is_zero, pretzel_signature, pretzel_witt_class,
+                      residue_prefilter, search, symmetric_window,
+                      verify_negative_restriction,
                       witness_both_positive_residues)
+from wittlink.diophantine import csv_chunks
 from wittlink.errors import NotFoundError
 
 
@@ -130,13 +132,35 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
             assert deduped == [row for row in want if row[0] <= row[1]]
 
 
+def naive_csv(rows, sign):
+    return "".join(f"{p},{q},{r},{m},{sign},{(p + q) % 8}\n"
+                   for p, q, r, m in rows)
+
+
+def test_csv_chunks_match_naive_oracle_on_asymmetric_windows():
+    # in these windows the mirror (q, p) of a solved pair often falls
+    # outside, so the chunks of both kinds of pair are checked
+    for p_range, q_range, r_range, m_max in ORACLE_WINDOWS:
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        for sign in (1, -1):
+            want = naive_window_search(None, sign, m_max, p_range=p_range,
+                                       q_range=q_range, r_range=r_range)
+            assert "".join(csv_chunks(w, sign)) == naive_csv(want, sign)
+            assert "".join(csv_chunks(w, sign, dedupe=True)) == naive_csv(
+                [row for row in want if row[0] <= row[1]], sign)
+
+
 def test_verify_and_witness_match_their_search_definitions():
-    for window in ORACLE_WINDOWS:
-        w = SearchWindow(*window)
+    for p_range, q_range, r_range, m_max in ORACLE_WINDOWS:
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        ranges = {"p_range": p_range, "q_range": q_range, "r_range": r_range}
+        negative = naive_window_search(None, -1, m_max, **ranges)
         assert verify_negative_restriction(w) == all(
-            r.p_plus_q_mod_8 == 0 for r in search(w, -1))
-        recs = search(w, 1)
-        firsts = tuple(next((x for x in recs if x.p_plus_q_mod_8 == k), None)
+            (p + q) % 8 == 0 for p, q, _, _ in negative)
+        positive = naive_window_search(None, 1, m_max, **ranges)
+        firsts = tuple(next((SolutionRecord(p, q, r, m, 1, k)
+                             for p, q, r, m in positive if (p + q) % 8 == k),
+                            None)
                        for k in (2, 6))
         if None in firsts:
             with pytest.raises(NotFoundError):

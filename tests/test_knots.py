@@ -15,7 +15,7 @@ from wittlink import (PretzelKnot, analyze_knot, boundary_is_zero, is_even,
                       seifert_block_sum, seifert_from_rows, symmetrize,
                       witt_q_equal, witt_sum)
 from wittlink.errors import (DegenerateParameterError, InvalidSeifertError,
-                             NotSquareError)
+                             NotIntegerError, NotSquareError)
 from wittlink.knots import _pfaffian
 
 
@@ -245,6 +245,13 @@ def test_pretzel_validation():
     # odd*odd + even terms is odd, so the determinant is never zero and
     # r = 0 is fine at the type level (only the Witt class rejects it)
     PretzelKnot(1, -1, 0)
+    # the parity checks alone would let these through
+    for args in ((1.5, 1.5, 2), (3, 5, 2.0), (True, 3, 2), (3, 5, False),
+                 (Fraction(1, 3), Fraction(-2, 7), 2)):
+        with pytest.raises(NotIntegerError):
+            PretzelKnot(*args)
+        with pytest.raises(NotIntegerError):
+            PretzelKnot(1, 1, 2)._replace(p=args[0], q=args[1], r=args[2])
 
 
 def test_pretzel_determinant():
