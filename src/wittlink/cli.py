@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -113,8 +112,7 @@ def _cmd_gauss(args) -> int:
     out = {"denominator": n, "terms": [],
            "check": discriminant._milgram_holds(f, phase, sum(table))}
     if args.approx:
-        z = discriminant._approx(n, itertools.chain.from_iterable(
-            map(discriminant._pairs, discriminant._term_slices(n, table))))
+        z = discriminant._approx(n, discriminant._terms(n, table))
         out["approx"] = [z.real, z.imag]
     write = sys.stdout.write
     write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])

@@ -14,11 +14,12 @@ that table serves the metabolizer search and the Gauss sum.  The sum is a
 multiset of roots of unity, one dense table per component merged by Chinese
 remainders, in closed form for odd p and equal orders; sqrt|det| *
 e^(2 pi i sigma/8) is checked per component, from a Legendre symbol in
-closed form and otherwise in the cyclotomic ring that holds the sum.  The
-merged table is the only list of its size: its terms are read off it in
-fixed-size flat slices [r1, c1, r2, c2, ...], which the CLI writes to stdout
-with one % format each, so the memory of a ``gauss`` report is bounded by
-the table, not by the number of terms.
+closed form and otherwise in the cyclotomic ring Z[zeta_R] that holds the
+sum, by one rule for every prime: the table minus one of Milgram's
+candidates must equal its rotation by R/p.  The merged table is the only
+list of its size: its terms are read off it in fixed-size flat slices
+[r1, c1, r2, c2, ...], which the CLI writes to stdout with one % format
+each, so the memory of a ``gauss`` report is bounded by the table.
 """
 
 from __future__ import annotations
@@ -361,13 +362,12 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
     and |det| <= enum_bound.  The terms are read from the dense table of
-    :func:`_gauss_table` by :func:`_term_slices` and :func:`_pairs`.
+    :func:`_gauss_table` by :func:`_terms`.
     """
     n, table, phase = _gauss_table(f, enum_bound)
     # A list first: tuple() of an iterator with no length resizes as it
     # grows, and each resize puts it back in the GC's youngest generation.
-    terms = tuple(list(itertools.chain.from_iterable(
-        map(_pairs, _term_slices(n, table)))))
+    terms = tuple(list(_terms(n, table)))
     return GaussSumValue(denominator=n, terms=terms, phase=phase)
 
 
@@ -419,8 +419,7 @@ def _term_slices(n, table):
     """The terms of the nonzero entries of a dense table over denominator
     n, r increasing, as one flat list [r1, c1, r2, c2, ...] per slice of
     _SLICE entries (empty where the slice holds no term), so that no more
-    than one slice of terms is held at a time; :func:`_pairs` reads a
-    slice as (r, count) pairs."""
+    than one slice of terms is held at a time."""
     step = 2 * n // len(table)
     for start in range(0, len(table), _SLICE):
         part = table[start:start + _SLICE]
@@ -432,10 +431,12 @@ def _term_slices(n, table):
         yield flat
 
 
-def _pairs(flat):
-    """The (r, count) pairs of a flat slice [r1, c1, r2, c2, ...]."""
-    it = iter(flat)
-    return zip(it, it)
+def _terms(n, table):
+    """The (r, count) terms of a dense table over denominator n, r
+    increasing, read from the flat slices of :func:`_term_slices`."""
+    for flat in _term_slices(n, table):
+        it = iter(flat)
+        yield from zip(it, it)
 
 
 def _approx(n, terms):
@@ -561,55 +562,39 @@ def _component_phase(table, p, e):
     component of order p^e; None when the sum has no such form.  Run on
     walked components, and in tests as the oracle for closed-form phases.
 
-    Exact: for p = 2, R is widened to 8 first so that zeta_8 lies in
-    Z[zeta_R].  The only relations among the powers of zeta_R are the sums
-    zeta_R^x (1 + zeta_p + ... + zeta_p^(p-1)), zeta_p = zeta_R^(R/p), so a
-    table is zero in Z[zeta_R] iff it is constant on each class x + (R/p)Z.
-    The candidates m = p^(e//2) times
-    - +-1 or, for odd e, +-g_p = +-sum_t zeta_p^(t^2), which is sqrt(p) for
-      p = 1 mod 4 and i sqrt(p) for p = 3 mod 4 (odd p), or
-    - zeta_8^k or, for odd e, sqrt 2 zeta_8^k = zeta_8^(k+1) + zeta_8^(k+7)
-      (p = 2)
-    live on the multiples of w = R/p (odd p) or w = R/8 (p = 2).  So off
-    those multiples the table must equal its rotation by R/p, and the
-    u[j] = table[j w] are compared with each candidate's.  For odd p, the
-    sum minus s g_p (s = +-m) is constant K iff u[0] = K + s, u[i] = K + 2s
-    on the (p-1)/2 nonzero squares i and u[i] = K on the others; the sum
-    minus s is constant iff u[i] = u[1] for every i != 0.  For p = 2 the
-    classes on the multiples of w are {j, j + 4}, and a sum is a candidate
-    iff it has the candidate's u[j] - u[j+4], j < 4.
+    Exact, by one rule for every prime.  For p = 2, R is widened to 8 first
+    so that zeta_8 lies in Z[zeta_R].  The only relations among the powers
+    of zeta_R are the sums zeta_R^x (1 + zeta_p + ... + zeta_p^(p-1)),
+    zeta_p = zeta_R^(R/p), so a table is zero in Z[zeta_R] iff it equals its
+    rotation by R/p.  The candidates (Milnor-Husemoller, Symmetric Bilinear
+    Forms, ch. IV) are m = p^(e//2) times a few table entries:
+    - odd p: +-1 at index 0 for even e; for odd e, +-g_p = +-sum_t
+      zeta_p^(t^2) at the p indices t^2 R/p, where g_p is sqrt(p) (k = 0)
+      for p = 1 mod 4 and i sqrt(p) (k = 2) for p = 3 mod 4, and -g_p adds 4;
+    - p = 2: zeta_8^k at index k R/8 for even e, and sqrt 2 zeta_8^k =
+      zeta_8^(k+1) + zeta_8^(k+7) for odd e, k = 0 ... 7.
+    The sum is a candidate iff the table minus it equals its rotation.
     """
     if len(table) < 8 and p == 2:
         wide = [0] * 8
         wide[::8 // len(table)] = table
         table = wide
     size = len(table)
-    w = size // (p if p > 2 else 8)
-    rotated = table[size // p:] + table[:size // p]
-    rotated[::w] = u = table[::w]
-    if rotated != table:
-        return None
-    m = p ** (e // 2)
-    if p == 2:
-        for k in range(8):
-            want = [0] * 8
-            for t in ([k] if e % 2 == 0 else [k + 1, k + 7]):
-                want[t % 8] = m
-            if all(u[j] - u[j + 4] == want[j] - want[j + 4] for j in range(4)):
-                return k
-        return None
-    if e % 2 == 0:
-        s = u[0] - u[1]
-        ok = u.count(u[1]) == p - 1
+    r, m = size // p, p ** (e // 2)
+    if p == 2:  # (k, coefficient, indices)
+        w, js = size // 8, (1, 7) if e % 2 else (0,)
+        candidates = [(k, m, [(k + j) % 8 * w for j in js]) for k in range(8)]
     else:
-        s, half = u[1] - u[0], (p - 1) // 2
-        square = u[1]
-        ok = (u.count(square) == half and u.count(u[0] - s) == half
-              and all(u[t * t % p] == square for t in range(2, half + 1)))
-    if not ok or abs(s) != m:
-        return None
-    k = 0 if s > 0 else 4
-    return k + 2 if e % 2 and p % 4 == 3 else k
+        at = [t * t % p * r for t in range(p)] if e % 2 else [0]
+        k = 2 if e % 2 and p % 4 == 3 else 0
+        candidates = [(k, m, at), (k + 4, -m, at)]
+    for k, c, at in candidates:
+        diff = list(table)
+        for x in at:
+            diff[x] -= c
+        if diff == diff[r:] + diff[:r]:
+            return k
+    return None
 
 
 def gauss_sum_check(f: IntegerSymmetricForm,

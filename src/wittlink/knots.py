@@ -37,7 +37,8 @@ class SeifertMatrix(namedtuple("SeifertMatrix", "n entries")):
 
 
 class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
-    """P(p, q, r) for ints p, q odd and r even, with pq + pr + qr != 0."""
+    """P(p, q, r) for ints p, q odd and r even.  Then pq + pr + qr =
+    pq + r(p + q) is odd, so the determinant is never 0 and needs no check."""
 
     __slots__ = ()
 
@@ -49,8 +50,6 @@ class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
             raise DegenerateParameterError("p and q must be odd")
         if r % 2 != 0:
             raise DegenerateParameterError("r must be even")
-        if p * q + p * r + q * r == 0:
-            raise DegenerateParameterError("pq + pr + qr must be nonzero")
         return super().__new__(cls, p, q, r)
 
     @classmethod

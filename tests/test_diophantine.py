@@ -179,9 +179,22 @@ def test_search_separate_r_bound_matches_naive_oracle():
 
 
 def test_verify_agrees_with_search_on_random_windows(rng):
+    """On 100 random asymmetric windows, search of both signs, with and
+    without dedupe, is the naive triple loop's, and verify holds iff every
+    naive -m^2 solution has p + q = 0 mod 8."""
     for _ in range(100):
-        lo_hi = [sorted((rng.randint(-40, 40), rng.randint(-40, 40)))
-                 for _ in range(3)]
-        w = SearchWindow(*map(tuple, lo_hi), rng.randint(1, 60))
+        p_range, q_range, r_range = [
+            tuple(sorted((rng.randint(-12, 12), rng.randint(-12, 12))))
+            for _ in range(3)]
+        m_max = rng.randint(1, 25)
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        for sign in (1, -1):
+            want = naive_window_search(None, sign, m_max, p_range=p_range,
+                                       q_range=q_range, r_range=r_range)
+            assert [(r.p, r.q, r.r, r.m) for r in search(w, sign)] == want
+            assert [(r.p, r.q, r.r, r.m)
+                    for r in search(w, sign, dedupe=True)] == [
+                row for row in want if row[0] <= row[1]]
+        # want now holds the naive -m^2 solutions
         assert verify_negative_restriction(w) == all(
-            r.p_plus_q_mod_8 == 0 for r in search(w, -1))
+            (p + q) % 8 == 0 for p, q, _, _ in want)

@@ -911,10 +911,10 @@ def test_homogeneous_counts_build_the_table_once():
 
 def test_term_slices_are_the_terms_in_key_order(monkeypatch):
     """The flat slices [r1, c1, r2, c2, ...] of the dense table, read as
-    pairs, chain to its nonzero entries in order, each slice holding those
-    of _SLICE consecutive entries, on a one-slice table, on tables cut into
-    slices with and without terms, and on a merged table of 601199
-    entries."""
+    pairs by _terms, are its nonzero entries in order, each slice holding
+    those of _SLICE consecutive entries, on a one-slice table, on tables
+    cut into slices with and without terms, and on a merged table of
+    601199 entries."""
     from wittlink import discriminant
     for rows, size in ((A8_NEG, None), (A8_NEG, 2), (DIAG_2_M2, 1),
                        ([[600, 1], [1, 1002]], None)):
@@ -930,8 +930,7 @@ def test_term_slices_are_the_terms_in_key_order(monkeypatch):
             lo = i * discriminant._SLICE * step
             assert all(lo <= r < lo + discriminant._SLICE * step
                        for r in flat[::2])
-        assert list(itertools.chain.from_iterable(
-            map(discriminant._pairs, slices))) == [
+        assert list(discriminant._terms(n, table)) == [
             (x * step, c) for x, c in enumerate(table) if c]
         monkeypatch.undo()
 
@@ -1088,3 +1087,79 @@ def test_gauss_check_rejects_a_moved_count(monkeypatch):
                 for bad in (moved, swapped):
                     if bad != counts:
                         assert real(bad, *rest) != k, (counts, r, to, bad)
+
+
+def _walked_phase_by_floats(table, p, e):
+    """The k whose sqrt(p^e) e^(2 pi i k / 8) is the cmath value of the
+    table's sum, or None."""
+    size = len(table)
+    z = sum(c * cmath.exp(2j * math.pi * x / size)
+            for x, c in enumerate(table) if c)
+    ks = [k for k in range(8) if abs(z - math.sqrt(p ** e) * cmath.exp(
+        2j * math.pi * k / 8)) < 1e-7 * max(1, abs(z))]
+    assert len(ks) <= 1
+    return ks[0] if ks else None
+
+
+def test_walked_phases_agree_with_floats(rng):
+    """On every walked component of 500 random even forms of |det| <= 2 *
+    10^4, block sums of U(2^a), V(2^a), <2^e u>, <2 3^i s> + <2 3^j t>,
+    <10 s> + <50 t> and small random blocks, _component_phase is the phase
+    of the cmath value of the table's sum.  With one count moved, the sum
+    changes, so the phase does too, and it is again the float one: mostly
+    None, but a small table can land on another candidate, such as the
+    table [1, 1, 0, 0] of <1/2>, 1 + i, moved to [0, 1, 1, 0], i - 1."""
+    from wittlink import discriminant
+    from wittlink.witt import _split
+
+    def block():
+        kind = rng.randrange(6)
+        a, u = rng.randint(0, 3), rng.choice((-3, -1, 1, 3, 5))
+        if kind == 0:
+            return [[0, 2 ** a], [2 ** a, 0]]
+        if kind == 1:
+            return [[2 ** (a + 1), 2 ** a], [2 ** a, 2 ** (a + 1)]]
+        if kind == 2:
+            return [[2 ** (a + 1) * u]]
+        if kind == 3:
+            i, j = rng.sample((1, 2, 3), 2)
+            return _block_sum([[2 * 3 ** i * u]],
+                              [[2 * 3 ** j * rng.choice((-1, 1))]]).rows()
+        if kind == 4:
+            return _block_sum([[10 * u]], [[50 * rng.choice((-1, 1))]]).rows()
+        return random_even_form_rows(rng, rng.randint(1, 3), entry_bound=6)
+
+    seen, moved_phases = Counter(), Counter()
+    forms = 0
+    while forms < 500:
+        f = _block_sum(*(block() for _ in range(rng.randint(1, 3))))
+        if abs(f.minors[-1]) > 2 * 10 ** 4:
+            continue
+        forms += 1
+        d = discriminant_form(f)
+        for p, _, orders, size, quad, link2 in (
+                discriminant._primary_components(d)):
+            if orders[0] == size:  # odd p, equal orders: closed form
+                continue
+            e = _split(math.prod(orders), p)[0]
+            walk = Counter()
+            discriminant._walk(quad, link2, orders, size, walk.update)
+            table = [walk[x] for x in range(size)]
+            k = discriminant._component_phase(table, p, e)
+            assert k is not None and k == _walked_phase_by_floats(
+                table, p, e), (p, orders, table)
+            seen[(p, tuple(orders), k)] += 1
+            moved = list(table)
+            x = rng.choice([x for x, c in enumerate(table) if c])
+            moved[x] -= 1
+            moved[rng.choice([y for y in range(size) if y != x])] += 1
+            got = discriminant._component_phase(moved, p, e)
+            assert got != k and got == _walked_phase_by_floats(
+                moved, p, e), (p, orders, moved)
+            moved_phases[got] += 1
+    walked = {(p, orders) for p, orders, _ in seen}
+    assert {(2, (2,)), (2, (4,)), (2, (8,)), (2, (16,)), (2, (2, 2)),
+            (2, (4, 4)), (3, (3, 9)), (3, (3, 27)), (5, (5, 25))} <= walked
+    # U(2) and V(2) sum to 2 and -2 on (Z/2)^2
+    assert (2, (2, 2), 0) in seen and (2, (2, 2), 4) in seen
+    assert moved_phases[None] > sum(moved_phases.values()) / 2

@@ -260,6 +260,15 @@ def test_pretzel_determinant():
     assert pretzel_determinant(PretzelKnot(3, 5, -2)) == -1
 
 
+def test_pretzel_determinant_is_odd():
+    """pq is odd and r(p + q) even, so every valid P(p, q, r) has an odd,
+    hence nonzero, determinant: PretzelKnot needs no check that it is 0."""
+    triples = pretzel_window(15, 14)
+    assert len(triples) == 16 * 16 * 15
+    for p, q, r in triples:
+        assert pretzel_determinant(PretzelKnot(p, q, r)) % 2 == 1
+
+
 def test_pretzel_witt_class():
     c = pretzel_witt_class(PretzelKnot(3, 5, -2))
     assert c.entries == tuple(sorted([3, 5, -2, -30]))
