@@ -88,16 +88,11 @@ def _cmd_boundary(args) -> int:
 def _cmd_disc(args) -> int:
     f = _load_gram(args.gram)
     d = discriminant.discriminant_form(f)
-    meta = None
-    if discriminant.metabolizer_may_exist(f, args.bound_group):
-        found = discriminant.find_metabolizer(d, bound=args.bound_group)
-        meta = [list(g) for g in found] if found is not None else None
-    out = {"orders": list(d.orders),
+    _emit({"orders": list(d.orders),
            "linking": [[[x.numerator, x.denominator] for x in row]
                        for row in d.linking],
            "group_order": d.group_order(),
-           "metabolizer": meta}
-    _emit(out)
+           "metabolizer": discriminant._metabolizer(f, args.bound_group, d)})
     return 0
 
 

@@ -36,7 +36,8 @@ from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
 from .forms import (IntegerSymmetricForm, _eliminate, determinant,
                     form_from_rows, is_even, signature_from_minors)
-from .witt import _euler, _split, boundary_zero_from_minors, factorize
+from .witt import (_decide, _euler, _split, boundary_zero_from_minors,
+                   factorize)
 
 DEFAULT_GROUP_BOUND = 10 ** 4
 DEFAULT_DET_BOUND = 10 ** 6
@@ -255,9 +256,25 @@ def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
     """Whether the discriminant group G of f is within ``bound`` and could
     have a metabolizer: |G| = |det| is a square and, when it is odd, the
     residues vanish (an odd linking form is metabolic iff Witt-zero)."""
+    return _may_exist(f, bound, None)
+
+
+def _may_exist(f, bound, bz) -> bool:
+    """The gate, on f's residue verdict ``bz`` if known; None computes it."""
     adet = abs(f.minors[-1])
     return (adet <= bound and math.isqrt(adet) ** 2 == adet
-            and (adet % 2 == 0 or boundary_zero_from_minors(f.minors)))
+            and (adet % 2 == 0 or (boundary_zero_from_minors(f.minors)
+                                   if bz is None else bz)))
+
+
+def _metabolizer(f, bound, d=None, boundary_zero=None):
+    """``find_metabolizer`` behind the gate, as a tuple of generator tuples,
+    or None.  A caller that holds f's discriminant form ``d`` or its
+    residue verdict passes it in, so neither is computed twice."""
+    if not _may_exist(f, bound, boundary_zero):
+        return None
+    found = find_metabolizer(d or discriminant_form(f), bound=bound)
+    return tuple(found) if found is not None else None
 
 
 def _primary_components(d: DiscriminantForm):
@@ -666,15 +683,6 @@ def overlattice_from_metabolizer(f: IntegerSymmetricForm,
     return f1, index
 
 
-def _check_theorem(applies: bool, sig: int) -> None:
-    """Raise ArithmeticError when a form meeting the vanishing hypothesis
-    has signature ``sig`` not divisible by 8, which the theorem rules out."""
-    if applies and sig % 8:
-        raise ArithmeticError(
-            f"signature {sig} not divisible by 8 on a form satisfying the "
-            "vanishing hypothesis; this contradicts a proved theorem")
-
-
 class MainTheoremReport(namedtuple(
         "MainTheoremReport", "is_even det det_odd boundary_zero metabolizer "
         "signature signature_mod_8 theorem_applies conclusion_holds")):
@@ -693,25 +701,16 @@ def verify_main_theorem(f: IntegerSymmetricForm,
                         group_bound: int = DEFAULT_GROUP_BOUND) -> MainTheoremReport:
     """Assemble the hypothesis checks and the signature verdict for a form.
 
-    det, signature and the residue test read the minors that validated f.
-    The metabolizer is searched for only when :func:`metabolizer_may_exist`;
-    its absence never changes ``theorem_applies``, which rests on residues.
+    The verdict is ``witt._decide`` on the minors that validated f.  The
+    metabolizer is searched for only when :func:`metabolizer_may_exist`, on
+    that residue verdict; its absence never changes ``theorem_applies``.
     """
     even = is_even(f)
     det = f.minors[-1]
-    det_odd = det % 2 != 0
-    boundary_zero = boundary_zero_from_minors(f.minors)
-    sig = signature_from_minors(f.minors)
-    metabolizer = None
-    if metabolizer_may_exist(f, group_bound):
-        found = find_metabolizer(discriminant_form(f), bound=group_bound)
-        metabolizer = tuple(found) if found is not None else None
-    applies = even and det_odd and boundary_zero
-    holds = sig % 8 == 0
-    _check_theorem(applies, sig)
-    return MainTheoremReport(is_even=even, det=det, det_odd=det_odd,
-                             boundary_zero=boundary_zero,
-                             metabolizer=metabolizer, signature=sig,
-                             signature_mod_8=sig % 8,
-                             theorem_applies=applies,
-                             conclusion_holds=holds)
+    sig, boundary_zero, applies = _decide(f.minors, even)
+    metabolizer = _metabolizer(f, group_bound, boundary_zero=boundary_zero)
+    return MainTheoremReport(
+        is_even=even, det=det, det_odd=det % 2 != 0,
+        boundary_zero=boundary_zero, metabolizer=metabolizer, signature=sig,
+        signature_mod_8=sig % 8, theorem_applies=applies,
+        conclusion_holds=sig % 8 == 0)

@@ -19,13 +19,11 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import add, sub
 
-from .discriminant import _check_theorem
 from .errors import (DegenerateParameterError, InvalidSeifertError,
                      NotIntegerError)
 from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
-                    determinant, form_from_rows, signature,
-                    signature_from_minors)
-from .witt import WittClassQ, boundary_zero_from_minors, witt_from_diagonal
+                    determinant, form_from_rows, signature)
+from .witt import WittClassQ, _decide, witt_from_diagonal
 
 
 class SeifertMatrix(namedtuple("SeifertMatrix", "n entries")):
@@ -140,12 +138,10 @@ def murasugi_check(s: SeifertMatrix) -> bool:
 
 def analyze_knot(s: SeifertMatrix) -> KnotReport:
     """Full pipeline: symmetrize, read the pivot minors its validation
-    computed, residue-test, report; S + S^T is even with odd det, so the
-    theorem check of :func:`verify_main_theorem` applies."""
+    computed, report the verdict of ``witt._decide``; S + S^T is even with
+    odd det, so the theorem applies exactly when the boundary vanishes."""
     minors = symmetrize(s).minors
-    sig = signature_from_minors(minors)
-    bz = boundary_zero_from_minors(minors)
-    _check_theorem(bz, sig)
+    sig, bz, _ = _decide(minors, True)
     return KnotReport(signature=sig, determinant=minors[-1],
                       murasugi_class=sig % 4, boundary_zero=bz,
                       signature_mod_8=sig % 8 if bz else None)

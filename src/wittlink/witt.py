@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
                      PrimeMismatchError, ZeroEntryError)
-from .forms import IntegerSymmetricForm
+from .forms import IntegerSymmetricForm, signature_from_minors
 
 _TRIAL_LIMIT = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,9 +51,6 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_CERTIFIED_BELOW:
-        raise CertificationBoundError(
-            f"{n} exceeds the deterministic Miller-Rabin certification bound")
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -68,14 +65,15 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
+            return False  # a witness proves n composite at any size
+    if n >= _MR_CERTIFIED_BELOW:  # no base refutes n, and none proves it
+        raise CertificationBoundError(
+            f"{n} exceeds the deterministic Miller-Rabin certification bound")
     return True
 
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Floyd's tortoise and hare)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -101,8 +99,6 @@ def _factor_magnitude(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -329,6 +325,20 @@ def boundary_zero_from_minors(minors) -> bool:
     entries = [a * b for a, b in zip(minors, minors[1:])]
     return all(_residue(entries, p).zero
                for p in factorize(root).primes() if p != 2)
+
+
+def _decide(minors, even: bool) -> tuple[int, bool, bool]:
+    """(signature, boundary_zero, theorem_applies) from a form's leading
+    minors.  The theorem applies to an ``even`` form of odd det with zero
+    boundary, and then a signature not 0 mod 8 raises ArithmeticError."""
+    sig = signature_from_minors(minors)
+    boundary_zero = boundary_zero_from_minors(minors)
+    applies = even and minors[-1] % 2 != 0 and boundary_zero
+    if applies and sig % 8:
+        raise ArithmeticError(
+            f"signature {sig} not divisible by 8 on a form satisfying the "
+            "vanishing hypothesis; this contradicts a proved theorem")
+    return sig, boundary_zero, applies
 
 
 def witt_q_is_zero(c: WittClassQ) -> bool:

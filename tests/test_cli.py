@@ -833,6 +833,32 @@ def test_disc_skips_search_when_no_metabolizer_exists(tmp_path):
     assert rep["orders"] == [3] * 8 and rep["metabolizer"] is None
 
 
+def test_analyze_tests_the_residues_once(tmp_path, monkeypatch, capsys):
+    """A2 + (-A2): |det| = 9 is an odd square within the group bound, so
+    the metabolizer gate needs the residue verdict.  analyze hands it the
+    one its decision computed, and disc, which decides nothing, computes it
+    in the gate: each calls boundary_zero_from_minors once, under whichever
+    module's name."""
+    from wittlink import cli, discriminant, witt
+    calls = []
+    real = witt.boundary_zero_from_minors
+
+    def counted(minors):
+        calls.append(minors)
+        return real(minors)
+
+    for module in (witt, discriminant):
+        monkeypatch.setattr(module, "boundary_zero_from_minors", counted)
+    path = tmp_path / "a2_a2neg.json"
+    path.write_text(json.dumps({"gram": [[2, -1, 0, 0], [-1, 2, 0, 0],
+                                         [0, 0, -2, 1], [0, 0, 1, -2]]}))
+    for cmd in ("analyze", "disc"):
+        calls.clear()
+        assert cli.main([cmd, "--gram", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["metabolizer"] == [[1, 1]]
+        assert len(calls) == 1, cmd
+
+
 def test_no_metabolizer_on_an_even_square_det(tmp_path, capsys):
     """diag(3^6, 2, 2): |det| = 2916 is an even square within the group
     bound, so analyze and disc search, and the 3-primary component, of

@@ -190,19 +190,25 @@ def test_analyze_trefoil():
 def test_analyze_knot_raises_on_a_theorem_contradiction(tmp_path, capsys,
                                                        monkeypatch):
     """A vanishing boundary with the trefoil's signature -2 contradicts the
-    theorem; knot reports it as analyze does, as an internal error."""
-    from wittlink import cli, knots
-    monkeypatch.setattr(knots, "boundary_zero_from_minors", lambda m: True)
+    theorem; knot reports it as an internal error, and so does analyze on
+    the trefoil's S + S^T, since both read the verdict of witt._decide."""
+    from wittlink import cli, witt
+    monkeypatch.setattr(witt, "boundary_zero_from_minors", lambda m: True)
     message = ("signature -2 not divisible by 8 on a form satisfying the "
                "vanishing hypothesis; this contradicts a proved theorem")
+    s = seifert_from_rows(TREFOIL_SEIFERT)
     with pytest.raises(ArithmeticError) as err:
-        analyze_knot(seifert_from_rows(TREFOIL_SEIFERT))
+        analyze_knot(s)
     assert str(err.value) == message
     path = tmp_path / "trefoil.json"
     path.write_text(json.dumps({"seifert": TREFOIL_SEIFERT}))
-    assert cli.main(["knot", "--seifert", str(path)]) == 1
-    err = json.loads(capsys.readouterr().out)["error"]
-    assert err == {"type": "internal", "message": message}
+    gram = tmp_path / "trefoil_sym.json"
+    gram.write_text(json.dumps({"gram": symmetrize(s).rows()}))
+    for argv in (["knot", "--seifert", str(path)],
+                 ["analyze", "--gram", str(gram)]):
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "internal", "message": message}, argv
 
 
 def test_analyze_connected_sum_six_three_eight_one():

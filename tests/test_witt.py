@@ -192,9 +192,10 @@ def test_factorize_past_trial_division():
 
 def test_factorize_agrees_with_sympy(rng):
     """factorize equals sympy.factorint on seeded products of two or three
-    primes, each below or above the trial-division limit."""
+    primes, each below or above the trial-division limit, and on one
+    product above the Miller-Rabin certification bound."""
     sympy = pytest.importorskip("sympy")
-    from wittlink.witt import _TRIAL_LIMIT
+    from wittlink.witt import _MR_CERTIFIED_BELOW, _TRIAL_LIMIT
     sides = set()
     for _ in range(12):
         n = 1
@@ -205,6 +206,13 @@ def test_factorize_agrees_with_sympy(rng):
             n *= sympy.nextprime(rng.randint(low, 10 * low + 10 ** 4))
         assert dict(factorize(n).factors) == sympy.factorint(n), n
     assert sides == {False, True}
+    # a witness refutes the cofactor left by trial division, and rho splits
+    # it into two primes below the bound
+    small = sympy.nextprime(rng.randint(_TRIAL_LIMIT, 10 * _TRIAL_LIMIT))
+    n = small * sympy.nextprime(_MR_CERTIFIED_BELOW // small
+                                + rng.randint(0, 10 ** 6))
+    assert n >= _MR_CERTIFIED_BELOW
+    assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 def test_is_prime():
@@ -222,6 +230,11 @@ def test_primality_certification_bound():
     # no factor below the trial-division limit: refuse rather than guess
     with pytest.raises(CertificationBoundError):
         is_prime(2 ** 89 - 1)
+    # a composite beyond it is refuted by a witness (base 2) all the same,
+    # and factored, with no prime factor below the trial-division limit
+    p = 4000000000000000037
+    assert not is_prime(1000003 * p)
+    assert factorize(1000003 * p).factors == ((1000003, 1), (p, 1))
 
 
 def test_square_free_part():
