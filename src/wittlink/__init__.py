@@ -15,13 +15,11 @@ from .witt import (FiniteWittClass, PrimeFactorization, WittClassQ,
                    witt_from_diagonal, witt_negate, witt_q_equal,
                    witt_q_is_zero, witt_sum)
 from .discriminant import (DiscriminantForm, GaussSumValue, MainTheoremReport,
-                           discriminant_form,
-                           find_metabolizer, gauss_sum, gauss_sum_check,
-                           gauss_sum_matches,
-                           linking_is_nondegenerate,
-                           linking_value, metabolizer_may_exist,
-                           overlattice_from_metabolizer,
-                           smith_normal_form, verify_main_theorem)
+                           discriminant_form, find_metabolizer, gauss_sum,
+                           gauss_sum_check, gauss_sum_matches,
+                           linking_is_nondegenerate, linking_value,
+                           overlattice_from_metabolizer, smith_normal_form,
+                           verify_main_theorem)
 from .knots import (KnotReport, PretzelKnot, SeifertMatrix, analyze_knot,
                     knot_determinant, knot_signature, murasugi_check,
                     pretzel_determinant, pretzel_signature, pretzel_witt_class,

@@ -252,26 +252,15 @@ def _component_metabolizer(quad, link2, orders, size):
     return gens if len(closure) == target else None
 
 
-def metabolizer_may_exist(f: IntegerSymmetricForm, bound: int) -> bool:
-    """Whether the discriminant group G of f is within ``bound`` and could
-    have a metabolizer: |G| = |det| is a square and, when it is odd, the
-    residues vanish (an odd linking form is metabolic iff Witt-zero)."""
-    return _may_exist(f, bound, None)
-
-
-def _may_exist(f, bound, bz) -> bool:
-    """The gate, on f's residue verdict ``bz`` if known; None computes it."""
-    adet = abs(f.minors[-1])
-    return (adet <= bound and math.isqrt(adet) ** 2 == adet
-            and (adet % 2 == 0 or (boundary_zero_from_minors(f.minors)
-                                   if bz is None else bz)))
-
-
 def _metabolizer(f, bound, d=None, boundary_zero=None):
-    """``find_metabolizer`` behind the gate, as a tuple of generator tuples,
-    or None.  A caller that holds f's discriminant form ``d`` or its
-    residue verdict passes it in, so neither is computed twice."""
-    if not _may_exist(f, bound, boundary_zero):
+    """``find_metabolizer`` as a tuple of generator tuples, or None, run only
+    when |det| <= ``bound`` and every residue of f vanishes: a metabolic
+    linking form is Witt-zero, and its class is the boundary of f's.  A
+    caller that holds f's discriminant form ``d`` or its residue verdict
+    passes it in, so neither is computed twice."""
+    if abs(f.minors[-1]) > bound or not (
+            boundary_zero_from_minors(f.minors) if boundary_zero is None
+            else boundary_zero):
         return None
     found = find_metabolizer(d or discriminant_form(f), bound=bound)
     return tuple(found) if found is not None else None
@@ -702,8 +691,9 @@ def verify_main_theorem(f: IntegerSymmetricForm,
     """Assemble the hypothesis checks and the signature verdict for a form.
 
     The verdict is ``witt._decide`` on the minors that validated f.  The
-    metabolizer is searched for only when :func:`metabolizer_may_exist`, on
-    that residue verdict; its absence never changes ``theorem_applies``.
+    metabolizer is searched for only when |det| <= ``group_bound`` and that
+    verdict says every residue vanishes, as a metabolizer needs at any det;
+    its absence never changes ``theorem_applies``.
     """
     even = is_even(f)
     det = f.minors[-1]

@@ -859,11 +859,19 @@ def test_analyze_tests_the_residues_once(tmp_path, monkeypatch, capsys):
         assert len(calls) == 1, cmd
 
 
-def test_no_metabolizer_on_an_even_square_det(tmp_path, capsys):
+def test_no_metabolizer_on_an_even_square_det(tmp_path, monkeypatch, capsys):
     """diag(3^6, 2, 2): |det| = 2916 is an even square within the group
-    bound, so analyze and disc search, and the 3-primary component, of
-    nonzero Witt class, has no metabolizer."""
-    from wittlink import cli
+    bound, but the residue at 3 does not vanish, so no metabolizer exists
+    and neither analyze nor disc calls find_metabolizer."""
+    from wittlink import cli, discriminant
+    calls = []
+    real = discriminant.find_metabolizer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discriminant, "find_metabolizer", counted)
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"gram": [[(3 if i < 6 else 2) * (i == j)
                                           for j in range(8)]
@@ -874,6 +882,24 @@ def test_no_metabolizer_on_an_even_square_det(tmp_path, capsys):
     assert rep["boundary_zero"] is False and rep["metabolizer"] is None
     assert cli.main(["disc", "--gram", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["metabolizer"] is None
+    assert calls == []
+
+
+def test_disc_above_the_group_bound_tests_no_residue(tmp_path, capsys):
+    """diag(2M, 2M), M = 2^89 - 1 prime: |det| = 4M^2 ~ 1.5 * 10^54 is
+    above the group bound, so disc prints a null metabolizer without the
+    residue verdict, which analyze needs and cannot certify at sqrt|det| =
+    2M."""
+    from wittlink import cli
+    m = 2 ** 89 - 1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"gram": [[2 * m, 0], [0, 2 * m]]}))
+    assert cli.main(["disc", "--gram", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["group_order"] == 4 * m * m and rep["metabolizer"] is None
+    assert cli.main(["analyze", "--gram", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "certification_bound"
 
 
 def test_approx_beyond_the_float_range_is_bad_input(tmp_path, capsys):

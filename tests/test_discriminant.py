@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import operator
 from collections import Counter
@@ -23,8 +24,10 @@ from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       signature, smith_normal_form, verify_main_theorem,
                       quadratic_residue, witt_from_diagonal)
 from wittlink._mat import mat_mul
-from wittlink.errors import (DeterminantTooLargeError, GroupTooLargeError,
-                             LengthMismatchError, NotEvenError)
+from wittlink.discriminant import DEFAULT_GROUP_BOUND
+from wittlink.errors import (DegenerateError, DeterminantTooLargeError,
+                             GroupTooLargeError, LengthMismatchError,
+                             NotEvenError)
 
 DIAG_2_M2 = [[2, 0], [0, -2]]
 A2 = [[2, -1], [-1, 2]]
@@ -773,6 +776,80 @@ def test_metabolizer_skip_agrees_with_exhaustive_search():
             assert rep.metabolizer == (tuple(found) if found is not None else None)
             skipped += not rep.boundary_zero
     assert skipped >= 2
+
+
+def _gate_form(rng):
+    """A random form of rank 1-4, odd or even, with 0 < |det| <= 5000:
+    dense, or X + X or X + (-X) for a dense X of rank 1 or 2, whose |det|
+    is a square of either parity, scrambled by symmetric shears."""
+    def dense(n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-6, 6)
+        return rows
+
+    while True:
+        if rng.random() < 0.5:
+            rows = dense(rng.randint(1, 4))
+        else:
+            m, sign = rng.randint(1, 2), rng.choice((-1, 1))
+            x = dense(m)
+            rows = [row + [0] * m for row in x]
+            rows += [[0] * m + [sign * v for v in row] for row in x]
+            for _ in range(3):
+                i, j = rng.sample(range(2 * m), 2)
+                rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[i] += row[j]
+        try:
+            f = form_from_rows(rows)
+        except DegenerateError:
+            continue
+        if abs(determinant(f)) <= 5000:
+            return f
+
+
+def test_metabolizer_gate_is_the_residue_verdict(rng, tmp_path, capsys):
+    """A metabolic linking form is Witt-zero, so f's residues all vanish:
+    on seeded forms of both det parities, and on even square dets with a
+    nonzero boundary, find_metabolizer finds one only where
+    boundary_zero_from_minors holds, and analyze (verify_main_theorem) and
+    disc, which search only there, print exactly its answer.  For odd
+    |det| a metabolizer exists iff the boundary vanishes."""
+    from wittlink import boundary_zero_from_minors, cli
+    # even square dets with and without a metabolizer, and <2, 2>, <2, -2>
+    # or <4> (even) or H (odd) plus X + X with a nonzero residue at 3 or 7
+    targeted = [DIAG_2_M2, [[2, 0], [0, 8]],
+                [[(3 if i < 6 else 2) * (i == j)
+                  for j in range(8)] for i in range(8)]]
+    for block in ([[2, 0], [0, 2]], [[2, 0], [0, -2]], [[4]], HYPERBOLIC):
+        for x in ([[3]], [[7]], A2, [[1, 0], [0, 1]]):
+            targeted.append(_block_sum(block, x, x).rows())
+    forms = [form_from_rows(rows) for rows in targeted]
+    forms += [_gate_form(rng) for _ in range(2500)]
+    path = tmp_path / "f.json"
+    seen = Counter()
+    for f in forms:
+        det = determinant(f)
+        assert abs(det) <= DEFAULT_GROUP_BOUND
+        found = find_metabolizer(discriminant_form(f))
+        zero = boundary_zero_from_minors(f.minors)
+        assert found is None or zero, f
+        if det % 2:
+            assert (found is not None) == zero, f
+        want = tuple(found) if found is not None else None
+        assert verify_main_theorem(f).metabolizer == want, f
+        path.write_text(json.dumps({"gram": f.rows()}))
+        assert cli.main(["disc", "--gram", str(path)]) == 0
+        got = json.loads(capsys.readouterr().out)["metabolizer"]
+        assert got == (None if want is None else [list(g) for g in want]), f
+        square = math.isqrt(abs(det)) ** 2 == abs(det)
+        seen[det % 2, square, found is not None, zero] += 1
+    # metabolizers at both parities, and even square dets whose boundary
+    # does not vanish
+    assert seen[0, True, True, True] >= 100 <= seen[1, True, True, True]
+    assert seen[0, True, False, False] >= 50
 
 
 def test_gauss_sum_matches_takes_computed_value():

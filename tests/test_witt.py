@@ -190,6 +190,22 @@ def test_factorize_past_trial_division():
     assert factorize(p * q * r).factors == ((p, 1), (q, 1), (r, 1))
 
 
+def test_rho_budget_ends_in_certification_bound(monkeypatch):
+    """Pollard rho counts its steps over every polynomial it tries; once
+    ``_RHO_STEPS`` are used up, a composite it has not split is refused with
+    certification_bound, and with the default budget it splits."""
+    from wittlink import witt
+    from wittlink.errors import CertificationBoundError
+    n = 1000003 * 1000033
+    monkeypatch.setattr(witt, "_RHO_STEPS", 10)
+    witt._factor_magnitude.cache_clear()
+    with pytest.raises(CertificationBoundError, match=str(n)):
+        factorize(n)
+    monkeypatch.undo()
+    witt._factor_magnitude.cache_clear()
+    assert factorize(n).factors == ((1000003, 1), (1000033, 1))
+
+
 def test_factorize_agrees_with_sympy(rng):
     """factorize equals sympy.factorint on seeded products of two or three
     primes, each below or above the trial-division limit, and on one
