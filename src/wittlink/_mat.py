@@ -1,7 +1,7 @@
 """Small exact matrix helpers shared by the form and discriminant modules.
 
-Matrices are plain lists of lists (rows) holding ints or Fractions; nothing
-here ever touches floating point.
+Matrices are plain lists of lists (rows) of ints; nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations

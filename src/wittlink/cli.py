@@ -14,16 +14,12 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 
 from . import diophantine, discriminant, forms, knots, witt
 from .errors import WittLinkError
-
-
-def _frac_str(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(obj) -> None:
@@ -66,8 +62,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_diag(args) -> int:
     d = forms.diagonalize(forms._symmetric_form(_read_key(args.gram, "gram")))
-    out = {"entries": [_frac_str(e) for e in d.entries],
-           "transition": [[_frac_str(x) for x in row] for row in d.transition]}
+    frac = "{0.numerator}/{0.denominator}".format
+    out = {"entries": list(map(frac, d.entries)),
+           "transition": [list(map(frac, row)) for row in d.transition]}
     if args.approx:
         out["entries_approx"] = [float(e) for e in d.entries]
     _emit(out)
@@ -77,8 +74,7 @@ def _cmd_diag(args) -> int:
 def _cmd_boundary(args) -> int:
     m = _load_gram(args.gram).minors
     # _residue, not boundary_at_prime: the primes come out proved
-    entries, primes = witt._square_classes(
-        Fraction(b, a) for a, b in zip(m, m[1:]))
+    entries, primes = witt._square_classes(zip(m[1:], m))
     classes = [_finite_class_json(witt._residue(entries, p)) for p in primes]
     _emit({"witt_entries": list(entries), "classes": classes,
            "boundary_zero": all(k["zero"] for k in classes)})
@@ -88,9 +84,10 @@ def _cmd_boundary(args) -> int:
 def _cmd_disc(args) -> int:
     f = _load_gram(args.gram)
     d = discriminant.discriminant_form(f)
+    n = d.denominator
     _emit({"orders": list(d.orders),
-           "linking": [[[x.numerator, x.denominator] for x in row]
-                       for row in d.linking],
+           "linking": [[[x // (g := math.gcd(x, n)), n // g] for x in row]
+                       for row in d.link],
            "group_order": d.group_order(),
            "metabolizer": discriminant._metabolizer(f, args.bound_group, d)})
     return 0
@@ -237,9 +234,9 @@ def _run(args) -> int:
             OverflowError) as exc:  # an --approx value beyond the float range
         error = {"type": "input", "message": str(exc)}
     except ArithmeticError as exc:
-        # A failed internal consistency check (rho exhausted, a theorem
-        # contradicted, a non-integral overlattice) is a defect, not bad
-        # input, but it is still reported as structured output.
+        # A failed internal consistency check (a theorem contradicted, a
+        # non-integral overlattice) is a defect, not bad input, but it is
+        # still reported as structured output.
         error = {"type": "internal", "message": str(exc)}
     _emit({"error": error})
     return 1

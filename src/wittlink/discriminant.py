@@ -5,7 +5,7 @@ abelian quotient of the dual lattice by the lattice; it carries a Q/Z-valued
 linking form and, for even B, the Q/2Z-valued coset invariant b(u,u) mod 2
 that the Gauss sum exponentiates.  Everything is exact.  One integer Smith
 normal form B V = W D, with V kept and W never formed, gives the group
-(generators are the columns of V D^-1), the basis of the overlattice that a
+(generator i is column i of V over d_i), the basis of the overlattice that a
 metabolizer spans, and nondegeneracy of a linking form.  The linking data is
 held once, over one denominator N, and each p-primary component gets one
 table in its own units: integers mod size = p^a (2^(a+1) for p = 2), index
@@ -28,7 +28,6 @@ import cmath
 import itertools
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from operator import itemgetter, not_
 
 from ._mat import identity, mat_mul, mat_vec, transpose
@@ -104,7 +103,7 @@ def smith_normal_form(rows):
 
 
 class DiscriminantForm(namedtuple("DiscriminantForm", "orders denominator "
-                                  "link quad generators")):
+                                  "link quad columns")):
     """The finite quotient (dual lattice)/(lattice) with its linking data.
 
     The linking data is held once, as integers over one denominator N; the
@@ -114,10 +113,10 @@ class DiscriminantForm(namedtuple("DiscriminantForm", "orders denominator "
     denominator  N = d_k, the least common denominator of the b(g_i, g_j)
     link         k x k symmetric ints N b(g_i, g_j) mod N
     quad         ints N b(g_i, g_i) mod 2N (meaningful for even forms)
-    generators   representatives of the g_i as rational vectors in the
-                 source lattice basis
+    columns      integer vectors v_i in the source lattice basis, with
+                 g_i = v_i / d_i representing the generators
 
-    All are ints or tuples of them, except the Fractions of ``generators``.
+    All are ints or tuples of them; only the accessors build Fractions.
     """
 
     __slots__ = ()
@@ -125,12 +124,14 @@ class DiscriminantForm(namedtuple("DiscriminantForm", "orders denominator "
     @property
     def linking(self) -> tuple[tuple[Fraction, ...], ...]:
         """b(g_i, g_j) mod Z as Fractions in [0,1)."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(x, self.denominator) for x in row)
                      for row in self.link)
 
     @property
     def quad_diag(self) -> tuple[Fraction, ...]:
         """b(g_i, g_i) mod 2Z as Fractions in [0,2)."""
+        from fractions import Fraction
         return tuple(Fraction(x, self.denominator) for x in self.quad)
 
     def group_order(self) -> int:
@@ -157,9 +158,8 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     """
     b = f.rows()
     d, v = smith_normal_form(b)
-    orders = [d[i] for i in range(f.n) if d[i] != 1]
-    cols = [[v[r][i] for r in range(f.n)] for i in range(f.n) if d[i] != 1]
-    gens = [tuple(Fraction(x, di) for x in col) for col, di in zip(cols, orders)]
+    orders = [di for di in d if di != 1]
+    cols = [col for col, di in zip(zip(*v), d) if di != 1]
     k = len(orders)
     n = orders[-1] if orders else 1
     s = [[0] * k for _ in range(k)]
@@ -172,7 +172,7 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     quad = [s[i][i] * n // orders[i] ** 2 % (2 * n) for i in range(k)]
     return DiscriminantForm(orders=tuple(orders), denominator=n,
                             link=tuple(map(tuple, link)), quad=tuple(quad),
-                            generators=tuple(gens))
+                            columns=tuple(cols))
 
 
 def _link_sum(link, x, y, mod) -> int:
@@ -189,6 +189,7 @@ def linking_value(d: DiscriminantForm, x, y) -> Fraction:
     k = len(d.orders)
     if len(x) != k or len(y) != k:
         raise LengthMismatchError(f"coefficient vectors must have length {k}")
+    from fractions import Fraction
     return Fraction(_link_sum(d.link, x, y, d.denominator), d.denominator)
 
 
@@ -649,12 +650,12 @@ def overlattice_from_metabolizer(f: IntegerSymmetricForm,
     integral; for odd det it is even as well.
     """
     n = f.n
-    # generator i has denominator d_i, so every vector is integral when
-    # scaled by their lcm
+    # generator i is v_i / d_i, so every vector is integral when scaled by
+    # the lcm of the d_i: (lcm / d_i) v_i, in Z
     denom = math.lcm(*d.orders)
     vecs = [[denom * (i == j) for j in range(n)] for i in range(n)]
-    vecs += [[int(denom * sum(c * gen[i] for c, gen in zip(g, d.generators)))
-              for i in range(n)] for g in gens]
+    vecs += mat_mul(gens, [[denom // di * x for x in v]
+                           for v, di in zip(d.columns, d.orders)])
     # With M the scaled rows, M^T V = W [diag(d) | 0] for unimodular V and
     # W, so the first n rows of V^T M are a basis of M's row lattice.
     _, v = smith_normal_form(transpose(vecs))

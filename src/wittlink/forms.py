@@ -11,7 +11,6 @@ display, and validates the form for it too.  No floating point anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
@@ -114,7 +113,9 @@ def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
 
     Runs the elimination of :func:`pivot_minors` on an integer identity Q
     as well; entry k is D_k / D_(k-1) and row k of P is Q_k / D_(k-1).
+    ``fractions`` is imported on the first call: only ``diag`` needs it.
     """
+    from fractions import Fraction
     q = identity(f.n)
     minors = _eliminate(f.rows(), q)
     return DiagonalRationalForm(

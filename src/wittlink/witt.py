@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
                      PrimeMismatchError, ZeroEntryError)
 from .forms import IntegerSymmetricForm, signature_from_minors
 
-_TRIAL_LIMIT = 10 ** 6
+_TRIAL_LIMIT = 10 ** 3
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Miller-Rabin with the bases above is a proof of primality below this bound.
 _MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
@@ -140,21 +139,22 @@ def _euler(u: int, p: int) -> bool:
     return pow(u, (p - 1) // 2, p) == 1
 
 
-def _square_classes(values) -> tuple[tuple[int, ...], list[int]]:
-    """Sorted square-free parts of nonzero rationals, and the primes that
-    divide some part, with 2.  a = x/y in lowest terms is in the square
-    class of x*y; x and y are coprime, so each is factored on its own, and
-    the part is sign(a) times the primes of odd exponent in either.  This
-    keeps each cofactor that must be proved prime as small as it can be."""
+def _square_classes(pairs) -> tuple[tuple[int, ...], list[int]]:
+    """Sorted square-free parts of the nonzero rationals x/y given as int
+    pairs (x, y), and the primes that divide some part, with 2.  x/y is in
+    the square class of x*y; divided by their gcd, x and y are coprime, so
+    each is factored on its own, and the part is sign(x*y) times the primes
+    of odd exponent in either.  This keeps each cofactor that must be
+    proved prime as small as it can be."""
     parts, primes = [], {2}
-    for a in values:
-        a = Fraction(a)
-        if a == 0:
+    for x, y in pairs:
+        if x == 0:
             raise ZeroEntryError("0 has no square class")
-        odd = [p for n in (a.numerator, a.denominator)
+        g = math.gcd(x, y)
+        odd = [p for n in (x // g, y // g)
                for p, e in _factor_magnitude(abs(n)) if e % 2]
         primes.update(odd)
-        parts.append(math.prod(odd, start=-1 if a < 0 else 1))
+        parts.append(math.prod(odd, start=-1 if (x < 0) != (y < 0) else 1))
     return tuple(sorted(parts)), sorted(primes)
 
 
@@ -162,7 +162,7 @@ def square_free_part(a) -> int:
     """The square-free integer in the square class of a, found as in
     ``_square_classes``, so <a> = <square_free_part(a)> in any Witt group
     of characteristic zero."""
-    return _square_classes([a])[0][0]
+    return _square_classes([(a.numerator, a.denominator)])[0][0]
 
 
 class WittClassQ(namedtuple("WittClassQ", "entries")):
@@ -189,7 +189,8 @@ class WittClassQ(namedtuple("WittClassQ", "entries")):
 
 def witt_from_diagonal(entries) -> WittClassQ:
     """Normalize a diagonal rational form into a Witt class (relation R2)."""
-    return WittClassQ(entries=_square_classes(entries)[0])
+    return WittClassQ(entries=_square_classes(
+        (a.numerator, a.denominator) for a in entries)[0])
 
 
 def witt_sum(c1: WittClassQ, c2: WittClassQ) -> WittClassQ:
@@ -204,7 +205,7 @@ def witt_negate(c: WittClassQ) -> WittClassQ:
 def rational_witt_class(f: IntegerSymmetricForm) -> WittClassQ:
     """Witt class over Q of the diagonal D_k / D_(k-1) of f's minors."""
     m = f.minors
-    return witt_from_diagonal(Fraction(b, a) for a, b in zip(m, m[1:]))
+    return WittClassQ(entries=_square_classes(zip(m[1:], m))[0])
 
 
 class FiniteWittClass(namedtuple("FiniteWittClass",
@@ -309,7 +310,7 @@ def relevant_primes(c: WittClassQ) -> list[int]:
     """Primes that can carry a nonzero residue: those of odd valuation in
     some entry; every other prime maps the class to zero.  2 is always
     included and computed rather than assumed."""
-    return _square_classes(c.entries)[1]
+    return _square_classes((e.numerator, e.denominator) for e in c.entries)[1]
 
 
 def boundary_is_zero(c: WittClassQ) -> bool:

@@ -83,6 +83,29 @@ def test_disc_respects_group_bound(a8_json):
     assert rep["metabolizer"] is None
 
 
+def test_disc_linking_is_the_reduced_fraction(rng, tmp_path, capsys):
+    """disc prints each linking value from the integer table, x over N
+    reduced by gcd(x, N): on random forms that is [numerator, denominator]
+    of each Fraction of DiscriminantForm.linking, zeros as [0, 1]."""
+    from conftest import random_mixed_even_rows
+    from wittlink import cli, discriminant_form, form_from_rows
+    path = tmp_path / "f.json"
+    reduced = full = 0
+    for _ in range(60):
+        rows = random_mixed_even_rows(rng, max_rank=8)
+        path.write_text(json.dumps({"gram": rows}))
+        assert cli.main(["disc", "--gram", str(path),
+                         "--bound-group", "1"]) == 0
+        d = discriminant_form(form_from_rows(rows))
+        want = [[[x.numerator, x.denominator] for x in row]
+                for row in d.linking]
+        assert json.loads(capsys.readouterr().out)["linking"] == want
+        dens = [x.denominator for row in d.linking for x in row]
+        reduced += any(den < d.denominator for den in dens)
+        full += d.denominator in dens
+    assert reduced >= 10 and full >= 30
+
+
 def test_gauss(a8_json):
     code, out, _ = run_cli("gauss", "--gram", a8_json)
     rep = json.loads(out)

@@ -206,14 +206,13 @@ def test_discriminant_group_order_and_consistency(rng):
 def test_linking_is_nondegenerate_detects_a_radical():
     """Hand-built linking forms: <0> on Z/2 and the Z/2 + Z/2 form with a
     zero second row are degenerate; <1/2> and the hyperbolic form on
-    Z/2 + Z/2 are not."""
-    half = Fraction(1, 2)
-
+    Z/2 + Z/2 are not.  Every generator is the vector of halves, the
+    column of ones over d_i = 2."""
     def form(orders, link):
         return DiscriminantForm(
             orders=orders, denominator=2, link=link, quad=tuple(
                 row[i] for i, row in enumerate(link)),
-            generators=tuple((half,) * len(orders) for _ in orders))
+            columns=tuple((1,) * len(orders) for _ in orders))
 
     assert not linking_is_nondegenerate(form((2,), ((0,),)))
     assert not linking_is_nondegenerate(form((2, 2), ((1, 0), (0, 0))))
@@ -223,11 +222,12 @@ def test_linking_is_nondegenerate_detects_a_radical():
 
 def _linking_table(orders, link):
     """A hand-built discriminant form on Z/d_1 + ... + Z/d_k over N = d_k;
-    only the orders and the linking table are meaningful."""
+    only the orders and the linking table are meaningful.  Generator i is
+    the vector of 1/d_i, the column of ones over d_i."""
     return DiscriminantForm(
         orders=orders, denominator=orders[-1], link=link,
         quad=tuple(row[i] for i, row in enumerate(link)),
-        generators=tuple((Fraction(1, d),) * len(orders) for d in orders))
+        columns=tuple((1,) * len(orders) for _ in orders))
 
 
 def _link_choices(orders):
@@ -656,13 +656,14 @@ def test_main_theorem_odd_det_hypothesis_is_necessary():
 
 def _gauss_exponents_by_direct_enumeration(f):
     """Oracle: exponent multiset {b(u,u) mod 2} from the rational generator
-    vectors and the Gram matrix directly, no precomputed tables."""
+    vectors v_i / d_i and the Gram matrix directly, no precomputed tables."""
     d = discriminant_form(f)
     b = f.rows()
+    gens = [[Fraction(x, di) for x in v] for v, di in zip(d.columns, d.orders)]
     counts = {}
     for coeffs in itertools.product(*(range(o) for o in d.orders)):
         vec = [Fraction(0)] * f.n
-        for c, gen in zip(coeffs, d.generators):
+        for c, gen in zip(coeffs, gens):
             for i in range(f.n):
                 vec[i] += c * gen[i]
         bv = [sum(b[i][j] * vec[j] for j in range(f.n)) for i in range(f.n)]
@@ -726,9 +727,10 @@ def _inverse(m):
 
 
 def test_discriminant_generators_match_inverse_oracle(rng):
-    """Generator i is column i of B^-1 U^-1 for U B V = D, where U^-1 is the
-    W = B V D^-1 of the Smith form (d, V); the linking and quadratic values
-    are b(g_i, g_j) mod 1 and b(g_i, g_i) mod 2."""
+    """Generator i, v_i / d_i for the integer column v_i the form holds, is
+    column i of B^-1 U^-1 for U B V = D, where U^-1 is the W = B V D^-1 of
+    the Smith form (d, V); the linking and quadratic values are
+    b(g_i, g_j) mod 1 and b(g_i, g_i) mod 2.  Every field holds ints."""
     for _ in range(200):
         rows = random_mixed_even_rows(rng, max_rank=8)
         n = len(rows)
@@ -739,7 +741,11 @@ def test_discriminant_generators_match_inverse_oracle(rng):
         expected = [tuple(sum(binv[r][c] * uinv[c][i] for c in range(n))
                           for r in range(n)) for i in range(n) if d[i] != 1]
         disc = discriminant_form(form_from_rows(rows))
-        assert list(disc.generators) == expected
+        ints = [disc.denominator, *disc.orders, *disc.quad,
+                *itertools.chain.from_iterable(disc.link + disc.columns)]
+        assert {type(x) for x in ints} <= {int}
+        assert [tuple(Fraction(x, di) for x in v)
+                for v, di in zip(disc.columns, disc.orders)] == expected
         assert disc.orders == tuple(x for x in d if x != 1)
 
         def b(x, y):

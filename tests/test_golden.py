@@ -27,6 +27,7 @@ import json
 import os
 import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -203,6 +204,45 @@ def test_cli_output_is_the_golden_corpus():
                      if got["commands"][k] != want["commands"][k])
     assert not differ and not changed, (
         f"{len(differ)} ops differ in {changed}, first: {differ[:1]}")
+
+
+# Run in a child without site, so that nothing loads fractions first:
+# prints how many of the ops on stdin ran before fractions was loaded.
+NO_FRACTIONS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from wittlink import cli
+ops = json.load(sys.stdin)
+done = 0
+for argv in ops:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    if "fractions" in sys.modules:
+        break
+    done += 1
+print(done)
+"""
+
+
+def test_only_diag_loads_fractions(tmp_path):
+    """Every op of the corpus but diag's, all in one fresh interpreter,
+    leaves fractions unloaded: the decisions and the reports of boundary,
+    disc, gauss, knot, pretzel and dioph run on integers only."""
+    rng = random.Random(SEED)
+    grams, seiferts = _write_inputs(tmp_path, rng)
+    ops = [argv for cmd, argv in _ops(grams, seiferts, rng) if cmd != "diag"]
+    assert len(ops) == 1002
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_FRACTIONS,
+                           str(src)], input=json.dumps(ops), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    done = int(proc.stdout)
+    assert done == len(ops), f"fractions loaded by: {' '.join(ops[done])}"
 
 
 if __name__ == "__main__":

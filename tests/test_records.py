@@ -106,18 +106,31 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import wittlink.cli
 print(wittlink.__file__)
-print(*sorted({"dataclasses", "inspect", "typing"} & set(sys.modules)))
+print(*sorted(set(sys.argv[2:]) & set(sys.modules)))
 """
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    """Without site (so nothing preloaded), importing the CLI loads none of
-    the heavy modules that records as dataclasses or typing.NamedTuple
-    would pull in."""
+def _loaded_by_import(*names):
+    """Which of ``names`` importing the CLI loads, without site (so nothing
+    is preloaded)."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-S", "-c", GUARD, str(src)],
-                          capture_output=True, text=True, timeout=30)
+    proc = subprocess.run([sys.executable, "-S", "-c", GUARD, str(src),
+                           *names], capture_output=True, text=True,
+                          timeout=30)
     assert proc.returncode == 0, proc.stderr
     module, loaded = proc.stdout.splitlines()
     assert Path(module).resolve().is_relative_to(src)
-    assert loaded == ""
+    return loaded
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Importing the CLI loads none of the heavy modules that records as
+    dataclasses or typing.NamedTuple would pull in."""
+    assert _loaded_by_import("dataclasses", "inspect", "typing") == ""
+
+
+def test_import_loads_no_fractions():
+    """The library holds its rationals as integers, so importing the CLI
+    loads neither ``fractions`` nor the ``numbers`` and ``decimal`` it
+    would pull in; only the accessors typed as Fractions load it."""
+    assert _loaded_by_import("fractions", "numbers", "decimal") == ""

@@ -208,23 +208,24 @@ def test_rho_budget_ends_in_certification_bound(monkeypatch):
 
 def test_factorize_agrees_with_sympy(rng):
     """factorize equals sympy.factorint on seeded products of two or three
-    primes, each below or above the trial-division limit, and on one
-    product above the Miller-Rabin certification bound."""
+    primes, each below about 10^4 or above 10^6, and on one product above
+    the Miller-Rabin certification bound.  The high primes are drawn above
+    10^6 whatever the trial-division limit, so they always reach rho."""
     sympy = pytest.importorskip("sympy")
-    from wittlink.witt import _MR_CERTIFIED_BELOW, _TRIAL_LIMIT
+    from wittlink.witt import _MR_CERTIFIED_BELOW
     sides = set()
     for _ in range(12):
         n = 1
         for _ in range(rng.randint(2, 3)):
             high = rng.random() < 0.5
             sides.add(high)
-            low = _TRIAL_LIMIT if high else 2
+            low = 10 ** 6 if high else 2
             n *= sympy.nextprime(rng.randint(low, 10 * low + 10 ** 4))
         assert dict(factorize(n).factors) == sympy.factorint(n), n
     assert sides == {False, True}
     # a witness refutes the cofactor left by trial division, and rho splits
     # it into two primes below the bound
-    small = sympy.nextprime(rng.randint(_TRIAL_LIMIT, 10 * _TRIAL_LIMIT))
+    small = sympy.nextprime(rng.randint(10 ** 6, 10 ** 7))
     n = small * sympy.nextprime(_MR_CERTIFIED_BELOW // small
                                 + rng.randint(0, 10 ** 6))
     assert n >= _MR_CERTIFIED_BELOW
@@ -279,6 +280,41 @@ def test_square_classes_match_the_product_reference(rng):
         primes = sorted({2}.union(*(factorize(e).primes() for e in parts)))
         assert relevant_primes(c) == primes
         assert relevant_primes(WittClassQ(tuple(values))) == primes
+
+
+def test_square_classes_of_unreduced_pairs_match_the_fraction_route(rng):
+    """_square_classes takes (numerator, denominator) int pairs as they come,
+    such as consecutive pivot minors: it divides out their gcd and takes the
+    sign from both.  On pairs with shared factors (squares and primes above
+    10^6 among them) and negative denominators, and on the minors of random
+    forms, the parts equal reference_square_free_part of the Fraction and
+    the primes are those of the parts, with 2."""
+    from wittlink.witt import _square_classes
+
+    def side():
+        return rng.choice((-1, 1)) * rng.randint(1, 500)
+
+    batches = []
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randint(1, 5)):
+            shared = rng.choice((1, rng.randint(2, 60), 1000003))
+            shared *= rng.randint(1, 30) ** rng.randint(0, 2)
+            pairs.append((side() * shared, side() * shared))
+        batches.append(pairs)
+    for _ in range(40):
+        m = form_from_rows(random_mixed_even_rows(rng, max_rank=10)).minors
+        batches.append(list(zip(m[1:], m)))
+    negative = shared = 0
+    for pairs in batches:
+        parts = [reference_square_free_part(Fraction(x, y)) for x, y in pairs]
+        entries, primes = _square_classes(pairs)
+        assert entries == tuple(sorted(parts)), pairs
+        assert primes == sorted({2}.union(
+            *(factorize(e).primes() for e in parts)))
+        negative += any(y < 0 for _, y in pairs)
+        shared += any(abs(math.gcd(x, y)) > 1 for x, y in pairs)
+    assert negative >= 100 and shared >= 150
 
 
 def test_square_classes_refuse_a_zero_entry():
