@@ -19,6 +19,7 @@ import os
 import sys
 
 from . import diophantine, discriminant, forms, knots, witt
+from ._mat import identity
 from .errors import WittLinkError
 
 
@@ -60,13 +61,25 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _ratio(x: int, d: int) -> str:
+    """x/d as "num/den" in lowest terms with den > 0, as a Fraction prints."""
+    g = math.gcd(x, d) if d > 0 else -math.gcd(x, d)
+    return f"{x // g}/{d // g}"
+
+
 def _cmd_diag(args) -> int:
-    d = forms.diagonalize(forms._symmetric_form(_read_key(args.gram, "gram")))
-    frac = "{0.numerator}/{0.denominator}".format
-    out = {"entries": list(map(frac, d.entries)),
-           "transition": [list(map(frac, row)) for row in d.transition]}
+    # forms.diagonalize's elimination, read as integers: entry k is
+    # D_k / D_(k-1) and row k of the transition is Q_k / D_(k-1)
+    f = forms._symmetric_form(_read_key(args.gram, "gram"))
+    q = identity(f.n)
+    minors = forms._eliminate(f.rows(), q)
+    pivots = list(zip(minors, minors[1:]))
+    out = {"entries": [_ratio(b, a) for a, b in pivots],
+           "transition": [[_ratio(x, d) for x in row]
+                          for row, d in zip(q, minors)]}
     if args.approx:
-        out["entries_approx"] = [float(e) for e in d.entries]
+        # int / int is correctly rounded, so this is float(Fraction(b, a))
+        out["entries_approx"] = [b / a for a, b in pivots]
     _emit(out)
     return 0
 

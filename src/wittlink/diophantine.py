@@ -24,8 +24,9 @@ m = |p| when sign = -1 and never when sign = +1; 0 lies in the class
 0 mod 8.  So each sign has one live class of s, and the searches scan
 only it, each p-row with a stride of 8 or 4 in q.  Searches are
 exhaustive over finite windows: each pair (p, q) is one lookup in a table
-of odd square roots modulo 2|p + q|, each p-row of pairs is looked up in
-one C-level pass, and mirrored pairs (p, q), (q, p) are solved once.
+of odd square roots modulo 2|p + q|, and each p-row of pairs is looked up
+in C-level passes.  Each unordered pair {p, q} is looked up once: the
+mirror (q, p) of a pair solved earlier comes from a per-row list.
 ``verify_negative_restriction`` scans every other class of s of the
 negative sign, which checks this argument by exhaustion.
 """
@@ -33,7 +34,7 @@ negative sign, which checks this argument by exhaustion.
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import compress
 
 from .errors import NotFoundError
@@ -108,11 +109,14 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
 
     rows are the (r, m) of the pair in increasing r, passed through
     ``render`` when s != 0; for s = 0 they are (r, |p|) for every even r.
-    The equation is symmetric in p and q, so each unordered pair is solved
-    once: while the mirror (q, p) of a pair with p < q is still to come in
-    the window, the rendered rows wait in a dict, empty ones too, and row
-    q pops them.  Pairs come in (p, q) order, with p <= q under
-    ``dedupe``.
+    The equation is symmetric in p and q, so each unordered pair is looked
+    up once.  Row p looks up two intervals of q: below, the q < p that no
+    earlier row solved (q < p_lo, or every q when p > q_hi), and from p
+    up.  Every other (p, q) with q < p was solved by row q as (q, p), which
+    put its rendered rows, when there are any, in the list ``mirrors[p]``:
+    at s = 0 only a marker, since those rows are built when yielded.  Row
+    p yields that list between its two intervals, so pairs come in (p, q)
+    order, with p <= q under ``dedupe``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -142,42 +146,49 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
             table = {0: True} if sign == -1 and evens else {}
         tables.append(table)
         mods.append(mod)
-    pending = {}
+    mirrors = defaultdict(list)
     for p in ps:
-        start = max(p, q_lo) if dedupe else q_lo
-        row = range(start + (c - p - start) % k, q_hi + 1, k)
-        if not row:
-            continue
-        a = (p + row[0] - s_min) // k
-        b = a + len(row)
-        step = k * sign * p
-        products = range(sign * p * row[0], sign * p * row[-1] + step, step)
-        hits = list(map(dict.get, tables[a:b],
-                        map(operator.mod, products, mods[a:b])))
-        # the rows of (p, q) wait in ``pending`` since row q for q in
-        # [mirror_lo, p), and are kept there for row q for q in (p, keep_hi]
-        mirror_lo = p_lo if p <= q_hi else p
+        # row p looks up the q < p that no earlier row solved: those below
+        # p_lo, or all of them when p > q_hi
+        below = q_lo - 1 if dedupe else q_hi if p > q_hi else p_lo - 1
+        # (p, q) with p < q <= keep_hi goes to mirrors[q] for row q
         keep_hi = p if dedupe or p < q_lo else p_hi
-        for q, ms in zip(compress(row, hits), filter(None, hits)):
-            s = p + q
-            if not s:
-                if abs(p) <= w.m_max:
-                    yield p, q, list(zip(evens, [abs(p)] * len(evens)))
-                continue
-            if mirror_lo <= q < p:
-                rows = pending.pop((p, q))
-            else:
-                pq = p * q
-                rows = [(r, m) for m in ms
-                        if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
-                if sign * s < 0:
-                    rows.reverse()
-                if render is not None:
-                    rows = render(rows)
-                if p < q <= keep_hi:
-                    pending[q, p] = rows
-            if rows:
-                yield p, q, rows
+        mirrored = mirrors.pop(p, ())
+        for lo, hi in ((q_lo, below), (max(p, q_lo), q_hi)):
+            row = range(lo + (c - p - lo) % k, hi + 1, k)
+            if row:
+                a = (p + row[0] - s_min) // k
+                b = a + len(row)
+                step = k * sign * p
+                products = range(sign * p * row[0],
+                                 sign * p * row[-1] + step, step)
+                hits = list(map(dict.get, tables[a:b],
+                                map(operator.mod, products, mods[a:b])))
+                for q, ms in zip(compress(row, hits), filter(None, hits)):
+                    s = p + q
+                    if not s:
+                        if abs(p) <= w.m_max:
+                            yield p, q, list(zip(evens, [abs(p)] * len(evens)))
+                            if p < q <= keep_hi:
+                                mirrors[q].append((p, None))
+                        continue
+                    pq = p * q
+                    rows = [(r, m) for m in ms
+                            if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
+                    if rows:
+                        if sign * s < 0:
+                            rows.reverse()
+                        if render is not None:
+                            rows = render(rows)
+                        if p < q <= keep_hi:
+                            mirrors[q].append((p, rows))
+                        yield p, q, rows
+            # between the two intervals: the q < p solved by earlier rows;
+            # None marks s = 0, whose rows are built only here
+            for q, rows in mirrored:
+                yield p, q, (list(zip(evens, [p] * len(evens)))
+                             if rows is None else rows)
+            mirrored = ()
 
 
 def search(w: SearchWindow, sign: int,
@@ -196,7 +207,7 @@ def search(w: SearchWindow, sign: int,
 
 def _rm_lines(rows) -> str:
     """The (r, m) rows of one pair as "r,m" lines joined by newlines."""
-    return "\n".join([f"{r},{m}" for r, m in rows])
+    return "\n".join(map("%d,%d".__mod__, rows))
 
 
 def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
@@ -206,11 +217,13 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     (p, q), in the same order as ``search``, so memory grows only with the
     rows of the pairs whose mirror (q, p) is still to come: each waits as
     one string of "r,m" lines, from which the chunks of both pairs are
-    written.  A pair with p + q = 0 has a row for every even r of the
+    written, each line ending in one of eight ",sign,s mod 8" tails built
+    once.  A pair with p + q = 0 has a row for every even r of the
     window with m = |p|; those rows are joined from one list of r strings
     built once.
     """
     even_rs = None
+    tails = [f",{sign},{s8}\n" for s8 in range(8)]
     for p, q, rows in _solve(w, sign, dedupe, render=_rm_lines):
         s = p + q
         head = f"{p},{q},"
@@ -220,7 +233,7 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
             tail = f",{abs(p)},{sign},0\n"
             yield head + (tail + head).join(even_rs) + tail
         else:
-            tail = f",{sign},{s % 8}\n"
+            tail = tails[s % 8]
             yield head + rows.replace("\n", tail + head) + tail
 
 

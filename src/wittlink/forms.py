@@ -113,7 +113,8 @@ def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
 
     Runs the elimination of :func:`pivot_minors` on an integer identity Q
     as well; entry k is D_k / D_(k-1) and row k of P is Q_k / D_(k-1).
-    ``fractions`` is imported on the first call: only ``diag`` needs it.
+    ``fractions`` is imported on the first call; no CLI command calls this,
+    ``diag`` prints the same "num/den" from the integers.
     """
     from fractions import Fraction
     q = identity(f.n)

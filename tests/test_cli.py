@@ -943,8 +943,8 @@ def test_approx_beyond_the_float_range_is_bad_input(tmp_path, capsys):
 def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
     """Every form is eliminated once: validation runs the symmetric
     elimination and every command reads its minors, except diag, whose one
-    elimination, on an identity for the transition matrix, also
-    validates."""
+    elimination, on an identity for the transition matrix, also validates
+    and is printed from its integers, not through diagonalize."""
     from collections import Counter
 
     from wittlink import cli, forms, knots
@@ -972,8 +972,7 @@ def test_one_elimination_per_form(tmp_path, monkeypatch, capsys):
             calls.clear()
             assert cli.main([cmd, "--gram", str(path)]) == 0
             assert calls == Counter(pivot_minors=int(cmd != "diag"),
-                                    diagonalize=int(cmd == "diag"),
-                                    _eliminate=1), cmd
+                                    diagonalize=0, _eliminate=1), cmd
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"seifert": NINE_ONE_SEIFERT}))
     calls.clear()

@@ -101,6 +101,10 @@ def test_window_validation():
 # above the window, with and without pairs p + q = 0.  The later ones probe
 # the scan's offsets: rows of p > q_hi that dedupe leaves empty, s = p + q
 # ranges that exclude 0 on either side, no even r, m_max = 1, no odd q.
+# The last three have q_lo < p_lo and rows of p > q_hi, so each row's
+# q < p is looked up below p_lo, taken from the rows that solved (q, p), or
+# looked up whole; their pairs p + q = 0 of both kinds have |p| on both
+# sides of m_max.
 ORACLE_WINDOWS = [
     ((-13, 7), (-5, 15), (-9, 12), 11),
     ((-13, 7), (-5, 15), (-9, 12), 3),
@@ -116,6 +120,9 @@ ORACLE_WINDOWS = [
     ((-9, 9), (-9, 9), (3, 3), 15),
     ((-9, 9), (-7, 11), (-10, 10), 1),
     ((-9, 9), (2, 2), (-10, 10), 9),
+    ((-11, 13), (-15, 11), (-4, 8), 7),
+    ((-9, 17), (-17, 5), (-10, 10), 11),
+    ((-21, 21), (-23, 19), (-8, 8), 13),
 ]
 
 
@@ -130,6 +137,33 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
             deduped = [(r.p, r.q, r.r, r.m)
                        for r in search(w, sign, dedupe=True)]
             assert deduped == [row for row in want if row[0] <= row[1]]
+
+
+def test_each_unordered_pair_is_looked_up_once(monkeypatch):
+    """The lookup pass reduces the product of each unordered live pair
+    {p, q} of a symmetric window once, modulo 2|p + q| (1 at p + q = 0):
+    a pair (p, q) with q < p comes from the row that solved (q, p)."""
+    import types
+
+    from wittlink import diophantine
+    moduli = []
+
+    def mod(x, n):
+        moduli.append(n)
+        return x % n
+
+    monkeypatch.setattr(diophantine, "operator",
+                        types.SimpleNamespace(mod=mod))
+    for bound in (9, 15):
+        odd = range(-bound, bound + 1, 2)
+        w = symmetric_window(bound, bound, bound)
+        for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2))):
+            moduli.clear()
+            got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
+            assert got == naive_window_search(bound, sign, bound)
+            assert sorted(moduli) == sorted(
+                2 * abs(p + q) or 1 for p in odd for q in odd
+                if p <= q and (p + q - c) % k == 0)
 
 
 def naive_csv(rows, sign):

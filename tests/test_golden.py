@@ -228,14 +228,14 @@ print(done)
 """
 
 
-def test_only_diag_loads_fractions(tmp_path):
-    """Every op of the corpus but diag's, all in one fresh interpreter,
-    leaves fractions unloaded: the decisions and the reports of boundary,
-    disc, gauss, knot, pretzel and dioph run on integers only."""
+def test_no_op_loads_fractions(tmp_path):
+    """Every op of the corpus, all in one fresh interpreter, leaves
+    fractions unloaded: the decisions and the reports of every command,
+    diag's "num/den" strings too, run on integers only."""
     rng = random.Random(SEED)
     grams, seiferts = _write_inputs(tmp_path, rng)
-    ops = [argv for cmd, argv in _ops(grams, seiferts, rng) if cmd != "diag"]
-    assert len(ops) == 1002
+    ops = [argv for _, argv in _ops(grams, seiferts, rng)]
+    assert len(ops) == 1304
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", NO_FRACTIONS,
                            str(src)], input=json.dumps(ops), cwd=tmp_path,
