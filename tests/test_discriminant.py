@@ -929,28 +929,36 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
     p = 1 and 3 mod 4, exponents 1 to 3, ranks 1 to 4, both classes of
     det A and non-diagonal tables.  Groups beyond 2 * 10^4 elements are
     left out, since the walk is the oracle; every exponent and every rank
-    still meets both residues of p mod 4 and both classes of det A."""
+    still meets both residues of p mod 4 and both classes of det A.  The
+    deep exponents, 4 to 9 at p = 3 and 4 to 6 at p = 5 for rank 1 and 4
+    at p = 3 for rank 2, take the step to the multiples of p^2 two to four
+    times over."""
     from wittlink import discriminant
+    shallow = itertools.product((3, 5, 7, 11, 13), (1, 2, 3), (1, 2, 3, 4))
+    deep = ([(3, a, 1) for a in range(4, 10)]
+            + [(5, a, 1) for a in range(4, 7)] + [(3, 4, 2)])
     cases = set()
-    for p in (3, 5, 7, 11, 13):
-        for a in (1, 2, 3):
-            for k in (1, 2, 3, 4):
-                if p ** (a * k) > 2 * 10 ** 4:
-                    continue
-                for nonsquare, _ in itertools.product((False, True), range(3)):
-                    quad, link2 = _homogeneous_tables(rng, p, a, k, nonsquare)
-                    walk = Counter()
-                    discriminant._walk(quad, link2, [p ** a] * k, p ** a,
-                                       walk.update)
-                    closed, _ = discriminant._homogeneous_counts(
-                        quad, link2, p, a)
-                    assert closed == [walk[x] for x in range(p ** a)], (
-                        p, a, k, quad, link2)
-                    cases.add((p % 4, a, k, nonsquare))
+    for p, a, k in itertools.chain(shallow, deep):
+        if p ** (a * k) > 2 * 10 ** 4:
+            continue
+        for nonsquare, _ in itertools.product((False, True), range(3)):
+            quad, link2 = _homogeneous_tables(rng, p, a, k, nonsquare)
+            walk = Counter()
+            discriminant._walk(quad, link2, [p ** a] * k, p ** a,
+                               walk.update)
+            closed, _ = discriminant._homogeneous_counts(quad, link2, p, a)
+            assert closed == [walk[x] for x in range(p ** a)], (
+                p, a, k, quad, link2)
+            cases.add((p % 4, a, k, nonsquare))
     assert {(r, a, s) for r, a, _, s in cases} == set(
-        itertools.product((1, 3), (1, 2, 3), (False, True)))
+        itertools.product((1, 3), (1, 2, 3), (False, True))).union(
+        itertools.product((3,), range(4, 10), (False, True)),
+        itertools.product((1,), range(4, 7), (False, True)))
     assert {(r, k, s) for r, _, k, s in cases} == set(
         itertools.product((1, 3), (1, 2, 3, 4), (False, True)))
+    assert {(r, a, k) for r, a, k, _ in cases if a >= 4} == {
+        (3, a, 1) for a in range(4, 10)} | {
+        (1, a, 1) for a in range(4, 7)} | {(3, 4, 2)}
 
 
 def test_homogeneous_phase_agrees_with_the_ring_check(rng):
