@@ -113,9 +113,8 @@ def _cmd_gauss(args) -> int:
     # write, with "terms", the last key, filled in slice by slice, each
     # flat slice [r1, c1, ...] written with one % format.
     f = _load_gram(args.gram)
-    n, table, phase = discriminant._gauss_table(f, args.bound_det)
-    out = {"denominator": n, "terms": [],
-           "check": discriminant._milgram_holds(f, phase, sum(table))}
+    n, table, check = discriminant._gauss_table(f, args.bound_det)
+    out = {"denominator": n, "terms": [], "check": check}
     if args.approx:
         z = discriminant._approx(n, discriminant._terms(n, table))
         out["approx"] = [z.real, z.imag]

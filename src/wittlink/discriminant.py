@@ -12,14 +12,14 @@ table in its own units: integers mod size = p^a (2^(a+1) for p = 2), index
 x standing for the residue x 2N / size of N b(u,u) mod 2N.  One walk over
 that table serves the metabolizer search and the Gauss sum.  The sum is a
 multiset of roots of unity, one dense table per component merged by Chinese
-remainders, in closed form for odd p and equal orders; sqrt|det| *
-e^(2 pi i sigma/8) is checked per component, from a Legendre symbol in
-closed form and otherwise in the cyclotomic ring Z[zeta_R] that holds the
-sum, by one rule for every prime: the table minus one of Milgram's
-candidates must equal its rotation by R/p.  The merged table is the only
-list of its size: its terms are read off it in fixed-size flat slices
-[r1, c1, r2, c2, ...], which the CLI writes to stdout with one % format
-each, so the memory of a ``gauss`` report is bounded by the table.
+remainders, in closed form for odd p and equal orders.  The builder checks
+its own table against sqrt|det| e^(2 pi i sigma/8), per component, from a
+Legendre symbol in closed form and otherwise in the ring Z[zeta_R] that
+holds the sum, by one rule for every prime: the table minus one of
+Milgram's candidates must equal its rotation by R/p.  The merged table is
+the only list of its size: its terms are read off it in fixed-size flat
+slices [r1, c1, r2, c2, ...], which the CLI writes to stdout with one %
+format each, so the memory of a ``gauss`` report is bounded by the table.
 """
 
 from __future__ import annotations
@@ -332,29 +332,16 @@ def find_metabolizer(d: DiscriminantForm, bound: int = DEFAULT_GROUP_BOUND):
 # Gauss sums
 
 
-class GaussSumValue(namedtuple("GaussSumValue", "denominator terms phase",
-                               defaults=(None,))):
+class GaussSumValue(namedtuple("GaussSumValue", "denominator terms")):
     """Sum over the discriminant group of e^(pi i b(u,u)), held exactly.
 
     ``terms`` holds (r, count) for the residues r mod 2N that occur, r
     increasing; the value is sum count zeta^r, zeta = e^(pi i / N), with
-    N the int ``denominator``.  ``phase`` is the int k mod 8 for which the
-    value is sqrt(total_count()) * e^(2 pi i k / 8), computed exactly by
-    :func:`gauss_sum`; it is None on a hand-built value and when some walked
-    prime component fails the check.  Equality and hash ignore it, so a
-    value equals only another GaussSumValue.
+    N the int ``denominator``.  Like every record it is just its fields;
+    :func:`gauss_sum_matches` says whether it is the Gauss sum of a form.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, GaussSumValue) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
     def total_count(self) -> int:
         return sum(map(itemgetter(1), self.terms))
@@ -369,19 +356,19 @@ def gauss_sum(f: IntegerSymmetricForm,
 
     Requires an even form (the exponent is only coset-invariant mod 2 then)
     and |det| <= enum_bound.  The terms are read from the dense table of
-    :func:`_gauss_table` by :func:`_terms`.
+    :func:`_gauss_table` by :func:`_terms`; the table's check stays there,
+    and :func:`gauss_sum_matches` rebuilds it from f.
     """
-    n, table, phase = _gauss_table(f, enum_bound)
+    n, table, _ = _gauss_table(f, enum_bound)
     # A list first: tuple() of an iterator with no length resizes as it
     # grows, and each resize puts it back in the GC's youngest generation.
-    terms = tuple(list(_terms(n, table)))
-    return GaussSumValue(denominator=n, terms=terms, phase=phase)
+    return GaussSumValue(denominator=n, terms=tuple(list(_terms(n, table))))
 
 
 def _gauss_table(f, enum_bound):
-    """(N, table, phase) of the Gauss sum of f: table[x] counts the u with
-    N b(u,u) = x 2N / len(table) mod 2N, and phase is as in
-    :class:`GaussSumValue`.
+    """(N, table, check) of the Gauss sum of f: table[x] counts the u with
+    N b(u,u) = x 2N / len(table) mod 2N, and check is whether the sum is
+    sqrt|det| e^(2 pi i sigma / 8), Milgram's formula.
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
@@ -391,8 +378,9 @@ def _gauss_table(f, enum_bound):
     G_p are all equal, which covers every cyclic G_p and every X + X or
     X + (-X) of a cyclic X; otherwise, for p = 2 and for mixed orders such
     as (3, 9), by :func:`_walk` over every element and the exact Milgram
-    check :func:`_component_phase`.  The component tables merge into one
-    by :func:`_merge`; the k sum to ``phase``.
+    check :func:`_component_phase` (None if there is no such k).  The
+    component tables merge into one by :func:`_merge`; the check is that
+    the k sum to sigma mod 8 and the counts to |det|, so no phase leaves.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -414,7 +402,8 @@ def _gauss_table(f, enum_bound):
             k = _component_phase(counts, p, e)
         phase = None if phase is None or k is None else (phase + k) % 8
         table = _merge(table, counts) if len(table) > 1 else counts
-    return d.denominator, table, phase
+    sig = signature_from_minors(f.minors)
+    return d.denominator, table, phase == sig % 8 and sum(table) == adet
 
 
 # Entries per slice: one % format per slice costs little beside the
@@ -513,9 +502,9 @@ def _homogeneous_counts(quad, link2, p, a):
                                else (top + (p - 1) * h, top - h, top - h))
 
     def counts(e, add, mul):
-        """add + mul N_e(t) for t mod p^e: the units by the F-row repeated,
-        the multiples of p overwritten by their common count, and the
-        multiples of p^2 by N_(e-2) of t / p^2 in the same affine form."""
+        """add + mul N_e(t) for t mod p^e: the F-row, its 0 set to the common
+        count of the multiples of p, repeated, and the multiples of p^2
+        overwritten by N_(e-2) of t / p^2 in the same affine form."""
         if e == 0:
             return [add + mul]
         scale = mul * p ** ((e - 1) * (k - 1))
@@ -524,9 +513,8 @@ def _homogeneous_counts(quad, link2, p, a):
         if value != other:
             for x in range(1, (p + 1) // 2):
                 row[x * x % p] = value
+        row[0] = base = add + scale * (zero - 1) + mul * (e == 1)
         row *= p ** (e - 1)
-        base = add + scale * (zero - 1) + mul * (e == 1)
-        row[::p] = [base] * p ** (e - 1)
         if e >= 2:
             row[::p * p] = counts(e - 2, base, mul * p ** k)
         return row
@@ -597,34 +585,22 @@ def _component_phase(table, p, e):
 
 def gauss_sum_check(f: IntegerSymmetricForm,
                     enum_bound: int = DEFAULT_DET_BOUND) -> bool:
-    """Does the computed Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?"""
-    _, table, phase = _gauss_table(f, enum_bound)
-    return _milgram_holds(f, phase, sum(table))
+    """Does the Gauss sum equal sqrt|det| * e^(2 pi i sigma / 8)?  The
+    exact check of :func:`_gauss_table`, under ``enum_bound``."""
+    return _gauss_table(f, enum_bound)[2]
 
 
 def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
-    """Does ``g``, the Gauss sum of f, equal sqrt|det| * e^(2 pi i sigma / 8)?
+    """Is ``g`` the Gauss sum of f, equal to sqrt|det| e^(2 pi i sigma/8)?
 
-    Exact, with no floating point.  A value from :func:`gauss_sum` carries
-    its certified phase k and matches when k = sigma mod 8 and its group
-    order total_count() is |det|.  A hand-built value (phase None) matches
-    when :func:`gauss_sum` computes the same denominator and terms for f,
-    with default bound, and that value matches.
+    Exact, and read from f and g's fields alone, whoever built g: f's table
+    is rebuilt under the default bound, and g matches iff its check holds
+    and g == (N, terms) of it.  So |det| > DEFAULT_DET_BOUND raises
+    DeterminantTooLargeError even for ``gauss_sum(f, enum_bound=B)``;
+    :func:`gauss_sum_check` takes a bound.
     """
-    if g.phase is None:
-        computed = gauss_sum(f)
-        if computed != g:
-            return False
-        g = computed
-    return _milgram_holds(f, g.phase, g.total_count())
-
-
-def _milgram_holds(f: IntegerSymmetricForm, phase, total) -> bool:
-    """phase = sigma mod 8 and total = |det|: the check of a Gauss sum of f
-    with certified ``phase`` over a group of order ``total``."""
-    minors = f.minors
-    return (phase == signature_from_minors(minors) % 8
-            and total == abs(minors[-1]))
+    n, table, check = _gauss_table(f, DEFAULT_DET_BOUND)
+    return check and g == (n, tuple(_terms(n, table)))
 
 
 # ---------------------------------------------------------------------------

@@ -866,6 +866,24 @@ def test_gauss_sum_matches_takes_computed_value():
     assert not gauss_sum_matches(form_from_rows(A8_NEG), wrong)
 
 
+def test_gauss_sum_matches_reads_only_the_value():
+    """Whether a value matches f depends on f and the value's two fields
+    alone.  The sum g of h has the complex value Milgram's formula gives
+    for f, sqrt 4 e^(2 pi i 0 / 8) = 2, yet it is not f's Gauss sum: it
+    does not match, and neither does the equal value built by hand.  Nor
+    does the hand-built value 9 match A8-, whose Gauss sum is 3."""
+    f = form_from_rows([[4, -2], [-2, 0]])
+    h = form_from_rows([[-4, 2, 1, 0], [2, 2, -1, 0], [1, -1, -2, -2],
+                        [0, 0, -2, -2]])
+    g = gauss_sum(h)
+    bare = GaussSumValue(g.denominator, g.terms)
+    assert bare == g and _milgram_by_fsum(f, g)
+    assert gauss_sum_matches(f, g) is gauss_sum_matches(f, bare) is False
+    assert gauss_sum_matches(h, g) is gauss_sum_matches(h, bare) is True
+    assert not gauss_sum_matches(form_from_rows(A8_NEG),
+                                 GaussSumValue(9, ((0, 9),)))
+
+
 def _neg(rows):
     return [[-x for x in row] for row in rows]
 
@@ -983,21 +1001,25 @@ def test_homogeneous_phase_agrees_with_the_ring_check(rng):
 def test_homogeneous_counts_build_the_table_once():
     """On the lone prime 599999 of [[600, 1], [1, 1000]] the closed form
     peaks at its result, a table of 4.6 MiB: it held the row, a copy of it
-    and the table at once, near 18.3 MiB."""
+    and the table at once, near 18.3 MiB.  On the cyclic 3^12 of
+    [[2, 731], [731, 1460]] it peaks below 1.3 tables: a strided store of
+    the common count of the multiples of 3 peaked at 1.667."""
     import sys
     import tracemalloc
     from wittlink import discriminant
-    d = discriminant_form(form_from_rows([[600, 1], [1, 1000]]))
-    [(p, _, orders, _, quad, link2)] = discriminant._primary_components(d)
-    assert (p, orders) == (599999, [599999])
-    tracemalloc.start()
-    try:
-        counts, _ = discriminant._homogeneous_counts(quad, link2, p, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(counts) == p
-    assert peak < 1.1 * sys.getsizeof(counts)
+    for rows, prime, a, bound in (([[600, 1], [1, 1000]], 599999, 1, 1.1),
+                                  ([[2, 731], [731, 1460]], 3, 12, 1.3)):
+        d = discriminant_form(form_from_rows(rows))
+        [(p, _, orders, _, quad, link2)] = discriminant._primary_components(d)
+        assert (p, orders) == (prime, [prime ** a])
+        tracemalloc.start()
+        try:
+            counts, _ = discriminant._homogeneous_counts(quad, link2, p, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == p ** a
+        assert peak < bound * sys.getsizeof(counts), (rows, peak)
 
 
 def test_term_slices_are_the_terms_in_key_order(monkeypatch):
@@ -1071,8 +1093,9 @@ def _milgram_by_fsum(f, g):
 
 def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
     """terms equal the one-loop enumeration over all of G, and the exact
-    check equals Milgram's formula evaluated with fsum, on every form and
-    on each form paired with the sums of two others (mostly False)."""
+    check equals Milgram's formula evaluated with fsum, on every form; a
+    form paired with the sums of two others matches just those equal to
+    its own (mostly none), whatever their complex values."""
     fixtures = _gauss_fixture_rows(rng)
     forms = [form_from_rows(rows) for rows in fixtures]
     sums = [gauss_sum(f) for f in forms]
@@ -1087,7 +1110,7 @@ def test_gauss_sum_agrees_with_whole_group_enumeration_and_fsum(rng):
         assert gauss_sum_matches(f, g) is _milgram_by_fsum(f, g) is True
         for other in (sums[i - 1], sums[i - 5]):
             got = gauss_sum_matches(f, other)
-            assert got == _milgram_by_fsum(f, other), (rows, other)
+            assert got is (other == g), (rows, other)
             mismatched += not got
     assert mismatched >= 300
 

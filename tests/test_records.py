@@ -64,24 +64,16 @@ def test_replace_checks_as_construction_does(good, change, error, message):
     assert good._replace() == good
 
 
-def test_gauss_sum_value_ignores_the_phase():
-    computed = gauss_sum(form_from_rows(A8_NEG))
-    assert computed.phase is not None
-    bare = discriminant.GaussSumValue(computed.denominator, computed.terms)
-    assert bare.phase is None
-    assert bare == computed and not bare != computed
-    assert hash(bare) == hash(computed)
-    assert bare != discriminant.GaussSumValue(computed.denominator,
-                                              computed.terms[1:])
-    # a value equals only another value, not the plain tuple of its fields
-    assert computed != tuple(computed)
-
-
 def test_records_compare_as_their_fields():
     f = form_from_rows(A8_NEG)
     assert report(f) == (8, 9, -8, True)
     assert report(f)._asdict() == {"rank": 8, "determinant": 9,
                                    "signature": -8, "is_even": True}
+    # the Gauss sum too: its value is (denominator, terms) and no more
+    g = gauss_sum(f)
+    assert g == (g.denominator, g.terms) == (
+        9, ((0, 3), (4, 2), (10, 2), (16, 2)))
+    assert g._asdict() == {"denominator": 9, "terms": g.terms}
 
 
 def test_minors_are_eliminated_once(monkeypatch):
