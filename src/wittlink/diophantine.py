@@ -26,9 +26,14 @@ only it, each p-row with a stride of 8 or 4 in q.  Searches are
 exhaustive over finite windows: each pair (p, q) is one lookup in a table
 of odd square roots modulo 2|p + q|, and each p-row of pairs is looked up
 in C-level passes.  Each unordered pair {p, q} is looked up once: the
-mirror (q, p) of a pair solved earlier comes from a per-row list.
-``verify_negative_restriction`` scans every other class of s of the
-negative sign, which checks this argument by exhaustion.
+mirror (q, p) of a pair solved earlier comes from a per-row list.  The
+equation is homogeneous of degree 2, so (p, q, r) -> (-p, -q, -r) maps
+solutions to solutions with the same m; it keeps pq and the modulus
+2|s|, and maps each live class of s to itself.  In a window closed under
+both symmetries, as every ``symmetric_window`` is, each orbit of pairs
+under them is looked up once, and its other members come from per-row
+lists as well.  ``verify_negative_restriction`` scans every other class
+of s of the negative sign, which checks this argument by exhaustion.
 """
 
 from __future__ import annotations
@@ -117,6 +122,16 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     at s = 0 only a marker, since those rows are built when yielded.  Row
     p yields that list between its two intervals, so pairs come in (p, q)
     order, with p <= q under ``dedupe``.
+
+    The equation is also homogeneous, so (p, q, r) -> (-p, -q, -r) keeps
+    m, pq, the modulus 2|s| and, in each live class used here, the class
+    of s.  In a window closed under both symmetries each orbit of pairs
+    is therefore looked up once, from its member with p < 0 and
+    p <= q <= -p: only rows p < 0 look anything up.  A solved pair hands
+    its rows to (q, p) in ``mirrors[q]``, and its rows with r negated and
+    their order reversed to (-p, -q) and (-q, -p) in ``negated``; under
+    ``dedupe`` only the images with p <= q.  The lists of ``negated`` fill
+    in decreasing q, so row p yields its list reversed, after its lookups.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -129,6 +144,8 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     qs = _parity_values(q_lo, q_hi, 1)
     if not ps or not qs:
         return
+    orbits = (p_lo == q_lo == -p_hi == -q_hi and r_lo == -r_hi
+              and 2 * c % k == 0)
     s_min = ps[0] + qs[0]
     s_min += (c - s_min) % k
     odds = range(1, w.m_max + 1, 2)
@@ -147,14 +164,17 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
         tables.append(table)
         mods.append(mod)
     mirrors = defaultdict(list)
+    negated = defaultdict(list)
     for p in ps:
         # row p looks up the q < p that no earlier row solved: those below
-        # p_lo, or all of them when p > q_hi
-        below = q_lo - 1 if dedupe else q_hi if p > q_hi else p_lo - 1
+        # p_lo, or all of them when p > q_hi; on the orbit path only the
+        # p <= q <= -p of a row p < 0
+        below = (q_lo - 1 if dedupe or orbits else q_hi if p > q_hi
+                 else p_lo - 1)
         # (p, q) with p < q <= keep_hi goes to mirrors[q] for row q
         keep_hi = p if dedupe or p < q_lo else p_hi
         mirrored = mirrors.pop(p, ())
-        for lo, hi in ((q_lo, below), (max(p, q_lo), q_hi)):
+        for lo, hi in ((q_lo, below), (max(p, q_lo), -p if orbits else q_hi)):
             row = range(lo + (c - p - lo) % k, hi + 1, k)
             if row:
                 a = (p + row[0] - s_min) // k
@@ -178,17 +198,25 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
                     if rows:
                         if sign * s < 0:
                             rows.reverse()
+                        if orbits:
+                            neg = [(-r, m) for r, m in reversed(rows)]
+                            if render is not None:
+                                neg = render(neg)
+                            negated[-q].append((-p, neg))
                         if render is not None:
                             rows = render(rows)
                         if p < q <= keep_hi:
                             mirrors[q].append((p, rows))
+                            if orbits:
+                                negated[-p].append((-q, neg))
                         yield p, q, rows
-            # between the two intervals: the q < p solved by earlier rows;
-            # None marks s = 0, whose rows are built only here
+            # after each interval: first the q < p solved by earlier rows,
+            # then the images of negation; None marks s = 0, whose rows are
+            # built only here
             for q, rows in mirrored:
                 yield p, q, (list(zip(evens, [p] * len(evens)))
                              if rows is None else rows)
-            mirrored = ()
+            mirrored = reversed(negated.pop(p, ()))
 
 
 def search(w: SearchWindow, sign: int,
@@ -215,12 +243,12 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
 
     Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one solved
     (p, q), in the same order as ``search``, so memory grows only with the
-    rows of the pairs whose mirror (q, p) is still to come: each waits as
-    one string of "r,m" lines, from which the chunks of both pairs are
-    written, each line ending in one of eight ",sign,s mod 8" tails built
-    once.  A pair with p + q = 0 has a row for every even r of the
-    window with m = |p|; those rows are joined from one list of r strings
-    built once.
+    rows of the pairs whose mirror (q, p) or negation (-p, -q) is still to
+    come: each waits as one string of "r,m" lines, from which the chunks
+    of the pairs that share it are written, each line ending in one of
+    eight ",sign,s mod 8" tails built once.  A pair with p + q = 0 has a
+    row for every even r of the window with m = |p|; those rows are joined
+    from one list of r strings built once.
     """
     even_rs = None
     tails = [f",{sign},{s8}\n" for s8 in range(8)]

@@ -28,7 +28,7 @@ import cmath
 import itertools
 import math
 from collections import Counter, namedtuple
-from operator import itemgetter, not_
+from operator import eq, itemgetter, not_
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
@@ -597,10 +597,15 @@ def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
     is rebuilt under the default bound, and g matches iff its check holds
     and g == (N, terms) of it.  So |det| > DEFAULT_DET_BOUND raises
     DeterminantTooLargeError even for ``gauss_sum(f, enum_bound=B)``;
-    :func:`gauss_sum_check` takes a bound.
+    :func:`gauss_sum_check` takes a bound.  The terms are compared as they
+    stream from the table, so f's terms are never held whole; as in a
+    comparison of tuples, terms that are a list, or hold lists, do not match.
     """
     n, table, check = _gauss_table(f, DEFAULT_DET_BOUND)
-    return check and g == (n, tuple(_terms(n, table)))
+    denominator, terms = g
+    return (check and denominator == n and isinstance(terms, tuple)
+            and all(itertools.starmap(eq, itertools.zip_longest(
+                terms, _terms(n, table), fillvalue=object()))))
 
 
 # ---------------------------------------------------------------------------

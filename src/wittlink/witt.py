@@ -24,8 +24,11 @@ from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
 from .forms import IntegerSymmetricForm, signature_from_minors
 
 _TRIAL_LIMIT = 10 ** 3
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the bases above is a proof of primality below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is a proof of primality below this bound,
+# psi_13, the least strong pseudoprime to the first 13 prime bases.  The
+# first 12 do not reach it: psi_12 = 318665857834031151167461 passes them
+# all (Sorenson and Webster, Math. Comp. 86 (2017)).
 _MR_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
 # Pollard rho's step budget on one composite, in evaluations of y^2 + c,
 # about 7 s at 0.9 us a step (2-core VM, CPython 3.11):

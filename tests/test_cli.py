@@ -475,6 +475,26 @@ def test_boundary_factors_the_reduced_entry(tmp_path):
         '"zero": false}], "witt_entries": [4000000000006, 4000000000246]}\n')
 
 
+def test_psi_12_form_has_a_vanishing_boundary(tmp_path):
+    """diag(2 psi_12, 146 psi_12, 2, 146) is <2, 146> twice over, up to
+    the square psi_12^2 (psi_12 = 399165290221 * 798330580441, a strong
+    pseudoprime to every prime base through 37): its boundary is zero, at
+    each prime factor of psi_12 too."""
+    psi = 318665857834031151167461
+    path = tmp_path / "psi12.json"
+    path.write_text(json.dumps({"gram": [[2 * psi, 0, 0, 0],
+                                         [0, 146 * psi, 0, 0],
+                                         [0, 0, 2, 0], [0, 0, 0, 146]]}))
+    for command in ("analyze", "boundary"):
+        code, out, _ = run_cli(command, "--gram", str(path))
+        assert code == 0
+        assert json.loads(out)["boundary_zero"] is True, command
+    classes = json.loads(out)["classes"]
+    assert [c["prime"] for c in classes] == [2, 73, 399165290221,
+                                             798330580441]
+    assert all(c["zero"] for c in classes)
+
+
 def test_gauss_enumerates_once(a8_json, tmp_path, monkeypatch, capsys):
     """One dense Gauss table per op, and within it one histogram per prime
     dividing |G|: |G| = 9 for A8, in closed form, and 30 = 2 * 3 * 5 for
@@ -785,6 +805,26 @@ def test_gauss_sum_check_memory_is_bounded_by_the_table():
         tracemalloc.stop()
     assert holds is True
     assert peak < 10 * 2 ** 20
+
+
+def test_gauss_sum_matches_memory_is_near_the_check():
+    """gauss_sum_matches compares the terms as they stream from the table,
+    so on [[600, 1], [1, 1000]] its peak stays near gauss_sum_check's
+    4.6 MiB; building f's 300000 terms as a tuple peaked at 32.6 MiB."""
+    import tracemalloc
+    from wittlink import (form_from_rows, gauss_sum, gauss_sum_check,
+                          gauss_sum_matches)
+    f = form_from_rows([[600, 1], [1, 1000]])
+    g = gauss_sum(f)
+    peaks = []
+    for check in (lambda: gauss_sum_check(f), lambda: gauss_sum_matches(f, g)):
+        tracemalloc.start()
+        try:
+            assert check() is True
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_gauss_prints_the_enumerated_terms_byte_for_byte(tmp_path, capsys):

@@ -6,7 +6,7 @@ from wittlink import (PretzelKnot, SearchWindow, SolutionRecord,
                       residue_prefilter, search, symmetric_window,
                       verify_negative_restriction,
                       witness_both_positive_residues)
-from wittlink.diophantine import csv_chunks
+from wittlink.diophantine import _solve, csv_chunks
 from wittlink.errors import NotFoundError
 
 
@@ -139,10 +139,18 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
             assert deduped == [row for row in want if row[0] <= row[1]]
 
 
-def test_each_unordered_pair_is_looked_up_once(monkeypatch):
-    """The lookup pass reduces the product of each unordered live pair
-    {p, q} of a symmetric window once, modulo 2|p + q| (1 at p + q = 0):
-    a pair (p, q) with q < p comes from the row that solved (q, p)."""
+def swap_only_twin(bound, r_bound, m_max):
+    """The window of ``symmetric_window(bound, r_bound, m_max)``'s pairs
+    and even r whose r range is not closed under negation: its upper end
+    is odd, one past or one short of r_bound.  So ``_solve`` takes its
+    swap-only path on it, and the orbit path on the symmetric window."""
+    r_hi = r_bound + 1 if r_bound % 2 == 0 else r_bound - 1
+    return SearchWindow((-bound, bound), (-bound, bound), (-r_bound, r_hi),
+                        m_max)
+
+
+def counted_moduli(monkeypatch):
+    """The list that the moduli of every product looked up go to."""
     import types
 
     from wittlink import diophantine
@@ -154,9 +162,18 @@ def test_each_unordered_pair_is_looked_up_once(monkeypatch):
 
     monkeypatch.setattr(diophantine, "operator",
                         types.SimpleNamespace(mod=mod))
+    return moduli
+
+
+def test_each_unordered_pair_is_looked_up_once(monkeypatch):
+    """On the swap-only path the lookup pass reduces the product of each
+    unordered live pair {p, q} of the window once, modulo 2|p + q| (1 at
+    p + q = 0): a pair (p, q) with q < p comes from the row that solved
+    (q, p)."""
+    moduli = counted_moduli(monkeypatch)
     for bound in (9, 15):
         odd = range(-bound, bound + 1, 2)
-        w = symmetric_window(bound, bound, bound)
+        w = swap_only_twin(bound, bound, bound)
         for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2))):
             moduli.clear()
             got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
@@ -164,6 +181,90 @@ def test_each_unordered_pair_is_looked_up_once(monkeypatch):
             assert sorted(moduli) == sorted(
                 2 * abs(p + q) or 1 for p in odd for q in odd
                 if p <= q and (p + q - c) % k == 0)
+
+
+def test_each_orbit_is_looked_up_once(monkeypatch):
+    """On a window closed under p <-> q and under negation, the lookup pass
+    reduces the product of each orbit {(p, q), (q, p), (-p, -q), (-q, -p)}
+    of live pairs once, from its member with p < 0 and p <= q <= -p:
+    about half of the unordered pairs.  The verify classes are closed
+    under negation too."""
+    moduli = counted_moduli(monkeypatch)
+    for bound in (9, 15):
+        odd = range(-bound, bound + 1, 2)
+        w = symmetric_window(bound, bound, bound)
+        for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2)), (-1, (4, 2)),
+                             (-1, (8, 4))):
+            moduli.clear()
+            got = [(p, q, r, m) for p, q, rows
+                   in _solve(w, sign, live=(k, c)) for r, m in rows]
+            assert got == [row for row in naive_window_search(bound, sign,
+                                                              bound)
+                           if (row[0] + row[1] - c) % k == 0]
+            assert sorted(moduli) == sorted(
+                2 * abs(p + q) or 1 for p in odd for q in odd
+                if p < 0 and p <= q <= -p and (p + q - c) % k == 0)
+
+
+# (bound, r_bound, m_max) of symmetric windows: bounds 0 and 1, m_max below
+# and above the bound, so that pairs p + q = 0 drop out or stay, and r
+# bounds 0 and 1, where r = 0 is the only even r.
+SYMMETRIC_WINDOWS = [(bound, r_bound, m_max)
+                     for bound in (0, 1, 3, 5, 8, 11)
+                     for r_bound in (0, 1, 6, 13)
+                     for m_max in sorted({1, max(1, bound - 2), bound + 2,
+                                          2 * bound + 5})]
+
+
+def test_orbit_path_matches_naive_oracle_and_swap_only_path():
+    """On symmetric windows the orbit path yields what the naive triple loop
+    finds and what the swap-only path yields, for both signs, with and
+    without dedupe, in every live class that negation keeps: the two verify
+    classes and that of every even s as well.  Negation does not keep the
+    class s = 2 (mod 8), so there the swap alone serves."""
+    for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
+        w = symmetric_window(bound, r_bound, m_max)
+        twin = swap_only_twin(bound, r_bound, m_max)
+        for sign in (1, -1):
+            want = naive_window_search(bound, sign, m_max, r_bound)
+            got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
+            assert got == want, (bound, r_bound, m_max, sign)
+            assert [(r.p, r.q, r.r, r.m)
+                    for r in search(w, sign, dedupe=True)] == [
+                row for row in want if row[0] <= row[1]]
+            for dedupe in (False, True):
+                assert "".join(csv_chunks(w, sign, dedupe)) == "".join(
+                    csv_chunks(twin, sign, dedupe))
+            for k, c in ((4, 2), (8, 4), (2, 0), (8, 2)):
+                got = [(p, q, r, m) for p, q, rows
+                       in _solve(w, sign, live=(k, c)) for r, m in rows]
+                assert got == [row for row in want
+                               if (row[0] + row[1] - c) % k == 0]
+                assert list(_solve(w, sign, live=(k, c))) == list(
+                    _solve(twin, sign, live=(k, c)))
+        assert verify_negative_restriction(w)
+
+
+def test_witness_stops_the_orbit_path_like_the_swap_only_path():
+    """witness_both_positive_residues stops part-way through the stream,
+    while images of negation still wait for later rows: on symmetric
+    windows it finds the first record of each residue, as on the
+    swap-only path."""
+    for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
+        w = symmetric_window(bound, r_bound, m_max)
+        positive = naive_window_search(bound, 1, m_max, r_bound)
+        firsts = tuple(next((SolutionRecord(p, q, r, m, 1, k)
+                             for p, q, r, m in positive if (p + q) % 8 == k),
+                            None)
+                       for k in (2, 6))
+        if None in firsts:
+            for window in (w, swap_only_twin(bound, r_bound, m_max)):
+                with pytest.raises(NotFoundError):
+                    witness_both_positive_residues(window)
+        else:
+            assert witness_both_positive_residues(w) == firsts
+            assert witness_both_positive_residues(
+                swap_only_twin(bound, r_bound, m_max)) == firsts
 
 
 def naive_csv(rows, sign):

@@ -884,6 +884,26 @@ def test_gauss_sum_matches_reads_only_the_value():
                                  GaussSumValue(9, ((0, 9),)))
 
 
+def test_gauss_sum_matches_compares_every_term():
+    """A value with one count moved to the next term, so that the counts
+    still add up to |det|, does not match, nor do the terms cut short or
+    lengthened; nor, as in a comparison of tuples, the same terms as a
+    list or as lists."""
+    f = form_from_rows([[2, 1], [1, 50]])
+    g = gauss_sum(f)
+    n, terms = g
+    assert gauss_sum_matches(f, g) is True and len(terms) > 2
+    for i in range(len(terms) - 1):
+        (r, c), (r2, c2) = terms[i:i + 2]
+        moved = terms[:i] + ((r, c - 1), (r2, c2 + 1)) + terms[i + 2:]
+        assert GaussSumValue(n, moved).total_count() == g.total_count()
+        assert gauss_sum_matches(f, GaussSumValue(n, moved)) is False
+    for other in (terms[:-1], terms + ((2 * n, 1),), (), list(terms),
+                  tuple(map(list, terms))):
+        assert gauss_sum_matches(f, GaussSumValue(n, other)) is False
+    assert gauss_sum_matches(f, GaussSumValue(n + 1, terms)) is False
+
+
 def _neg(rows):
     return [[-x for x in row] for row in rows]
 

@@ -254,6 +254,40 @@ def test_primality_certification_bound():
     assert factorize(1000003 * p).factors == ((1000003, 1), (p, 1))
 
 
+# The least strong pseudoprimes to the first 12 and to the first 13 prime
+# bases (Sorenson and Webster, Math. Comp. 86 (2017)).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refutes_psi_12():
+    """psi_12 is below the certification bound and passes every base
+    through 37: only the base 41 refutes it."""
+    assert not is_prime(PSI_12)
+    assert factorize(PSI_12).factors == ((399165290221, 1),
+                                         (798330580441, 1))
+
+
+def test_psi_13_is_refused_at_the_certification_bound():
+    """psi_13 passes all 13 bases: it is the bound itself, where is_prime
+    refuses rather than answer True."""
+    from wittlink.errors import CertificationBoundError
+    from wittlink.witt import _MR_CERTIFIED_BELOW
+    assert _MR_CERTIFIED_BELOW == PSI_13
+    with pytest.raises(CertificationBoundError):
+        is_prime(PSI_13)
+
+
+def test_is_prime_agrees_with_sympy_on_the_pseudoprimes():
+    """Both are composite: is_prime says so of psi_12 and refuses psi_13."""
+    sympy = pytest.importorskip("sympy")
+    from wittlink.errors import CertificationBoundError
+    assert is_prime(PSI_12) is sympy.isprime(PSI_12) is False
+    assert sympy.isprime(PSI_13) is False
+    with pytest.raises(CertificationBoundError):
+        is_prime(PSI_13)
+
+
 def test_square_free_part():
     assert square_free_part(8) == 2
     assert square_free_part(Fraction(-3, 2)) == -6
