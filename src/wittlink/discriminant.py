@@ -46,6 +46,20 @@ DEFAULT_DET_BOUND = 10 ** 6
 # Integer matrix normal forms
 
 
+def _smith_pivot(m, t, nr):
+    """(|x|, i, j) of the first x = m[i][j] of least nonzero |x| in rows
+    t..nr-1 and columns t.. of ``m``, row-major; (0, 0, 0) if there is
+    none.  The scan stops at a unit: no nonzero |x| is smaller."""
+    best = pi = pj = 0
+    for i in range(t, nr):
+        for j, x in enumerate(m[i][t:], t):
+            if x and (not best or abs(x) < best):
+                best, pi, pj = abs(x), i, j
+                if best == 1:
+                    return best, pi, pj
+    return best, pi, pj
+
+
 def smith_normal_form(rows):
     """(d, V) with M * V = W * D for unimodular V and W, where D is the
     diagonal d_1 | d_2 | ... padded with zeros to the shape of M.
@@ -55,34 +69,43 @@ def smith_normal_form(rows):
     entry the pivot misses is added to row t, and rows are negated to make
     d positive.  V is kept as rows under M, so a column operation updates
     both in one pass, and W is never formed.  A unit pivot ends its step.
+
+    Three shortcuts skip only work that changes nothing.  The pivot scan
+    stops at the first entry of |x| = 1, which is the one the full
+    row-major scan picks, since no nonzero entry is smaller.  A row
+    operation at step t updates columns t.. only, since the rows t.. of M
+    are zero left of column t.  A column operation row[j] -= q * row[t]
+    leaves a row with row[t] = 0 as it is, and no column operation of a
+    pass changes column t, so each pass lists the rows with row[t] != 0
+    once and updates those alone.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     m = [list(r) for r in rows] + identity(nc)
     for t in range(min(nr, nc)):
         while True:
-            best = 0
-            for i in range(t, nr):
-                for j, x in enumerate(m[i][t:], t):
-                    if x and (not best or abs(x) < best):
-                        best, pi, pj = abs(x), i, j
+            best, pi, pj = _smith_pivot(m, t, nr)
             if not best:
                 break
             m[t], m[pi] = m[pi], m[t]
             if pj != t:
                 for row in m:
                     row[t], row[pj] = row[pj], row[t]
-            p = m[t][t]
+            mt = m[t]
+            p = mt[t]
             for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // p
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                mi = m[i]
+                if mi[t]:
+                    q = mi[t] // p
+                    for j in range(t, nc):
+                        mi[j] -= q * mt[j]
+            live = [row for row in m if row[t]]
             for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // p
-                    for row in m:
+                if mt[j]:
+                    q = mt[j] // p
+                    for row in live:
                         row[j] -= q * row[t]
-            if any(m[i][t] for i in range(t + 1, nr)) or any(m[t][t + 1:]):
+            if any(m[i][t] for i in range(t + 1, nr)) or any(mt[t + 1:]):
                 continue
             if best == 1:
                 break
@@ -92,7 +115,7 @@ def smith_normal_form(rows):
                       if any(x % p for x in m[i][t + 1:])), None)
             if i is None:
                 break
-            m[t] = [a + b for a, b in zip(m[t], m[i])]
+            m[t] = [a + b for a, b in zip(mt, m[i])]
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
     return [m[i][i] for i in range(min(nr, nc))], m[nr:]

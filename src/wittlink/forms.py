@@ -180,8 +180,9 @@ def _eliminate(a, q=None) -> tuple[int, ...]:
         if q is not None:
             qk = q[k]
             for i in range(k + 1, n):
-                c = rk[i]
-                q[i] = [(x * piv - c * y) // prev for x, y in zip(q[i], qk)]
+                qi, c = q[i], rk[i]
+                for j in range(n):
+                    qi[j] = (qi[j] * piv - c * qk[j]) // prev
         minors.append(piv)
     return tuple(minors)
 

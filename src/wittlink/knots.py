@@ -90,10 +90,12 @@ def _pfaffian(a) -> int:
                 r1[m] -= a[m][j]
             r1[j + 1:] = map(add, r1[j + 1:], a[j][j + 1:])
         piv = rk[k + 1]
+        # A scalar update in place: rebuilding row i from three slices, a
+        # zip and a list made the rank-24 Pfaffian twice as slow.
         for i in range(k + 2, n - 1):
             ri, c, d = a[i], rk[i], r1[i]
-            ri[i + 1:] = [(piv * x - c * y + d * z) // prev for x, y, z
-                          in zip(ri[i + 1:], r1[i + 1:], rk[i + 1:])]
+            for j in range(i + 1, n):
+                ri[j] = (piv * ri[j] - c * r1[j] + d * rk[j]) // prev
         prev = piv
     return prev
 

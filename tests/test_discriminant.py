@@ -11,8 +11,9 @@ import pytest
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, bareiss_det,
                       cofactor_det, convolve, dense_histogram,
                       enumerate_gauss_terms, fsum_gauss_value,
-                      linking_radical_is_trivial, random_even_form_rows,
-                      random_mixed_even_rows, reference_smith_normal_form,
+                      linking_radical_is_trivial, random_dense_even_rows,
+                      random_even_form_rows, random_mixed_even_rows,
+                      reference_smith_normal_form,
                       unpruned_metabolizer)
 from wittlink import (DiscriminantForm, GaussSumValue, boundary_is_zero,
                       determinant, diagonalize, direct_sum, discriminant_form,
@@ -82,6 +83,25 @@ def test_smith_normal_form_random(rng):
         n = rng.randint(1, 7)
         _check_square_smith(random_even_form_rows(
             rng, n, entry_bound=rng.choice((5, 40))))
+
+
+def test_smith_normal_form_at_decide_ranks(rng):
+    """(d, V) equal the reference oracle's on the forms of ranks up to 24
+    that decide hands the Smith form, and on dense rank-32 forms: the
+    sizes at which long runs of unit pivots and pivot columns that are
+    mostly zero occur, so the unit-pivot stop of the scan and the pass over
+    the rows with a nonzero pivot-column entry alone are exercised.  d is
+    a divisor chain whose product is |det|."""
+    forms = [random_mixed_even_rows(rng, max_rank=24) for _ in range(40)]
+    forms += [random_dense_even_rows(rng, 32) for _ in range(3)]
+    units = []
+    for rows in forms:
+        d, v = smith_normal_form(rows)
+        assert (d, v) == reference_smith_normal_form(rows)
+        assert _is_divisor_chain(d) and all(d)
+        assert math.prod(d) == abs(form_from_rows(rows).minors[-1])
+        units.append(d.count(1))
+    assert max(map(len, forms)) == 32 and max(units) >= 24, units
 
 
 def _determinantal_divisors(rows):

@@ -5,8 +5,9 @@ The corpus is built here from a fixed seed with the conftest builders:
 all eight subcommands and their flags (``--approx``, ``--dedupe``,
 ``--verify``, the ``--bound-*`` refusals), the error paths (an odd form, a
 missing file, bad JSON, a usage error, ``certification_bound``), closed-form,
-walked and merged ``gauss`` components, and ``disc``/``analyze`` with a
-metabolizer, without one and above the bound.  Each op runs in process
+walked and merged ``gauss`` components, ``disc``/``analyze`` with a
+metabolizer, without one and above the bound, and ``knot``, ``analyze``
+and ``disc`` at the ranks 14 to 24 of the benchmark.  Each op runs in process
 through ``cli.main`` in a scratch directory, with relative file names, so
 no path reaches stdout.  The file holds one sha256 per subcommand and one
 short digest per op, so a failure names the subcommand and the first op
@@ -123,6 +124,48 @@ def _write_inputs(directory, rng):
             [f"s_{name}.json" for name in sorted(seiferts)] + ["trefoil.csv"])
 
 
+def _a_chain(n, sign=1):
+    """sign times the Cartan matrix of A_n, of determinant (n + 1) sign^n."""
+    return [[sign * (2 if i == j else -1 if abs(i - j) == 1 else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def _scramble(rng, rows):
+    """rows under 2n random symmetric shears: a unimodular congruence."""
+    n = len(rows)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for row in rows:
+            row[i] += c * row[j]
+    return rows
+
+
+def _write_large_inputs(directory, rng):
+    """Write the inputs at decide's ranks, drawn after every draw of the
+    corpus above, so that none of its digests moves: Seifert matrices of
+    genus 7 to 12, and even forms X + (-X) of rank 16 to 24, three with a
+    determinant within the metabolizer search bound; return the names of
+    the gram files and of the Seifert files."""
+    grams = {"a8_a8neg": _block_sum(_a_chain(8), _a_chain(8, -1)),
+             "a12_a12neg": _block_sum(_a_chain(12), _a_chain(12, -1)),
+             "a10_a10neg_scrambled": _scramble(
+                 rng, _block_sum(_a_chain(10), _a_chain(10, -1)))}
+    for n in (8, 10, 12):
+        x = random_dense_even_rows(rng, n)
+        grams[f"dense{n}_neg_scrambled"] = _scramble(
+            rng, _block_sum(x, [[-v for v in row] for row in x]))
+    seiferts = {f"genus{g}": random_seifert_rows(rng, g) for g in range(7, 13)}
+    for name, rows in grams.items():
+        (directory / f"{name}.json").write_text(json.dumps({"gram": rows}))
+    for name, rows in seiferts.items():
+        (directory / f"s_{name}.json").write_text(
+            json.dumps({"seifert": rows}))
+    return ([f"{name}.json" for name in grams],
+            [f"s_{name}.json" for name in seiferts])
+
+
 def _ops(grams, seiferts, rng):
     """The corpus as (subcommand, argv) pairs, in a fixed order."""
     ops = []
@@ -159,6 +202,18 @@ def _ops(grams, seiferts, rng):
     return ops
 
 
+def _corpus(directory, rng):
+    """Write every input into ``directory``; return the corpus' ops."""
+    ops = _ops(*_write_inputs(directory, rng), rng)
+    grams, seiferts = _write_large_inputs(directory, rng)
+    for name in grams:
+        for cmd in ("analyze", "disc"):
+            ops.append((cmd, [cmd, "--gram", name]))
+    for name in seiferts:
+        ops.append(("knot", ["knot", "--seifert", name]))
+    return ops
+
+
 def _run(argv):
     """(exit code, stdout) of ``cli.main(argv)``; a usage error exits 2."""
     out = io.StringIO()
@@ -178,10 +233,10 @@ def build_corpus():
     commands, ops = {}, []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        grams, seiferts = _write_inputs(pathlib.Path(tmp), rng)
+        corpus = _corpus(pathlib.Path(tmp), rng)
         os.chdir(tmp)
         try:
-            for cmd, argv in _ops(grams, seiferts, rng):
+            for cmd, argv in corpus:
                 code, stdout = _run(argv)
                 record = f"{code}\n{stdout}".encode()
                 commands.setdefault(cmd, hashlib.sha256()).update(record)
@@ -233,9 +288,8 @@ def test_no_op_loads_fractions(tmp_path):
     fractions unloaded: the decisions and the reports of every command,
     diag's "num/den" strings too, run on integers only."""
     rng = random.Random(SEED)
-    grams, seiferts = _write_inputs(tmp_path, rng)
-    ops = [argv for _, argv in _ops(grams, seiferts, rng)]
-    assert len(ops) == 1304
+    ops = [argv for _, argv in _corpus(tmp_path, rng)]
+    assert len(ops) == 1322
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", NO_FRACTIONS,
                            str(src)], input=json.dumps(ops), cwd=tmp_path,

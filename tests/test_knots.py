@@ -86,12 +86,40 @@ def _random_skew(rng, n, bound=2, zeros=0.0):
     return a
 
 
+def _low_rank_skew(rng, n, r):
+    """B J B^T for a random n x r integer B, r even: a skew matrix of rank
+    at most r."""
+    b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
+    return [[sum(b[i][t] * b[j][t + 1] - b[i][t + 1] * b[j][t]
+                 for t in range(0, r, 2)) for j in range(n)]
+            for i in range(n)]
+
+
+def _late_zero_pivot(rng, n):
+    """A random n x n skew matrix, n >= 16, whose leading 14 x 14 block has
+    rank 12 while its leading 2i x 2i blocks for i <= 6 are nonsingular:
+    no step before k = 12 repairs, and the pivot there is the Pfaffian of
+    the leading 14 x 14 block, 0, so the e_13 -> e_13 + e_j repair runs
+    at that step."""
+    while True:
+        a = _random_skew(rng, n)
+        lead = _low_rank_skew(rng, 14, 12)
+        for i in range(14):
+            a[i][:14] = lead[i]
+        if all(_pfaffian([row[:2 * i] for row in a[:2 * i]])
+               for i in range(1, 7)):
+            assert _pfaffian([row[:14] for row in a[:14]]) == 0
+            return a
+
+
 def test_pfaffian_squares_to_bareiss_det(rng):
-    """Pf^2 = det on random skew matrices of size 0-12: dense, sparse (zero
-    pivots force the e_(k+1) -> e_(k+1) + e_j repair, and many are
-    singular), with a zero row, and of lower rank (B J B^T)."""
+    """Pf^2 = det on random skew matrices of size 0-24, the Seifert ranks
+    the benchmark reaches: dense, sparse (zero pivots force the
+    e_(k+1) -> e_(k+1) + e_j repair, and many are singular), with a zero
+    row, of lower rank (B J B^T), and from size 16 on with a zero pivot
+    at step 12 that only the repair gets past."""
     seen = {"zero": 0, "unit": 0}
-    for n in range(13):
+    for n in range(25):
         cases = [_random_skew(rng, n) for _ in range(6)]
         cases += [_random_skew(rng, n, bound=1, zeros=z)
                   for z in (0.5, 0.7, 0.85) for _ in range(4)]
@@ -101,16 +129,14 @@ def test_pfaffian_squares_to_bareiss_det(rng):
             for i in range(n):
                 zero_row[k][i] = zero_row[i][k] = 0
             cases.append(zero_row)
-        for r in range(0, n, 2):
-            b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)]
-            cases.append([[sum(b[i][t] * b[j][t + 1] - b[i][t + 1] * b[j][t]
-                               for t in range(0, r, 2)) for j in range(n)]
-                          for i in range(n)])
+        cases += [_low_rank_skew(rng, n, r) for r in range(0, n, 2)]
         if n >= 4 and n % 2 == 0:
             repair = _random_skew(rng, n)
             for k in range(0, n - 1, 2):
                 repair[k][k + 1] = repair[k + 1][k] = 0
             cases.append(repair)
+        if n >= 16 and n % 2 == 0:
+            cases.append(_late_zero_pivot(rng, n))
         for a in cases:
             pf = _pfaffian([list(row) for row in a])
             assert pf * pf == bareiss_det(a), a
@@ -119,6 +145,19 @@ def test_pfaffian_squares_to_bareiss_det(rng):
             seen["zero"] += pf == 0
             seen["unit"] += abs(pf) == 1
     assert seen["zero"] > 50 and seen["unit"] > 5, seen
+
+
+def test_pfaffian_is_a_unit_on_seifert_matrices_of_genus_7_to_12(rng):
+    """|Pf(S - S^T)| = 1, and Pf^2 = det, at the ranks 14-24 of the
+    benchmark's knots, above the genus 1-5 of the other Seifert tests."""
+    for genus in range(7, 13):
+        for _ in range(4):
+            s = random_seifert_rows(rng, genus, shears=4 * genus)
+            anti = [[x - y for x, y in zip(row, col)]
+                    for row, col in zip(s, zip(*s))]
+            pf = _pfaffian([list(row) for row in anti])
+            assert abs(pf) == 1 and bareiss_det(anti) == 1, s
+            assert seifert_from_rows(s).n == 2 * genus
 
 
 def test_pfaffian_sign_matches_definition(rng):
