@@ -25,15 +25,16 @@ m = |p| when sign = -1 and never when sign = +1; 0 lies in the class
 only it, each p-row with a stride of 8 or 4 in q.  Searches are
 exhaustive over finite windows: each pair (p, q) is one lookup in a table
 of odd square roots modulo 2|p + q|, and each p-row of pairs is looked up
-in C-level passes.  Each unordered pair {p, q} is looked up once: the
-mirror (q, p) of a pair solved earlier comes from a per-row list.  The
-equation is homogeneous of degree 2, so (p, q, r) -> (-p, -q, -r) maps
-solutions to solutions with the same m; it keeps pq and the modulus
-2|s|, and maps each live class of s to itself.  In a window closed under
-both symmetries, as every ``symmetric_window`` is, each orbit of pairs
-under them is looked up once, and its other members come from per-row
-lists as well.  ``verify_negative_restriction`` scans every other class
-of s of the negative sign, which checks this argument by exhaustion.
+in one C-level pass.  The equation is symmetric in p and q, and
+homogeneous of degree 2, so (p, q, r) -> (-p, -q, -r) maps solutions to
+solutions with the same m; it keeps pq and the modulus 2|s|, and maps
+each live class of s to itself.  The window decides which symmetries the
+search uses: p <-> q when the p and q ranges are equal, negation when
+every range is closed under it.  Each orbit of pairs under those is
+looked up once, and its other members wait in per-row lists; every
+``symmetric_window`` has both.  ``verify_negative_restriction`` scans
+every other class of s of the negative sign, which checks this argument
+by exhaustion.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import operator
 from collections import defaultdict, namedtuple
 from itertools import compress
 
-from .errors import NotFoundError
+from .errors import NotFoundError, NotIntegerError
 
 
 class SearchWindow(namedtuple("SearchWindow",
@@ -53,6 +54,9 @@ class SearchWindow(namedtuple("SearchWindow",
     __slots__ = ()
 
     def __new__(cls, p_range, q_range, r_range, m_max):
+        for x in (*p_range, *q_range, *r_range, m_max):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise NotIntegerError(f"non-integer window bound {x!r}")
         for lo, hi in (p_range, q_range, r_range):
             if lo > hi:
                 raise ValueError("empty range")
@@ -114,24 +118,20 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
 
     rows are the (r, m) of the pair in increasing r, passed through
     ``render`` when s != 0; for s = 0 they are (r, |p|) for every even r.
-    The equation is symmetric in p and q, so each unordered pair is looked
-    up once.  Row p looks up two intervals of q: below, the q < p that no
-    earlier row solved (q < p_lo, or every q when p > q_hi), and from p
-    up.  Every other (p, q) with q < p was solved by row q as (q, p), which
-    put its rendered rows, when there are any, in the list ``mirrors[p]``:
-    at s = 0 only a marker, since those rows are built when yielded.  Row
-    p yields that list between its two intervals, so pairs come in (p, q)
-    order, with p <= q under ``dedupe``.
-
-    The equation is also homogeneous, so (p, q, r) -> (-p, -q, -r) keeps
-    m, pq, the modulus 2|s| and, in each live class used here, the class
-    of s.  In a window closed under both symmetries each orbit of pairs
-    is therefore looked up once, from its member with p < 0 and
-    p <= q <= -p: only rows p < 0 look anything up.  A solved pair hands
-    its rows to (q, p) in ``mirrors[q]``, and its rows with r negated and
-    their order reversed to (-p, -q) and (-q, -p) in ``negated``; under
-    ``dedupe`` only the images with p <= q.  The lists of ``negated`` fill
-    in decreasing q, so row p yields its list reversed, after its lookups.
+    The window decides which symmetries save lookups: ``swap`` when its p
+    and q ranges are equal, and ``neg`` when all three ranges are closed
+    under negation and so is the class (2c = 0 mod k).  Row p looks up one
+    interval of q: from max(p, q_lo) under swap, or under dedupe without
+    neg, else from q_lo (under dedupe, a pair 0 < p < q is the image of
+    (-p, -q), whose q < p); up to -p under both, else up to q_hi; and rows
+    p > 0 look up nothing under neg.  Each solved pair appends its images
+    to the list of their row in ``later``, each once and under dedupe only
+    those with p <= q: itself, (q, p) under swap, (-p, -q) under neg and
+    (-q, -p) under both, the last two with r negated and the rows
+    reversed.  None stands for the rows at s = 0, built only when yielded.
+    Every image lands in a later row or is the pair itself, so row p
+    yields its list sorted by q after its lookups: pairs come in (p, q)
+    order.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -144,8 +144,9 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     qs = _parity_values(q_lo, q_hi, 1)
     if not ps or not qs:
         return
-    orbits = (p_lo == q_lo == -p_hi == -q_hi and r_lo == -r_hi
-              and 2 * c % k == 0)
+    swap = w.p_range == w.q_range
+    neg = (p_lo == -p_hi and q_lo == -q_hi and r_lo == -r_hi
+           and 2 * c % k == 0)
     s_min = ps[0] + qs[0]
     s_min += (c - s_min) % k
     odds = range(1, w.m_max + 1, 2)
@@ -163,60 +164,52 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
             table = {0: True} if sign == -1 and evens else {}
         tables.append(table)
         mods.append(mod)
-    mirrors = defaultdict(list)
-    negated = defaultdict(list)
+    later = defaultdict(list)
     for p in ps:
-        # row p looks up the q < p that no earlier row solved: those below
-        # p_lo, or all of them when p > q_hi; on the orbit path only the
-        # p <= q <= -p of a row p < 0
-        below = (q_lo - 1 if dedupe or orbits else q_hi if p > q_hi
-                 else p_lo - 1)
-        # (p, q) with p < q <= keep_hi goes to mirrors[q] for row q
-        keep_hi = p if dedupe or p < q_lo else p_hi
-        mirrored = mirrors.pop(p, ())
-        for lo, hi in ((q_lo, below), (max(p, q_lo), -p if orbits else q_hi)):
-            row = range(lo + (c - p - lo) % k, hi + 1, k)
-            if row:
-                a = (p + row[0] - s_min) // k
-                b = a + len(row)
-                step = k * sign * p
-                products = range(sign * p * row[0],
-                                 sign * p * row[-1] + step, step)
-                hits = list(map(dict.get, tables[a:b],
-                                map(operator.mod, products, mods[a:b])))
-                for q, ms in zip(compress(row, hits), filter(None, hits)):
-                    s = p + q
-                    if not s:
-                        if abs(p) <= w.m_max:
-                            yield p, q, list(zip(evens, [abs(p)] * len(evens)))
-                            if p < q <= keep_hi:
-                                mirrors[q].append((p, None))
-                        continue
+        lo = max(p, q_lo) if swap or dedupe and not neg else q_lo
+        hi = -p if swap and neg else q_hi
+        row = range(lo + (c - p - lo) % k, hi + 1, k)
+        if row and not (neg and p > 0):
+            a = (p + row[0] - s_min) // k
+            b = a + len(row)
+            step = k * sign * p
+            products = range(sign * p * row[0],
+                             sign * p * row[-1] + step, step)
+            hits = list(map(dict.get, tables[a:b],
+                            map(operator.mod, products, mods[a:b])))
+            for q, ms in zip(compress(row, hits), filter(None, hits)):
+                s = p + q
+                if s:
                     pq = p * q
                     rows = [(r, m) for m in ms
                             if r_lo <= (r := (sign * m * m - pq) // s) <= r_hi]
-                    if rows:
-                        if sign * s < 0:
-                            rows.reverse()
-                        if orbits:
-                            neg = [(-r, m) for r, m in reversed(rows)]
-                            if render is not None:
-                                neg = render(neg)
-                            negated[-q].append((-p, neg))
+                    if not rows:
+                        continue
+                    if sign * s < 0:
+                        rows.reverse()
+                    if neg:
+                        negs = [(-r, m) for r, m in reversed(rows)]
                         if render is not None:
-                            rows = render(rows)
-                        if p < q <= keep_hi:
-                            mirrors[q].append((p, rows))
-                            if orbits:
-                                negated[-p].append((-q, neg))
-                        yield p, q, rows
-            # after each interval: first the q < p solved by earlier rows,
-            # then the images of negation; None marks s = 0, whose rows are
-            # built only here
-            for q, rows in mirrored:
-                yield p, q, (list(zip(evens, [p] * len(evens)))
-                             if rows is None else rows)
-            mirrored = reversed(negated.pop(p, ()))
+                            negs = render(negs)
+                    if render is not None:
+                        rows = render(rows)
+                elif abs(p) <= w.m_max:
+                    rows = negs = None
+                else:
+                    continue
+                if p <= q or not dedupe:
+                    later[p].append((q, rows))
+                if swap and p < q and not dedupe:
+                    later[q].append((p, rows))
+                if swap and neg and q < -p:
+                    later[-q].append((-p, negs))
+                # under swap, (-p, -q) is (-q, -p) at q = p, (q, p) at q = -p
+                if (neg and (p < q < -p or not swap)
+                        and (q <= p or not dedupe)):
+                    later[-p].append((-q, negs))
+        for q, rows in sorted(later.pop(p, ()), key=operator.itemgetter(0)):
+            yield p, q, (list(zip(evens, [abs(p)] * len(evens)))
+                         if rows is None else rows)
 
 
 def search(w: SearchWindow, sign: int,
@@ -224,9 +217,10 @@ def search(w: SearchWindow, sign: int,
     """All (p,q,r) in the window with pq+pr+qr = sign*m^2, m odd <= m_max.
 
     Records come in lexicographic (p,q,r) order because ``_solve`` yields
-    them that way: pairs in order and rows in increasing r, with no sort
-    afterwards.  ``csv_chunks`` streams the same rows from the same
-    solver.  With ``dedupe`` only representatives with p <= q are kept.
+    them that way: each row of pairs sorted by q as it ends, and rows in
+    increasing r, with no sort of the records.  ``csv_chunks`` streams the
+    same rows from the same solver.  With ``dedupe`` only representatives
+    with p <= q are kept.
     """
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
             for p, q, rows in _solve(w, sign, dedupe)
@@ -243,10 +237,10 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
 
     Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one solved
     (p, q), in the same order as ``search``, so memory grows only with the
-    rows of the pairs whose mirror (q, p) or negation (-p, -q) is still to
-    come: each waits as one string of "r,m" lines, from which the chunks
-    of the pairs that share it are written, each line ending in one of
-    eight ",sign,s mod 8" tails built once.  A pair with p + q = 0 has a
+    rows of the images whose row is still to come: each waits as one
+    string of "r,m" lines, from which the chunks of the pairs that share
+    it are written, each line ending in one of eight ",sign,s mod 8" tails
+    built once.  A pair with p + q = 0 has a
     row for every even r of the window with m = |p|; those rows are joined
     from one list of r strings built once.
     """

@@ -242,17 +242,21 @@ def test_dioph_memory_does_not_grow_with_rows():
     import tracemalloc
     from wittlink import cli
     # 88780 rows, 1.8 MB of CSV: holding them all as records and one
-    # string peaks near 21 MiB, streaming them near 1 MiB.
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = cli.main(["dioph", "--pq", "199", "--r", "200",
-                             "--m", "199"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    assert peak < 4 * 2 ** 20
+    # string peaks near 21 MiB, streaming them near 1.2 MiB.  --dedupe
+    # keeps no image with p > q waiting, and peaks near 0.4 MiB.
+    peaks = {}
+    for extra in ((), ("--sign", "1"), ("--dedupe",)):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.main(["dioph", "--pq", "199", "--r", "200",
+                                 "--m", "199", *extra])
+                _, peaks[extra] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peaks[extra] < 4 * 2 ** 20, extra
+    assert peaks[("--dedupe",)] < peaks[()] / 2
 
 
 def read_then_close(*args, size):

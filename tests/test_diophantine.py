@@ -101,10 +101,9 @@ def test_window_validation():
 # above the window, with and without pairs p + q = 0.  The later ones probe
 # the scan's offsets: rows of p > q_hi that dedupe leaves empty, s = p + q
 # ranges that exclude 0 on either side, no even r, m_max = 1, no odd q.
-# The last three have q_lo < p_lo and rows of p > q_hi, so each row's
-# q < p is looked up below p_lo, taken from the rows that solved (q, p), or
-# looked up whole; their pairs p + q = 0 of both kinds have |p| on both
-# sides of m_max.
+# The last three have q_lo < p_lo and rows of p > q_hi; their pairs
+# p + q = 0 have |p| on both sides of m_max.  Some windows have equal p
+# and q ranges, some ranges closed under negation, most neither.
 ORACLE_WINDOWS = [
     ((-13, 7), (-5, 15), (-9, 12), 11),
     ((-13, 7), (-5, 15), (-9, 12), 3),
@@ -142,8 +141,8 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
 def swap_only_twin(bound, r_bound, m_max):
     """The window of ``symmetric_window(bound, r_bound, m_max)``'s pairs
     and even r whose r range is not closed under negation: its upper end
-    is odd, one past or one short of r_bound.  So ``_solve`` takes its
-    swap-only path on it, and the orbit path on the symmetric window."""
+    is odd, one past or one short of r_bound.  So ``_solve`` uses the swap
+    alone on it, and negation as well on the symmetric window."""
     r_hi = r_bound + 1 if r_bound % 2 == 0 else r_bound - 1
     return SearchWindow((-bound, bound), (-bound, bound), (-r_bound, r_hi),
                         m_max)
@@ -151,6 +150,7 @@ def swap_only_twin(bound, r_bound, m_max):
 
 def counted_moduli(monkeypatch):
     """The list that the moduli of every product looked up go to."""
+    import operator
     import types
 
     from wittlink import diophantine
@@ -160,13 +160,13 @@ def counted_moduli(monkeypatch):
         moduli.append(n)
         return x % n
 
-    monkeypatch.setattr(diophantine, "operator",
-                        types.SimpleNamespace(mod=mod))
+    monkeypatch.setattr(diophantine, "operator", types.SimpleNamespace(
+        mod=mod, itemgetter=operator.itemgetter))
     return moduli
 
 
 def test_each_unordered_pair_is_looked_up_once(monkeypatch):
-    """On the swap-only path the lookup pass reduces the product of each
+    """With the swap alone the lookup pass reduces the product of each
     unordered live pair {p, q} of the window once, modulo 2|p + q| (1 at
     p + q = 0): a pair (p, q) with q < p comes from the row that solved
     (q, p)."""
@@ -206,6 +206,69 @@ def test_each_orbit_is_looked_up_once(monkeypatch):
                 if p < 0 and p <= q <= -p and (p + q - c) % k == 0)
 
 
+def odd_values(lo, hi):
+    return range(lo + 1 - lo % 2, hi + 1, 2)
+
+
+def test_windows_without_the_swap_look_up_each_pair_once(monkeypatch):
+    """On a window whose three ranges are closed under negation but whose p
+    and q ranges differ, the lookup pass reduces the product of each live
+    pair with p < 0 once, with and without dedupe: the pair (-p, -q) comes
+    from it, and so does every pair with p > 0.  On a window closed under
+    neither symmetry it reduces that of each live pair once, and under
+    dedupe only those with q >= p."""
+    moduli = counted_moduli(monkeypatch)
+    for p_range, q_range, r_range, m_max in (
+            ((-9, 9), (-15, 15), (-10, 10), 11),
+            ((-14, 14), (-5, 5), (-7, 7), 13),
+            ((-1, 1), (-12, 12), (0, 0), 9),
+            ((-13, 7), (-5, 15), (-9, 12), 11),
+            ((-9, 9), (-15, 15), (-10, 12), 11),
+            ((5, 19), (-3, 1), (-12, 12), 21),
+            ((-21, 21), (-23, 19), (-8, 8), 13)):
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        neg = all(lo == -hi for lo, hi in (p_range, q_range, r_range))
+        for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2))):
+            want = naive_window_search(None, sign, m_max, p_range=p_range,
+                                       q_range=q_range, r_range=r_range)
+            for dedupe in (False, True):
+                moduli.clear()
+                got = [(r.p, r.q, r.r, r.m) for r in search(w, sign, dedupe)]
+                assert got == [row for row in want
+                               if row[0] <= row[1] or not dedupe]
+                assert sorted(moduli) == sorted(
+                    2 * abs(p + q) or 1 for p in odd_values(*p_range)
+                    for q in odd_values(*q_range)
+                    if (p < 0 if neg else p <= q or not dedupe)
+                    and (p + q - c) % k == 0)
+
+
+def test_random_negation_only_windows_match_naive_oracle(rng):
+    """On 100 random windows closed under negation, with p and q ranges that
+    mostly differ, search and csv_chunks of both signs, with and without
+    dedupe, give the naive triple loop's rows, and verify holds iff every
+    naive -m^2 solution has p + q = 0 mod 8.  Under dedupe a pair with
+    0 < p < q comes from (-p, -q), whose q < p: a scan that looked up only
+    q >= p there would miss it."""
+    for _ in range(100):
+        p_range, q_range, r_range = [(-b, b) for b in (
+            rng.randint(0, 13), rng.randint(0, 13), rng.randint(0, 12))]
+        m_max = rng.randint(1, 29)
+        w = SearchWindow(p_range, q_range, r_range, m_max)
+        for sign in (1, -1):
+            want = naive_window_search(None, sign, m_max, p_range=p_range,
+                                       q_range=q_range, r_range=r_range)
+            deduped = [row for row in want if row[0] <= row[1]]
+            assert [(r.p, r.q, r.r, r.m) for r in search(w, sign)] == want
+            assert [(r.p, r.q, r.r, r.m)
+                    for r in search(w, sign, dedupe=True)] == deduped
+            assert "".join(csv_chunks(w, sign)) == naive_csv(want, sign)
+            assert "".join(csv_chunks(w, sign, dedupe=True)) == naive_csv(
+                deduped, sign)
+        assert verify_negative_restriction(w) == all(
+            (p + q) % 8 == 0 for p, q, _, _ in want)
+
+
 # (bound, r_bound, m_max) of symmetric windows: bounds 0 and 1, m_max below
 # and above the bound, so that pairs p + q = 0 drop out or stay, and r
 # bounds 0 and 1, where r = 0 is the only even r.
@@ -217,11 +280,12 @@ SYMMETRIC_WINDOWS = [(bound, r_bound, m_max)
 
 
 def test_orbit_path_matches_naive_oracle_and_swap_only_path():
-    """On symmetric windows the orbit path yields what the naive triple loop
-    finds and what the swap-only path yields, for both signs, with and
-    without dedupe, in every live class that negation keeps: the two verify
-    classes and that of every even s as well.  Negation does not keep the
-    class s = 2 (mod 8), so there the swap alone serves."""
+    """On symmetric windows, where both symmetries serve, _solve yields what
+    the naive triple loop finds and what the swap alone yields, for both
+    signs, with and without dedupe, in every live class that negation
+    keeps: the two verify classes and that of every even s as well.
+    Negation does not keep the class s = 2 (mod 8), so there the swap
+    alone serves."""
     for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
         w = symmetric_window(bound, r_bound, m_max)
         twin = swap_only_twin(bound, r_bound, m_max)
@@ -248,8 +312,8 @@ def test_orbit_path_matches_naive_oracle_and_swap_only_path():
 def test_witness_stops_the_orbit_path_like_the_swap_only_path():
     """witness_both_positive_residues stops part-way through the stream,
     while images of negation still wait for later rows: on symmetric
-    windows it finds the first record of each residue, as on the
-    swap-only path."""
+    windows it finds the first record of each residue, as with the swap
+    alone."""
     for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
         w = symmetric_window(bound, r_bound, m_max)
         positive = naive_window_search(bound, 1, m_max, r_bound)

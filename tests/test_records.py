@@ -14,7 +14,8 @@ from wittlink import (PretzelKnot, SearchWindow, WittClassQ, analyze_knot,
                       rational_witt_class, search, seifert_from_rows,
                       symmetric_window, verify_main_theorem)
 from wittlink import diophantine, discriminant, forms, knots, witt
-from wittlink.errors import DegenerateParameterError, ZeroEntryError
+from wittlink.errors import (DegenerateParameterError, NotIntegerError,
+                             ZeroEntryError)
 from wittlink.forms import report
 
 
@@ -54,6 +55,12 @@ def test_every_record_is_covered_and_its_fields_are_read_only():
      ValueError, "empty range"),
     (SearchWindow((-1, 1), (-1, 1), (-2, 2), 3), {"m_max": 0},
      ValueError, "m_max must be at least 1"),
+    (SearchWindow((-3, 3), (-3, 3), (-2, 2), 5), {"p_range": (-3.0, 3.0)},
+     NotIntegerError, "non-integer window bound -3.0"),
+    (SearchWindow((-3, 3), (-3, 3), (-2, 2), 5), {"m_max": True},
+     NotIntegerError, "non-integer window bound True"),
+    (SearchWindow((-3, 3), (-3, 3), (-2, 2), 5), {"r_range": (-2, "2")},
+     NotIntegerError, "non-integer window bound '2'"),
 ])
 def test_replace_checks_as_construction_does(good, change, error, message):
     with pytest.raises(error) as direct:
