@@ -69,14 +69,14 @@ def _ratio(x: int, d: int) -> str:
 
 def _cmd_diag(args) -> int:
     # forms.diagonalize's elimination, read as integers: entry k is
-    # D_k / D_(k-1) and row k of the transition is Q_k / D_(k-1)
+    # D_k / D_(k-1) and row k of the transition is its tail Q_k / D_(k-1)
     f = forms._symmetric_form(_read_key(args.gram, "gram"))
-    q = identity(f.n)
-    minors = forms._eliminate(f.rows(), q)
+    rows = [[*r, *e] for r, e in zip(f.gram, identity(f.n))]
+    minors = forms._eliminate(rows)
     pivots = list(zip(minors, minors[1:]))
     out = {"entries": [_ratio(b, a) for a, b in pivots],
-           "transition": [[_ratio(x, d) for x in row]
-                          for row, d in zip(q, minors)]}
+           "transition": [[_ratio(x, d) for x in row[f.n:]]
+                          for row, d in zip(rows, minors)]}
     if args.approx:
         # int / int is correctly rounded, so this is float(Fraction(b, a))
         out["entries_approx"] = [b / a for a, b in pivots]

@@ -3,8 +3,8 @@
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
 exact: one symmetric fraction-free (Bareiss) elimination validates a form
 and gives the leading minors, which yield its determinant, signature and
-rational diagonal.  The same elimination, carried along on an identity
-matrix, gives the transition matrix of the diagonalization over Q for
+rational diagonal.  The same elimination on the rows with an identity
+appended gives the transition matrix of the diagonalization over Q for
 display, and validates the form for it too.  No floating point anywhere.
 """
 
@@ -111,78 +111,75 @@ def is_even(f: IntegerSymmetricForm) -> bool:
 def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
     """Diagonalize over Q: P * B * P^T = diag(entries), deterministically.
 
-    Runs the elimination of :func:`pivot_minors` on an integer identity Q
-    as well; entry k is D_k / D_(k-1) and row k of P is Q_k / D_(k-1).
-    ``fractions`` is imported on the first call; no CLI command calls this,
-    ``diag`` prints the same "num/den" from the integers.
+    Runs the elimination of :func:`pivot_minors` on the rows with an
+    identity appended; entry k is D_k / D_(k-1) and row k of P is its tail
+    Q_k / D_(k-1).  ``fractions`` is imported on the first call; no CLI
+    command calls this, ``diag`` prints the same "num/den" from the ints.
     """
     from fractions import Fraction
-    q = identity(f.n)
-    minors = _eliminate(f.rows(), q)
+    n = f.n
+    rows = [[*r, *e] for r, e in zip(f.gram, identity(n))]
+    minors = _eliminate(rows)
     return DiagonalRationalForm(
         entries=tuple(Fraction(b, a) for a, b in zip(minors, minors[1:])),
-        transition=tuple(tuple(Fraction(x, d) for x in row)
-                         for row, d in zip(q, minors)))
+        transition=tuple(tuple(Fraction(x, d) for x in row[n:])
+                         for row, d in zip(rows, minors)))
 
 
 def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:
     """The leading minors (1, D_1, ..., D_n) of the diagonalization, in Z.
 
-    Symmetric fraction-free (Bareiss) elimination.  Pivot policy: at step k
-    use the smallest-index nonzero diagonal entry among positions >= k,
-    swapped into place.  If the whole remaining diagonal is zero, the
-    replacement e_k -> e_k + e_j with the smallest j > k and b(e_k,e_j) != 0
-    makes b(e_k,e_k) = 2 b(e_k,e_j) nonzero first.  Entry k of the rational
-    diagonalization is then D_k / D_(k-1), whose square class is that of the
-    integer D_k * D_(k-1), and D_n is the determinant.  After the pivot D_k
-    the trailing block is D_k times the rational one, so every division is
-    exact.  Raises DegenerateError exactly when det is 0: every pivot kept
-    is nonzero, and a trailing block with a zero row is singular.
+    Symmetric fraction-free (Bareiss) elimination, on the upper triangle
+    only.  Pivot policy: at step k use the smallest-index nonzero diagonal
+    entry among positions >= k, swapped into place.  If the whole remaining
+    diagonal is zero, e_k -> e_k + e_j with the smallest j > k and
+    b(e_k,e_j) != 0 makes b(e_k,e_k) = 2 b(e_k,e_j) nonzero first.  Entry k
+    of the rational diagonalization is then D_k / D_(k-1), whose square
+    class is that of the integer D_k * D_(k-1), and D_n is the determinant.
+    After the pivot D_k the trailing block is D_k times the rational one,
+    so every division is exact.  Raises DegenerateError exactly when det is
+    0: every pivot kept is nonzero, and a trailing block with a zero row is
+    singular.
     """
     return _eliminate(f.rows())
 
 
-def _eliminate(a, q=None) -> tuple[int, ...]:
-    """The elimination of :func:`pivot_minors` on the rows ``a``, in place.
+def _eliminate(a) -> tuple[int, ...]:
+    """The elimination of :func:`pivot_minors` on the n rows ``a``, in place.
 
-    When ``q`` is given, the same row operations act on it: the swaps, the
-    e_k -> e_k + e_j step and the exact update, so its row k, once row k is
-    the pivot, is D_(k-1) times row k of the rational transition matrix.
+    Of the first n columns only the upper triangle, j >= i, is read or
+    written.  Columns past n, if any, take the same row operations: the
+    swap, the e_k -> e_k + e_j step and the exact update.  So with an
+    identity appended, row k's tail, once row k is the pivot, is D_(k-1)
+    times row k of the rational transition matrix.
     """
     n = len(a)
     minors = [1]
     for k in range(n):
-        if a[k][k] == 0:
+        rk = a[k]
+        if rk[k] == 0:
             j = next((j for j in range(k + 1, n) if a[j][j]), None)
             if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a[k:]:
-                    row[k], row[j] = row[j], row[k]
-                if q is not None:
-                    q[k], q[j] = q[j], q[k]
+                # swap e_k, e_j: row k trades with column j, then row j
+                rj = a[j]
+                rk[k], rj[j] = rj[j], rk[k]
+                for m in range(k + 1, j):
+                    rk[m], a[m][j] = a[m][j], rk[m]
+                rk[j + 1:], rj[j + 1:] = rj[j + 1:], rk[j + 1:]
             else:
-                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                j = next((j for j in range(k + 1, n) if rk[j]), None)
                 if j is None:
                     raise DegenerateError("Gram matrix has determinant 0")
-                a[k] = [x + y for x, y in zip(a[k], a[j])]
-                for row in a[k:]:
-                    row[k] += row[j]
-                if q is not None:
-                    q[k] = [x + y for x, y in zip(q[k], q[j])]
-        rk = a[k]
-        piv, prev = rk[k], minors[-1]
-        # Only the upper triangle is updated and mirrored; columns < k stay
-        # stale and are never read again.
+                # e_k -> e_k + e_j, where b(e_k,e_k) = b(e_j,e_j) = 0
+                rk[k] = 2 * rk[j]
+                for m in range(k + 1, j):
+                    rk[m] += a[m][j]
+                rk[j:] = [x + y for x, y in zip(rk[j:], a[j][j:])]
+        piv, prev, width = rk[k], minors[-1], len(rk)
         for i in range(k + 1, n):
             ri, c = a[i], rk[i]
-            for j in range(i, n):
-                ri[j] = a[j][i] = (ri[j] * piv - c * rk[j]) // prev
-        if q is not None:
-            qk = q[k]
-            for i in range(k + 1, n):
-                qi, c = q[i], rk[i]
-                for j in range(n):
-                    qi[j] = (qi[j] * piv - c * qk[j]) // prev
+            for j in range(i, width):
+                ri[j] = (ri[j] * piv - c * rk[j]) // prev
         minors.append(piv)
     return tuple(minors)
 

@@ -216,6 +216,17 @@ def test_dioph_verify_full_window():
     assert out.strip() == "restriction holds"
 
 
+def test_dioph_verify_reports_a_violation(monkeypatch, capsys):
+    from wittlink import cli, diophantine
+    monkeypatch.setattr(diophantine, "verify_negative_restriction",
+                        lambda w: False)
+    assert cli.main(["dioph", "--pq", "9", "--r", "10", "--m", "9",
+                     "--verify"]) == 1
+    assert capsys.readouterr().out == (
+        '{"error": {"message": "a solution with p+q != 0 mod 8 exists", '
+        '"type": "restriction_violated"}}\n')
+
+
 def test_dioph_stream_matches_search_records(capsys):
     from wittlink import cli, search, symmetric_window
     # m below pq drops the p + q = 0 rows of |p| > m; r 0 leaves one even

@@ -120,6 +120,17 @@ def _determinantal_divisors(rows):
     return out
 
 
+def test_overlattice_refuses_generators_that_are_not_isotropic():
+    """The generator of the discriminant group Z/3 of A_2 links with itself
+    to 2/3, so the lattice it spans with L is not integral."""
+    f = form_from_rows([[2, 1], [1, 2]])
+    d = discriminant_form(f)
+    assert d.orders == (3,)
+    with pytest.raises(ArithmeticError, match="^generators do not span an "
+                       "integral overlattice; not a metabolizer$"):
+        overlattice_from_metabolizer(f, d, [(1,)])
+
+
 def _caller_smith_inputs(monkeypatch):
     """The non-Gram matrices handed to smith_normal_form on small forms
     with a metabolizer: [A; diag(d)] from linking_is_nondegenerate and the

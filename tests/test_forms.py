@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (A8_NEG, E8, HYPERBOLIC, NINE_ONE_SYM, alt_pivot_signs,
-                      cofactor_det, fraction_diagonalize, is_rational_square,
-                      random_dense_even_rows, random_even_form_rows,
-                      random_mixed_even_rows)
+                      bareiss_det, cofactor_det, fraction_diagonalize,
+                      is_rational_square, random_dense_even_rows,
+                      random_even_form_rows, random_mixed_even_rows)
 from wittlink import (determinant, diagonalize, direct_sum, form_from_rows,
-                      is_even, pivot_minors, report, signature)
+                      forms, is_even, pivot_minors, report, signature)
+from wittlink._mat import identity
 from wittlink.errors import (DegenerateError, NotIntegerError, NotSquareError,
                              NotSymmetricError)
 
@@ -277,3 +278,59 @@ def test_form_from_rows_rejects_exactly_the_singular(rng):
         elif zero_diagonal and any(rows[0][1:]):
             seen["add_first"] += det == 0
     assert min(seen.values()) >= 30, seen
+
+
+# e_0 swaps with e_2 (row 0 trades entry 1 with column 2's, 1 != 2), then
+# e_3 -> e_3 + e_5 (column 5 adds a nonzero entry at row 4, row 5 one at 6)
+TWO_FAR_REPAIRS = [[0, 1, 3, 0, 0, 0, 0],
+                   [1, 0, 2, 0, 0, 0, 0],
+                   [3, 2, 2, 0, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 1, 0],
+                   [0, 0, 0, 0, 0, 1, 1],
+                   [0, 0, 0, 1, 1, 0, 1],
+                   [0, 0, 0, 0, 1, 1, 0]]
+
+
+def test_eliminate_reads_and_writes_only_the_upper_triangle(rng):
+    """With every strictly lower entry None and an identity appended, the
+    elimination gives the minors and the transition tails of the full rows
+    and leaves the None entries in place."""
+    samples = [TWO_FAR_REPAIRS] + [random_mixed_even_rows(rng, 9)
+                                   for _ in range(40)]
+    for rows in samples:
+        n = len(rows)
+        full = [[*r, *e] for r, e in zip(rows, identity(n))]
+        upper = [[x if j >= i else None for j, x in enumerate(r)]
+                 for i, r in enumerate(full)]
+        assert forms._eliminate(upper) == forms._eliminate(full)
+        assert [r[n:] for r in upper] == [r[n:] for r in full]
+        assert all(r[j] is None for i, r in enumerate(upper) for j in range(i))
+    d = diagonalize(form_from_rows(TWO_FAR_REPAIRS))
+    assert d == fraction_diagonalize(TWO_FAR_REPAIRS)
+    assert pivot_minors(form_from_rows(TWO_FAR_REPAIRS)) == (
+        1, 2, -4, 10, 20, -10, -20, 10)
+
+
+def test_sparse_forms_match_fraction_oracle(rng):
+    """2000 sparse symmetric forms of rank 0-9, diagonals mostly zero, so
+    that both zero-pivot repairs fire often and far from the pivot: each
+    nonsingular one diagonalizes as the Fraction elimination does, and
+    each singular one (by an unsymmetric Bareiss determinant) is refused."""
+    singular = 0
+    for _ in range(2000):
+        n = rng.randint(0, 9)
+        density = rng.random()
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if rng.random() < 0.3:
+                rows[i][i] = rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        if bareiss_det(rows) == 0:
+            singular += 1
+            with pytest.raises(DegenerateError):
+                form_from_rows(rows)
+        else:
+            assert diagonalize(form_from_rows(rows)) == fraction_diagonalize(rows)
+    assert 500 <= singular <= 1500, singular

@@ -190,6 +190,15 @@ def test_factorize_past_trial_division():
     assert factorize(p * q * r).factors == ((p, 1), (q, 1), (r, 1))
 
 
+def test_rho_tries_the_next_polynomial_when_a_block_ends_at_n():
+    """On 703 = 19 * 37 and on 25, y^2 + 1 ends a block with gcd n and its
+    one-step walk again reaches n, so rho moves on to y^2 + 2, which
+    splits both."""
+    from wittlink.witt import _pollard_rho
+    assert _pollard_rho(703) in (19, 37)
+    assert _pollard_rho(25) == 5
+
+
 def test_rho_budget_ends_in_certification_bound(monkeypatch):
     """Pollard rho counts its steps over every polynomial it tries; once
     ``_RHO_STEPS`` are used up, a composite it has not split is refused with
