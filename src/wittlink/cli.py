@@ -19,7 +19,6 @@ import os
 import sys
 
 from . import diophantine, discriminant, forms, knots, witt
-from ._mat import identity
 from .errors import WittLinkError
 
 
@@ -68,15 +67,11 @@ def _ratio(x: int, d: int) -> str:
 
 
 def _cmd_diag(args) -> int:
-    # forms.diagonalize's elimination, read as integers: entry k is
-    # D_k / D_(k-1) and row k of the transition is its tail Q_k / D_(k-1)
-    f = forms._symmetric_form(_read_key(args.gram, "gram"))
-    rows = [[*r, *e] for r, e in zip(f.gram, identity(f.n))]
-    minors = forms._eliminate(rows)
+    minors, tails = forms._transition(_read_key(args.gram, "gram"))
     pivots = list(zip(minors, minors[1:]))
     out = {"entries": [_ratio(b, a) for a, b in pivots],
-           "transition": [[_ratio(x, d) for x in row[f.n:]]
-                          for row, d in zip(rows, minors)]}
+           "transition": [[_ratio(x, d) for x in row]
+                          for row, d in zip(tails, minors)]}
     if args.approx:
         # int / int is correctly rounded, so this is float(Fraction(b, a))
         out["entries_approx"] = [b / a for a, b in pivots]
@@ -242,7 +237,7 @@ def _run(args) -> int:
         raise  # the reader has gone, which is not bad input: see main
     except WittLinkError as exc:
         error = {"type": exc.code, "message": str(exc)}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+    except (OSError, KeyError, TypeError, ValueError,
             OverflowError) as exc:  # an --approx value beyond the float range
         error = {"type": "input", "message": str(exc)}
     except ArithmeticError as exc:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict, namedtuple
-from itertools import compress
+from itertools import compress, repeat
 
 from .errors import NotFoundError, NotIntegerError
 
@@ -117,10 +117,13 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     C-level pass and only the hits run Python code.
 
     rows are the (r, m) of the pair in increasing r, passed through
-    ``render`` when s != 0; for s = 0 they are (r, |p|) for every even r.
-    The window decides which symmetries save lookups: ``swap`` when its p
-    and q ranges are equal, and ``neg`` when all three ranges are closed
-    under negation and so is the class (2c = 0 mod k).  Row p looks up one
+    ``render``, when s != 0.  None stands for the rows at s = 0, (r, |p|)
+    for every even r, built only when yielded, by the caller: at sign +1
+    the s = 0 table is empty and the verify classes hold no s = 0, so
+    ``witness_both_positive_residues`` never sees None.  The window
+    decides which symmetries save lookups: ``swap`` when its p and q
+    ranges are equal, and ``neg`` when all three ranges are closed under
+    negation and so is the class (2c = 0 mod k).  Row p looks up one
     interval of q: from max(p, q_lo) under swap, or under dedupe without
     neg, else from q_lo (under dedupe, a pair 0 < p < q is the image of
     (-p, -q), whose q < p); up to -p under both, else up to q_hi; and rows
@@ -128,10 +131,9 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     to the list of their row in ``later``, each once and under dedupe only
     those with p <= q: itself, (q, p) under swap, (-p, -q) under neg and
     (-q, -p) under both, the last two with r negated and the rows
-    reversed.  None stands for the rows at s = 0, built only when yielded.
-    Every image lands in a later row or is the pair itself, so row p
-    yields its list sorted by q after its lookups: pairs come in (p, q)
-    order.
+    reversed.  Every image lands in a later row or is the pair itself, so
+    row p yields its list sorted by q after its lookups: pairs come in
+    (p, q) order.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -208,8 +210,7 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
                         and (q <= p or not dedupe)):
                     later[-p].append((-q, negs))
         for q, rows in sorted(later.pop(p, ()), key=operator.itemgetter(0)):
-            yield p, q, (list(zip(evens, [abs(p)] * len(evens)))
-                         if rows is None else rows)
+            yield p, q, rows
 
 
 def search(w: SearchWindow, sign: int,
@@ -222,9 +223,10 @@ def search(w: SearchWindow, sign: int,
     same rows from the same solver.  With ``dedupe`` only representatives
     with p <= q are kept.
     """
+    evens = _parity_values(*w.r_range, 0)
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
             for p, q, rows in _solve(w, sign, dedupe)
-            for r, m in rows]
+            for r, m in rows or zip(evens, repeat(abs(p)))]
 
 
 def _rm_lines(rows) -> str:
@@ -240,22 +242,19 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     rows of the images whose row is still to come: each waits as one
     string of "r,m" lines, from which the chunks of the pairs that share
     it are written, each line ending in one of eight ",sign,s mod 8" tails
-    built once.  A pair with p + q = 0 has a
-    row for every even r of the window with m = |p|; those rows are joined
-    from one list of r strings built once.
+    built once.  A pair with p + q = 0, whose rows ``_solve`` leaves as
+    None, has a row for every even r of the window with m = |p|; those
+    rows are joined from one list of r strings built once per window.
     """
-    even_rs = None
+    even_rs = list(map(str, _parity_values(*w.r_range, 0)))
     tails = [f",{sign},{s8}\n" for s8 in range(8)]
     for p, q, rows in _solve(w, sign, dedupe, render=_rm_lines):
-        s = p + q
         head = f"{p},{q},"
-        if not s:
-            if even_rs is None:
-                even_rs = [str(r) for r, _ in rows]
+        if rows is None:
             tail = f",{abs(p)},{sign},0\n"
             yield head + (tail + head).join(even_rs) + tail
         else:
-            tail = tails[s % 8]
+            tail = tails[(p + q) % 8]
             yield head + rows.replace("\n", tail + head) + tail
 
 

@@ -3,9 +3,8 @@
 A form is a symmetric nondegenerate integer Gram matrix.  Everything is
 exact: one symmetric fraction-free (Bareiss) elimination validates a form
 and gives the leading minors, which yield its determinant, signature and
-rational diagonal.  The same elimination on the rows with an identity
-appended gives the transition matrix of the diagonalization over Q for
-display, and validates the form for it too.  No floating point anywhere.
+rational diagonal; run on the rows with an identity appended, it gives
+the transition matrix of that diagonal too.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -111,19 +110,25 @@ def is_even(f: IntegerSymmetricForm) -> bool:
 def diagonalize(f: IntegerSymmetricForm) -> DiagonalRationalForm:
     """Diagonalize over Q: P * B * P^T = diag(entries), deterministically.
 
-    Runs the elimination of :func:`pivot_minors` on the rows with an
-    identity appended; entry k is D_k / D_(k-1) and row k of P is its tail
-    Q_k / D_(k-1).  ``fractions`` is imported on the first call; no CLI
-    command calls this, ``diag`` prints the same "num/den" from the ints.
+    Entry k is D_k / D_(k-1) and row k of P is Q_k / D_(k-1), for the ints
+    of :func:`_transition`.  ``fractions`` is imported on the first call;
+    no CLI command calls this, ``diag`` prints its "num/den" from the ints.
     """
     from fractions import Fraction
-    n = f.n
-    rows = [[*r, *e] for r, e in zip(f.gram, identity(n))]
-    minors = _eliminate(rows)
+    minors, tails = _transition(f.gram)
     return DiagonalRationalForm(
         entries=tuple(Fraction(b, a) for a, b in zip(minors, minors[1:])),
-        transition=tuple(tuple(Fraction(x, d) for x in row[n:])
-                         for row, d in zip(rows, minors)))
+        transition=tuple(tuple(Fraction(x, d) for x in row)
+                         for row, d in zip(tails, minors)))
+
+
+def _transition(rows) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The minors (1, D_1, ..., D_n) of ``rows``, checked as by
+    :func:`form_from_rows`, and Q, whose row k is D_(k-1) times row k of
+    the transition: one elimination, on the rows with I appended."""
+    f = _symmetric_form(rows)
+    a = [[*r, *e] for r, e in zip(f.gram, identity(f.n))]
+    return _eliminate(a), [row[f.n:] for row in a]  # slices after it
 
 
 def pivot_minors(f: IntegerSymmetricForm) -> tuple[int, ...]:

@@ -55,6 +55,28 @@ def test_diag_exact_strings(a8_json):
     assert "entries_approx" in json.loads(out)
 
 
+def test_diag_prints_the_fraction_oracle(tmp_path, capsys, rng):
+    """diag --approx prints "num/den" of every Fraction of the Fraction
+    elimination, entries and transition matrix, and the float of each
+    entry: on random forms, a third with a zero diagonal, and on a dense
+    rank-24 one."""
+    from conftest import random_mixed_even_rows
+    from wittlink import cli
+
+    def ratio(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    path = tmp_path / "f.json"
+    for rows in [random_mixed_even_rows(rng) for _ in range(30)] + [DENSE_24]:
+        path.write_text(json.dumps({"gram": rows}))
+        assert cli.main(["diag", "--gram", str(path), "--approx"]) == 0
+        d = fraction_diagonalize(rows)
+        assert json.loads(capsys.readouterr().out) == {
+            "entries": list(map(ratio, d.entries)),
+            "transition": [list(map(ratio, row)) for row in d.transition],
+            "entries_approx": list(map(float, d.entries))}
+
+
 def test_boundary(a8_json):
     code, out, _ = run_cli("boundary", "--gram", a8_json)
     rep = json.loads(out)
@@ -86,7 +108,8 @@ def test_disc_respects_group_bound(a8_json):
 def test_disc_linking_is_the_reduced_fraction(rng, tmp_path, capsys):
     """disc prints each linking value from the integer table, x over N
     reduced by gcd(x, N): on random forms that is [numerator, denominator]
-    of each Fraction of DiscriminantForm.linking, zeros as [0, 1]."""
+    of each Fraction of DiscriminantForm.linking, zeros as [0, 1]; and it
+    prints the cyclic orders in the order of that table."""
     from conftest import random_mixed_even_rows
     from wittlink import cli, discriminant_form, form_from_rows
     path = tmp_path / "f.json"
@@ -99,7 +122,9 @@ def test_disc_linking_is_the_reduced_fraction(rng, tmp_path, capsys):
         d = discriminant_form(form_from_rows(rows))
         want = [[[x.numerator, x.denominator] for x in row]
                 for row in d.linking]
-        assert json.loads(capsys.readouterr().out)["linking"] == want
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["linking"] == want
+        assert rep["orders"] == list(d.orders)
         dens = [x.denominator for row in d.linking for x in row]
         reduced += any(den < d.denominator for den in dens)
         full += d.denominator in dens

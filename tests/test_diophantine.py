@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import pytest
 
 from conftest import naive_window_search
@@ -6,7 +8,7 @@ from wittlink import (PretzelKnot, SearchWindow, SolutionRecord,
                       residue_prefilter, search, symmetric_window,
                       verify_negative_restriction,
                       witness_both_positive_residues)
-from wittlink.diophantine import _solve, csv_chunks
+from wittlink.diophantine import _parity_values, _solve, csv_chunks
 from wittlink.errors import NotFoundError
 
 
@@ -183,6 +185,14 @@ def test_each_unordered_pair_is_looked_up_once(monkeypatch):
                 if p <= q and (p + q - c) % k == 0)
 
 
+def solved(w, sign, live):
+    """The (p, q, r, m) of _solve's rows in class ``live``, with None, the
+    rows at s = 0, expanded as search expands it."""
+    evens = _parity_values(*w.r_range, 0)
+    return [(p, q, r, m) for p, q, rows in _solve(w, sign, live=live)
+            for r, m in rows or zip(evens, repeat(abs(p)))]
+
+
 def test_each_orbit_is_looked_up_once(monkeypatch):
     """On a window closed under p <-> q and under negation, the lookup pass
     reduces the product of each orbit {(p, q), (q, p), (-p, -q), (-q, -p)}
@@ -196,8 +206,7 @@ def test_each_orbit_is_looked_up_once(monkeypatch):
         for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2)), (-1, (4, 2)),
                              (-1, (8, 4))):
             moduli.clear()
-            got = [(p, q, r, m) for p, q, rows
-                   in _solve(w, sign, live=(k, c)) for r, m in rows]
+            got = solved(w, sign, (k, c))
             assert got == [row for row in naive_window_search(bound, sign,
                                                               bound)
                            if (row[0] + row[1] - c) % k == 0]
@@ -300,8 +309,7 @@ def test_orbit_path_matches_naive_oracle_and_swap_only_path():
                 assert "".join(csv_chunks(w, sign, dedupe)) == "".join(
                     csv_chunks(twin, sign, dedupe))
             for k, c in ((4, 2), (8, 4), (2, 0), (8, 2)):
-                got = [(p, q, r, m) for p, q, rows
-                       in _solve(w, sign, live=(k, c)) for r, m in rows]
+                got = solved(w, sign, (k, c))
                 assert got == [row for row in want
                                if (row[0] + row[1] - c) % k == 0]
                 assert list(_solve(w, sign, live=(k, c))) == list(
