@@ -104,7 +104,8 @@ def _odd_roots(mod: int, odds: range,
 
 def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
            render=None):
-    """Yield (p, q, rows) for each odd pair with a solution in w.
+    """Yield (p, pairs) once for each odd p with a solution in w: pairs
+    lists the (q, rows) of every solved pair of row p, in increasing q.
 
     Only pairs whose s = p + q lies in the class ``live`` = (k, c), that
     is s = c (mod k), are scanned: by default the live class of ``sign``.
@@ -132,8 +133,8 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     those with p <= q: itself, (q, p) under swap, (-p, -q) under neg and
     (-q, -p) under both, the last two with r negated and the rows
     reversed.  Every image lands in a later row or is the pair itself, so
-    row p yields its list sorted by q after its lookups: pairs come in
-    (p, q) order.
+    row p is complete after its lookups and yields its list, sorted by q
+    in place: rows come in increasing p.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -209,8 +210,9 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
                 if (neg and (p < q < -p or not swap)
                         and (q <= p or not dedupe)):
                     later[-p].append((-q, negs))
-        for q, rows in sorted(later.pop(p, ()), key=operator.itemgetter(0)):
-            yield p, q, rows
+        if pairs := later.pop(p, None):
+            pairs.sort(key=operator.itemgetter(0))
+            yield p, pairs
 
 
 def search(w: SearchWindow, sign: int,
@@ -218,14 +220,14 @@ def search(w: SearchWindow, sign: int,
     """All (p,q,r) in the window with pq+pr+qr = sign*m^2, m odd <= m_max.
 
     Records come in lexicographic (p,q,r) order because ``_solve`` yields
-    them that way: each row of pairs sorted by q as it ends, and rows in
-    increasing r, with no sort of the records.  ``csv_chunks`` streams the
-    same rows from the same solver.  With ``dedupe`` only representatives
-    with p <= q are kept.
+    them that way: rows p in increasing p, each with its pairs sorted by q
+    and each pair's (r, m) in increasing r, with no sort of the records.
+    ``csv_chunks`` streams the same rows from the same solver.  With
+    ``dedupe`` only representatives with p <= q are kept.
     """
     evens = _parity_values(*w.r_range, 0)
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
-            for p, q, rows in _solve(w, sign, dedupe)
+            for p, pairs in _solve(w, sign, dedupe) for q, rows in pairs
             for r, m in rows or zip(evens, repeat(abs(p)))]
 
 
@@ -235,27 +237,30 @@ def _rm_lines(rows) -> str:
 
 
 def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
-    """Yield the CSV rows of ``search(w, sign, dedupe)``, one chunk per pair.
+    """Yield the CSV rows of ``search(w, sign, dedupe)``, one chunk per p.
 
-    Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one solved
-    (p, q), in the same order as ``search``, so memory grows only with the
-    rows of the images whose row is still to come: each waits as one
-    string of "r,m" lines, from which the chunks of the pairs that share
-    it are written, each line ending in one of eight ",sign,s mod 8" tails
-    built once.  A pair with p + q = 0, whose rows ``_solve`` leaves as
+    Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one row p
+    of ``_solve``, in the same order as ``search``, so memory grows only
+    with that row and the images whose row is still to come: each waits
+    as one string of "r,m" lines, from which the pairs that share it are
+    written, each line ending in one of eight ",sign,s mod 8" tails built
+    once.  A pair with p + q = 0, whose rows ``_solve`` leaves as
     None, has a row for every even r of the window with m = |p|; those
     rows are joined from one list of r strings built once per window.
     """
     even_rs = list(map(str, _parity_values(*w.r_range, 0)))
     tails = [f",{sign},{s8}\n" for s8 in range(8)]
-    for p, q, rows in _solve(w, sign, dedupe, render=_rm_lines):
-        head = f"{p},{q},"
-        if rows is None:
-            tail = f",{abs(p)},{sign},0\n"
-            yield head + (tail + head).join(even_rs) + tail
-        else:
-            tail = tails[(p + q) % 8]
-            yield head + rows.replace("\n", tail + head) + tail
+    for p, pairs in _solve(w, sign, dedupe, render=_rm_lines):
+        chunk = []
+        for q, rows in pairs:
+            head = f"{p},{q},"
+            if rows is None:
+                tail = f",{abs(p)},{sign},0\n"
+                chunk.append(head + (tail + head).join(even_rs) + tail)
+            else:
+                tail = tails[(p + q) % 8]
+                chunk.append(head + rows.replace("\n", tail + head) + tail)
+        yield "".join(chunk)
 
 
 def verify_negative_restriction(w: SearchWindow) -> bool:
@@ -302,10 +307,11 @@ def witness_both_positive_residues(w: SearchWindow):
     s = 2 or 6 (mod 8), and stops once both residues are found.
     """
     found = {}
-    for p, q, rows in _solve(w, 1):
-        k = (p + q) % 8
-        if k not in found:
-            found[k] = SolutionRecord(p, q, *rows[0], 1, k)
-            if len(found) == 2:
-                return found[2], found[6]
+    for p, pairs in _solve(w, 1):
+        for q, rows in pairs:
+            k = (p + q) % 8
+            if k not in found:
+                found[k] = SolutionRecord(p, q, *rows[0], 1, k)
+                if len(found) == 2:
+                    return found[2], found[6]
     raise NotFoundError("window contains no witness pair for residues 2 and 6")

@@ -189,7 +189,8 @@ def solved(w, sign, live):
     """The (p, q, r, m) of _solve's rows in class ``live``, with None, the
     rows at s = 0, expanded as search expands it."""
     evens = _parity_values(*w.r_range, 0)
-    return [(p, q, r, m) for p, q, rows in _solve(w, sign, live=live)
+    return [(p, q, r, m) for p, pairs in _solve(w, sign, live=live)
+            for q, rows in pairs
             for r, m in rows or zip(evens, repeat(abs(p)))]
 
 
@@ -355,6 +356,28 @@ def test_csv_chunks_match_naive_oracle_on_asymmetric_windows():
             assert "".join(csv_chunks(w, sign)) == naive_csv(want, sign)
             assert "".join(csv_chunks(w, sign, dedupe=True)) == naive_csv(
                 [row for row in want if row[0] <= row[1]], sign)
+
+
+def test_csv_chunks_hold_one_row_each():
+    """csv_chunks writes one chunk per row p, holding the lines of that p
+    alone, in strictly increasing p; _solve yields the same rows, each p
+    once, with its pairs in strictly increasing q."""
+    windows = [SearchWindow(*args) for args in ORACLE_WINDOWS] + [
+        symmetric_window(*args) for args in SYMMETRIC_WINDOWS]
+    for w in windows:
+        for sign in (1, -1):
+            for dedupe in (False, True):
+                ps = []
+                for chunk in csv_chunks(w, sign, dedupe):
+                    (p,) = {int(line.split(",")[0])
+                            for line in chunk.splitlines()}
+                    ps.append(p)
+                assert ps == sorted(set(ps))
+                rows = list(_solve(w, sign, dedupe))
+                assert [p for p, _ in rows] == ps
+                for _, pairs in rows:
+                    qs = [q for q, _ in pairs]
+                    assert qs and qs == sorted(set(qs))
 
 
 def test_verify_and_witness_match_their_search_definitions():
