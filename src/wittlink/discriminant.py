@@ -244,36 +244,28 @@ def _subgroup_closure(base, gen, orders):
     return frozenset(out)
 
 
-def _isotropic_elements(quad, link2, orders, size):
-    """The nonzero c of a component's table with b(c, c) = 0 mod 1, in
-    lexicographic order: 2 S(c) = 0 mod size, so S(c) = 0 mod size/(2, size).
-    """
-    values = []
-    _walk(quad, link2, orders, size // math.gcd(2, size), values.extend)
-    isotropic = itertools.compress(itertools.product(*map(range, orders)),
-                                   map(not_, values))
-    return list(itertools.islice(isotropic, 1, None))  # 0 comes first
-
-
 def _component_metabolizer(quad, link2, orders, size):
     """Generators of the lex-first metabolizer of one component's table, in
-    its coordinates, or None.  One pass adds each isotropic x outside H and
-    orthogonal to it, so H ends maximal isotropic and H-perp/H anisotropic:
-    of exponent p (b(p^(a-1)y, p^(a-1)y) lies in p^(a-2)Z), so of rank <= 2
-    by Chevalley-Warning, <= 1 for p = 2 (b(x, x) mod 1 is additive there).
-    If G_p has a metabolizer, |H-perp/H| = |G_p| / |H|^2 is a square and
-    H-perp/H is Witt-equivalent to G_p, so zero: rank 0, H = H-perp
-    (Milnor-Husemoller, Symmetric Bilinear Forms, ch. IV)."""
+    its coordinates, or None.  One pass over the walk adds each isotropic x
+    outside H and orthogonal to it, so H ends maximal isotropic and H-perp/H
+    anisotropic: of exponent p (b(p^(a-1)y, p^(a-1)y) lies in p^(a-2)Z), so
+    of rank <= 2 by Chevalley-Warning, <= 1 for p = 2 (b(x, x) mod 1 is
+    additive there).  If G_p has a metabolizer, |H-perp/H| = |G_p| / |H|^2
+    is a square and H-perp/H is Witt-equivalent to G_p, so zero: rank 0, H
+    = H-perp (Milnor-Husemoller, Symmetric Bilinear Forms, ch. IV)."""
     target = math.isqrt(math.prod(orders))
-    gens, closure = [], frozenset({(0,) * len(orders)})
-    for x in _isotropic_elements(quad, link2, orders, size):
-        if len(closure) == target:
-            break
+    values, gens, closure = [], [], frozenset({(0,) * len(orders)})
+    # b(c, c) = 0 mod 1: 2 S(c) = 0 mod size, so S(c) = 0 mod size/(2, size)
+    _walk(quad, link2, orders, size // math.gcd(2, size), values.extend)
+    for x in itertools.compress(itertools.product(*map(range, orders)),
+                                map(not_, values)):  # 0 is in the closure
         if x not in closure and not any(_link_sum(link2, g, x, size)
                                         for g in gens):
             gens.append(x)
             closure = _subgroup_closure(closure, x, orders)
-    return gens if len(closure) == target else None
+            if len(closure) == target:
+                return gens
+    return None
 
 
 def _metabolizer(f, bound, d=None, boundary_zero=None):
@@ -686,14 +678,15 @@ def verify_main_theorem(f: IntegerSymmetricForm,
                         group_bound: int = DEFAULT_GROUP_BOUND) -> MainTheoremReport:
     """Assemble the hypothesis checks and the signature verdict for a form.
 
-    The verdict is ``witt._decide`` on the minors that validated f.  The
+    The verdict is ``witt._decide`` on f's minors and their signature.  The
     metabolizer is searched for only when |det| <= ``group_bound`` and that
     verdict says every residue vanishes, as a metabolizer needs at any det;
     its absence never changes ``theorem_applies``.
     """
     even = is_even(f)
     det = f.minors[-1]
-    sig, boundary_zero, applies = _decide(f.minors, even)
+    sig = signature_from_minors(f.minors)
+    boundary_zero, applies = _decide(f.minors, sig, even)
     metabolizer = _metabolizer(f, group_bound, boundary_zero=boundary_zero)
     return MainTheoremReport(
         is_even=even, det=det, det_odd=det % 2 != 0,

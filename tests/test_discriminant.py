@@ -473,8 +473,8 @@ def test_isotropic_elements_match_the_direct_filter():
     """Each primary component's table has orders p^v_p(d_i) on the d_i that
     p divides, and its walk gives N b(x, x), x_i = c_i d_i / p^e_i, as its
     value S(c) times 2N / size, mod 2N on even forms and mod N on odd ones
-    such as <5> + <25>; its isotropic elements are the
-    nonzero c with N b(x, x) = 0 mod N on the Smith tables, in
+    such as <5> + <25>; the nonzero c at which the walk at modulus size/(2,
+    size) is zero are those with N b(x, x) = 0 mod N on the Smith tables, in
     lexicographic order: on cyclic and mixed 2-primary groups, on mixed and
     homogeneous odd ones, on two primes at once, on A1^8 and on D4^4."""
     from wittlink import discriminant
@@ -511,7 +511,12 @@ def test_isotropic_elements_match_the_direct_filter():
                     2 * n if is_even(form) else n) == 0, (orders, p, c)
                 if any(c) and qx % n == 0:
                     want.append(c)
-            got = discriminant._isotropic_elements(quad, link2, sub, size)
+            # the metabolizer search's filter: S(c) = 0 mod size/(2, size)
+            halves = []
+            discriminant._walk(quad, link2, sub, size // math.gcd(2, size),
+                               halves.extend)
+            got = [c for c, v in zip(itertools.product(*map(range, sub)),
+                                     halves) if any(c) and not v]
             assert got == want, (orders, p)
 
 

@@ -1,8 +1,10 @@
 """The records are named tuples: immutable, validated on every way in, and
 cheap to import."""
 
+import ast
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,30 @@ def test_import_loads_no_fractions():
     loads neither ``fractions`` nor the ``numbers`` and ``decimal`` it
     would pull in; only the accessors typed as Fractions load it."""
     assert _loaded_by_import("fractions", "numbers", "decimal") == ""
+
+
+def test_readme_quick_start_runs_and_its_comments_hold():
+    """The README "Library quick start" block runs as written, and each
+    expression it shows has the value its comment gives."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Library quick start")[1].split("```python\n")[1]
+    tree = ast.parse(block.split("```")[0])
+    scope, shown = {}, []
+    for node in tree.body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README",
+                                      "eval"), scope))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    entries, columns, linking, rep = shown[0], shown[2], shown[3], shown[4]
+    assert entries == tuple(Fraction(-k - 2, k + 1) for k in range(8))
+    assert all(type(e) is Fraction for e in entries)
+    c, d = scope["c"], scope["d"]
+    assert (c.entries[:2], c.entries[-1]) == ((-42, -30), -2)
+    assert shown[1] is True  # boundary_is_zero(c)
+    assert (d.orders, d.denominator, d.link) == ((9,), 9, ((1,),))
+    assert columns == ((1, 1, 1, 1, 1, 1, 1, -8),)
+    assert linking == ((Fraction(1, 9),),)
+    assert (rep.theorem_applies, rep.signature, rep.conclusion_holds) == (
+        True, -8, True)

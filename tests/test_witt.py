@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (NINE_ONE_SYM, random_mixed_even_rows,
+from conftest import (NINE_ONE_SYM, pretzel_window, random_mixed_even_rows,
                       reference_square_free_part, witt_zero_bruteforce)
 from wittlink import (WittClassQ, boundary_at_prime, boundary_is_zero,
                       boundary_zero_from_minors, factorize,
@@ -481,3 +481,35 @@ def test_rational_witt_class_matches_diagonalize(rng):
         f = form_from_rows(random_mixed_even_rows(rng, max_rank=10))
         expected = witt_from_diagonal(fraction_diagonalize(f.rows()).entries)
         assert rational_witt_class(f).entries == expected.entries
+
+
+def test_decide_guards_the_signature_it_is_given():
+    """One decision core for a presentation that is not even: the Goeritz
+    form G = [[p+q, -q], [-q, q+r]] of P(p, q, r) presents the linking form
+    of the knot, whose signature is sigma(G) - (p + q) (Gordon-Litherland).
+    Over p, q odd in [-15, 15], r even in [-30, 30], r, p + q != 0, G's
+    boundary vanishes on 306 triples; guarding the knot's signature
+    applies the theorem on all of them without a contradiction, while
+    guarding sigma(G) raises on exactly the 142 with det G = +m^2."""
+    from wittlink.forms import signature_from_minors
+    from wittlink.witt import _decide
+    zero = raised = 0
+    for p, q, r in pretzel_window(15, 30):
+        if r == 0 or p + q == 0:
+            continue
+        minors = form_from_rows([[p + q, -q], [-q, q + r]]).minors
+        if not boundary_zero_from_minors(minors):
+            continue
+        zero += 1
+        sig = signature_from_minors(minors)
+        assert (sig - (p + q)) % 8 == 0, (p, q, r)
+        assert _decide(minors, sig - (p + q), True) == (True, True)
+        try:
+            _decide(minors, sig, True)
+        except ArithmeticError as exc:
+            assert "contradicts a proved theorem" in str(exc)
+            assert minors[-1] > 0, (p, q, r)
+            raised += 1
+        else:
+            assert minors[-1] < 0, (p, q, r)
+    assert (zero, raised) == (306, 142)
