@@ -105,8 +105,8 @@ def _cmd_gauss(args) -> int:
     # Everything is computed before the first write, so an error still
     # prints as one error object.  The terms are then streamed one slice
     # of the dense table at a time: the report is the bytes _emit would
-    # write, with "terms", the last key, filled in slice by slice, each
-    # flat slice [r1, c1, ...] written with one % format.
+    # write, with "terms", the last key, filled in slice by slice from the
+    # decimal pieces of discriminant._term_texts.
     f = _load_gram(args.gram)
     n, table, check = discriminant._gauss_table(f, args.bound_det)
     out = {"denominator": n, "terms": [], "check": check}
@@ -116,10 +116,9 @@ def _cmd_gauss(args) -> int:
     write = sys.stdout.write
     write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])
     sep = ""
-    for flat in discriminant._term_slices(n, table):
-        if flat:
-            write(sep + ("[%d, %d], " * (len(flat) // 2))[:-2] % tuple(flat))
-            sep = ", "
+    for text in discriminant._term_texts(n, table):
+        write(sep + text)
+        sep = ", "
     write("]}\n")
     return 0
 

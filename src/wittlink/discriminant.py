@@ -17,18 +17,19 @@ its own table against sqrt|det| e^(2 pi i sigma/8), per component, from a
 Legendre symbol in closed form and otherwise in the ring Z[zeta_R] that
 holds the sum, by one rule for every prime: the table minus one of
 Milgram's candidates must equal its rotation by R/p.  The merged table is
-the only list of its size: its terms are read off it in fixed-size flat
-slices [r1, c1, r2, c2, ...], which the CLI writes to stdout with one %
-format each, so the memory of a ``gauss`` report is bounded by the table.
+the only list of its size: the CLI writes its terms as text, one slice at a
+time, joined from decimal pieces built in advance, so the memory of a
+``gauss`` report is bounded by the table.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter, namedtuple
-from operator import eq, itemgetter, not_
+from operator import eq, itemgetter, mul, not_
 
 from ._mat import identity, mat_mul, mat_vec, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
@@ -254,14 +255,15 @@ def _component_metabolizer(quad, link2, orders, size):
     is a square and H-perp/H is Witt-equivalent to G_p, so zero: rank 0, H
     = H-perp (Milnor-Husemoller, Symmetric Bilinear Forms, ch. IV)."""
     target = math.isqrt(math.prod(orders))
-    values, gens, closure = [], [], frozenset({(0,) * len(orders)})
+    values, gens, rows, closure = [], [], [], frozenset({(0,) * len(orders)})
     # b(c, c) = 0 mod 1: 2 S(c) = 0 mod size, so S(c) = 0 mod size/(2, size)
     _walk(quad, link2, orders, size // math.gcd(2, size), values.extend)
     for x in itertools.compress(itertools.product(*map(range, orders)),
                                 map(not_, values)):  # 0 is in the closure
-        if x not in closure and not any(_link_sum(link2, g, x, size)
-                                        for g in gens):
+        if x not in closure and not any(sum(map(mul, row, x)) % size
+                                        for row in rows):
             gens.append(x)
+            rows.append([sum(map(mul, x, col)) % size for col in zip(*link2)])
             closure = _subgroup_closure(closure, x, orders)
             if len(closure) == target:
                 return gens
@@ -421,33 +423,46 @@ def _gauss_table(f, enum_bound):
     return d.denominator, table, phase == sig % 8 and sum(table) == adet
 
 
-# Entries per slice: one % format per slice costs little beside the
-# slice's terms, and a flat slice is small beside a table of 10^6.
-_SLICE = 1 << 13
+# Decimal digits of an offset in a slice: the terms are cut at r = K 10^D.
+_DIGITS = 3
 
 
-def _term_slices(n, table):
-    """The terms of the nonzero entries of a dense table over denominator
-    n, r increasing, as one flat list [r1, c1, r2, c2, ...] per slice of
-    _SLICE entries (empty where the slice holds no term), so that no more
-    than one slice of terms is held at a time."""
+@functools.lru_cache(maxsize=4)
+def _offsets(step, digits):
+    """The decimals of the offsets 0, step, 2 step, ... below 10^digits:
+    plain (r in slice 0) and zero-padded to ``digits`` (after str(K))."""
+    offs = range(0, 10 ** digits, step)
+    return tuple(map(str, offs)), tuple(f"{x:0{digits}d}" for x in offs)
+
+
+def _term_texts(n, table):
+    """The terms "[r1, c1], [r2, c2], ..." of the nonzero entries of a dense
+    table over denominator n, r increasing, one string per slice r in
+    [K 10^D, (K + 1) 10^D) that holds a term.  step = 2n / len(table) is 2
+    for odd n and 1 for even n (the p = 2 table has length 2^(a+1) for N's
+    2^a), so a slice is 10^D / step entries, each r is str(K) and then an
+    offset padded to D digits (unpadded for K = 0), and each count's
+    ", c], [K" is made once per slice: no int per entry, no % per term."""
     step = 2 * n // len(table)
-    for start in range(0, len(table), _SLICE):
-        part = table[start:start + _SLICE]
+    width = 10 ** _DIGITS // step
+    plain, padded = _offsets(step, _DIGITS)
+    for k, start in enumerate(range(0, len(table), width)):
+        part = table[start:start + width]
         counts = list(filter(None, part))
-        flat = counts * 2
-        flat[::2] = itertools.compress(
-            range(start * step, (start + len(part)) * step, step), part)
-        flat[1::2] = counts
-        yield flat
+        if counts:
+            head = "[%d" % k if k else "["
+            mid = {c: ", %d], %s" % (c, head) for c in set(counts)}
+            flat = counts * 2
+            flat[::2] = itertools.compress(padded if k else plain, part)
+            flat[1::2] = map(mid.get, counts)
+            yield head + "".join(flat)[:-2 - len(head)]
 
 
 def _terms(n, table):
-    """The (r, count) terms of a dense table over denominator n, r
-    increasing, read from the flat slices of :func:`_term_slices`."""
-    for flat in _term_slices(n, table):
-        it = iter(flat)
-        yield from zip(it, it)
+    """The (r, count) terms of a dense table over n, r increasing."""
+    step = 2 * n // len(table)
+    return zip(itertools.compress(range(0, 2 * n, step), table),
+               filter(None, table))
 
 
 def _approx(n, terms):

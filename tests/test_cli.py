@@ -614,31 +614,61 @@ def test_gauss_stream_is_the_emitted_report(rows, approx, tmp_path, capsys):
     assert capsys.readouterr().out == _emitted_gauss_report(rows, approx)
 
 
-@pytest.mark.parametrize("size", (1, 2, 5))
-def test_gauss_stream_skips_empty_slices(size, tmp_path, monkeypatch, capsys):
-    """With slices so short that some hold no term, the stream is still the
-    emitted report: on A8 (4 terms in a table of 9) and on
-    <2> + A2 + [[2, 1], [1, -2]] (12 terms in a table of 60)."""
+# A8, 4 terms in a table of 9; <2> + A2 + [[2, 1], [1, -2]], 12 terms in
+# a table of 60; U, whose trivial group has the one term [0, 1];
+# diag(2, 2048), a walked p = 2 table of step 1 with r up to 4095; and
+# [[2, 1], [1, 1000]], det 1999, a table of step 2 with r up to 3996.
+SLICED_FORMS = (A8_NEG, [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0], [0, -1, 2, 0, 0],
+                         [0, 0, 0, 2, 1], [0, 0, 0, 1, -2]],
+                [[0, 1], [1, 0]], [[2, 0], [0, 2048]], [[2, 1], [1, 1000]])
+
+
+@pytest.mark.parametrize("digits", (1, 2, 3))
+def test_gauss_stream_skips_empty_slices(digits, tmp_path, monkeypatch,
+                                         capsys):
+    """With the terms cut at r = K 10^D for D = 1, 2 and 3, the stream is
+    still the emitted report, with and without --approx: at D = 1 slices
+    cut the tables mid-way, some hold no term and heads reach K = 409, at
+    D = 2 they reach K = 40, and the offsets are never those cached for
+    another D."""
     from wittlink import cli, discriminant
-    monkeypatch.setattr(discriminant, "_SLICE", size)
-    mixed = [[2, 0, 0, 0, 0], [0, 2, -1, 0, 0], [0, -1, 2, 0, 0],
-             [0, 0, 0, 2, 1], [0, 0, 0, 1, -2]]
-    for rows in (A8_NEG, mixed):
+    monkeypatch.setattr(discriminant, "_DIGITS", digits)
+    for rows in SLICED_FORMS:
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"gram": rows}))
         for approx in (False, True):
             argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
             assert cli.main(argv) == 0
             assert capsys.readouterr().out == _emitted_gauss_report(
-                rows, approx), (rows, size)
+                rows, approx), (rows, digits)
+
+
+def test_gauss_widest_report_is_the_whole_report(tmp_path, capsys):
+    """[[1000, 1], [1, 1100]], det 1099999, under --bound-det 2000000: its r
+    run up to near 2N = 2199998, so slice heads reach four digits, and the
+    streamed report is the one json.dumps gives of the report built
+    whole."""
+    from wittlink import cli, discriminant, form_from_rows
+    rows = [[1000, 1], [1, 1100]]
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps({"gram": rows}))
+    assert cli.main(["gauss", "--gram", str(path),
+                     "--bound-det", "2000000"]) == 0
+    f = form_from_rows(rows)
+    g = discriminant.gauss_sum(f, enum_bound=2 * 10 ** 6)
+    assert g.terms[-1][0] // 10 ** discriminant._DIGITS > 2000
+    assert capsys.readouterr().out == json.dumps(
+        {"check": discriminant.gauss_sum_check(f, enum_bound=2 * 10 ** 6),
+         "denominator": g.denominator, "terms": g.terms},
+        sort_keys=True) + "\n"
 
 
 def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
     """On block sums of up to three even blocks <2k> and [[2a, b], [b, 2c]]
-    with 1 <= |det| <= 3000, and slices of 1 to 7 entries, the streamed
-    report is the one json.dumps gives (at the default slice), with and
-    without --approx, and its terms are those of the whole-group
-    enumeration, which shares no code with the slices.  Among the forms
+    with 1 <= |det| <= 3000, and terms cut at r = K 10^D for D = 1, 2, 3,
+    the streamed report is the one json.dumps gives, with and without
+    --approx, and its terms are those of the whole-group enumeration,
+    which shares no code with the slices.  Among the forms
     are walked p = 2 components, odd components of mixed orders such as
     (3, 9), and tables merged from several components."""
     import contextlib
@@ -654,15 +684,15 @@ def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
         lambda t: [[2 * t[0], t[1]], [t[1], 2 * t[2]]])
     seen = set()
     path = tmp_path / "f.json"
-    default = discriminant._SLICE
+    default = discriminant._DIGITS
 
     @hypothesis.settings(derandomize=True, deadline=None, database=None)
     @hypothesis.given(st.lists(one | two, min_size=1, max_size=3),
-                      st.integers(1, 7))
-    @hypothesis.example([[[2]], [[2, -1], [-1, 2]], [[2, 1], [1, -2]]], 2)
-    @hypothesis.example([[[6]], [[18]]], 3)
-    @hypothesis.example([[[2, 1], [1, 8]], [[10]]], 5)
-    def check(blocks, size):
+                      st.integers(1, 3))
+    @hypothesis.example([[[2]], [[2, -1], [-1, 2]], [[2, 1], [1, -2]]], 1)
+    @hypothesis.example([[[6]], [[18]]], 2)
+    @hypothesis.example([[[2, 1], [1, 8]], [[10]]], 1)
+    def check(blocks, digits):
         f = functools.reduce(direct_sum, map(form_from_rows, blocks))
         hypothesis.assume(0 < abs(determinant(f)) <= 3000)
         rows = f.rows()
@@ -678,13 +708,13 @@ def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
             want = _emitted_gauss_report(rows, approx)
             argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
             buf = io.StringIO()
-            discriminant._SLICE = size
+            discriminant._DIGITS = digits
             try:
                 with contextlib.redirect_stdout(buf):
                     assert cli.main(argv) == 0
             finally:
-                discriminant._SLICE = default
-            assert buf.getvalue() == want, (rows, size, approx)
+                discriminant._DIGITS = default
+            assert buf.getvalue() == want, (rows, digits, approx)
         assert [tuple(t) for t in json.loads(want)["terms"]] == list(
             enumerate_gauss_terms(rows)), rows
 

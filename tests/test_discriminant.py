@@ -1079,29 +1079,39 @@ def test_homogeneous_counts_build_the_table_once():
 
 
 def test_term_slices_are_the_terms_in_key_order(monkeypatch):
-    """The flat slices [r1, c1, r2, c2, ...] of the dense table, read as
-    pairs by _terms, are its nonzero entries in order, each slice holding
-    those of _SLICE consecutive entries, on a one-slice table, on tables
-    cut into slices with and without terms, and on a merged table of
-    601199 entries."""
+    """The texts of _term_texts, read as JSON, are the nonzero entries of
+    the dense table in order, each text those of one slice of r in
+    [K 10^D, (K + 1) 10^D) that holds a term; _terms gives the same pairs.
+    With D = 1, 2, 3 and back to 1, on tables of step 2 (A8, the trivial
+    group of U, the prime 1999 and the merged 601199) and of step 1
+    (<2> + <-2>, and diag(2, 2048), whose r cross 10^D), slices cut tables
+    mid-way, some hold no term, heads K >= 10 and K >= 100 occur, and the
+    offsets are never those cached for another D."""
     from wittlink import discriminant
-    for rows, size in ((A8_NEG, None), (A8_NEG, 2), (DIAG_2_M2, 1),
-                       ([[600, 1], [1, 1002]], None)):
-        if size:
-            monkeypatch.setattr(discriminant, "_SLICE", size)
+    seen = set()
+    for rows in (A8_NEG, HYPERBOLIC, DIAG_2_M2, [[2, 0], [0, 2048]],
+                 [[2, 1], [1, 1000]], [[600, 1], [1, 1002]]):
         f = form_from_rows(rows)
         n, table, _ = discriminant._gauss_table(f, 10 ** 6)
-        slices = list(discriminant._term_slices(n, table))
-        assert len(slices) == -(-len(table) // discriminant._SLICE)
         step = 2 * n // len(table)
-        for i, flat in enumerate(slices):
-            assert len(flat) % 2 == 0
-            lo = i * discriminant._SLICE * step
-            assert all(lo <= r < lo + discriminant._SLICE * step
-                       for r in flat[::2])
-        assert list(discriminant._terms(n, table)) == [
-            (x * step, c) for x, c in enumerate(table) if c]
-        monkeypatch.undo()
+        want = [(x * step, c) for x, c in enumerate(table) if c]
+        for digits in (1, 2, 3, 1):
+            monkeypatch.setattr(discriminant, "_DIGITS", digits)
+            texts = list(discriminant._term_texts(n, table))
+            slices = [json.loads("[" + text + "]") for text in texts]
+            for flat in slices:
+                heads = {str(r // 10 ** digits) for r, _ in flat}
+                assert len(heads) == 1, (rows, digits)
+                seen.add(len(heads.pop()))
+            width = 10 ** digits // step
+            if len(texts) < -(-len(table) // width):
+                seen.add("empty")
+            if len(table) > width:
+                seen.add("cut")
+            assert [tuple(t) for flat in slices for t in flat] == want
+            assert list(discriminant._terms(n, table)) == want
+            monkeypatch.undo()
+    assert {"empty", "cut", 2, 3} <= seen
 
 
 def test_merge_agrees_with_the_convolution(rng):
