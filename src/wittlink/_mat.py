@@ -20,8 +20,3 @@ def mat_mul(a, b):
         return []
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
-

@@ -31,7 +31,7 @@ import math
 from collections import Counter, namedtuple
 from operator import eq, itemgetter, mul, not_
 
-from ._mat import identity, mat_mul, mat_vec, transpose
+from ._mat import identity, mat_mul, transpose
 from .errors import (DeterminantTooLargeError, GroupTooLargeError,
                      LengthMismatchError, NotEvenError)
 from .forms import (IntegerSymmetricForm, _eliminate, determinant,
@@ -186,11 +186,8 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
     cols = [col for col, di in zip(zip(*v), d) if di != 1]
     k = len(orders)
     n = orders[-1] if orders else 1
-    s = [[0] * k for _ in range(k)]
-    for i in range(k):
-        bi = mat_vec(b, cols[i])
-        for j in range(i, k):
-            s[i][j] = s[j][i] = sum(x * y for x, y in zip(bi, cols[j]))
+    # B is symmetric, so row i of C B is v_i^T B
+    s = [[sum(map(mul, bi, v)) for v in cols] for bi in mat_mul(cols, b)]
     link = [[s[i][j] * n // (orders[i] * orders[j]) % n for j in range(k)]
             for i in range(k)]
     quad = [s[i][i] * n // orders[i] ** 2 % (2 * n) for i in range(k)]
@@ -199,22 +196,15 @@ def discriminant_form(f: IntegerSymmetricForm) -> DiscriminantForm:
                             columns=tuple(cols))
 
 
-def _link_sum(link, x, y, mod) -> int:
-    """sum_ij x_i y_j link_ij mod ``mod``: N b(x, y) mod N on a discriminant
-    form's ``link``, and a multiple of ``mod`` iff b(x, y) = 0 mod 1 on a
-    component's ``link2``."""
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    return sum(xi * yj * row[j] for xi, row in zip(x, link) if xi
-               for j, yj in ys) % mod
-
-
 def linking_value(d: DiscriminantForm, x, y) -> Fraction:
     """The linking form on coefficient vectors, as a Fraction in [0,1)."""
     k = len(d.orders)
     if len(x) != k or len(y) != k:
         raise LengthMismatchError(f"coefficient vectors must have length {k}")
     from fractions import Fraction
-    return Fraction(_link_sum(d.link, x, y, d.denominator), d.denominator)
+    n = d.denominator
+    return Fraction(sum(xi * sum(map(mul, row, y))
+                        for xi, row in zip(x, d.link)) % n, n)
 
 
 def linking_is_nondegenerate(d: DiscriminantForm) -> bool:
@@ -263,7 +253,7 @@ def _component_metabolizer(quad, link2, orders, size):
         if x not in closure and not any(sum(map(mul, row, x)) % size
                                         for row in rows):
             gens.append(x)
-            rows.append([sum(map(mul, x, col)) % size for col in zip(*link2)])
+            rows.append([sum(map(mul, x, row)) % size for row in link2])
             closure = _subgroup_closure(closure, x, orders)
             if len(closure) == target:
                 return gens

@@ -796,6 +796,13 @@ def test_discriminant_generators_match_inverse_oracle(rng):
                 assert disc.linking[i][j] == values[-1]
         assert disc.denominator == math.lcm(*(x.denominator for x in values))
         assert disc.denominator == max(disc.orders, default=1)
+        # coefficients in [-2N, 2N]: negative ones and ones >= d_i included
+        big = 2 * disc.denominator
+        for _ in range(3):
+            x, y = ([rng.randint(-big, big) for _ in expected] for _ in "xy")
+            gx, gy = ([sum(c * g[r] for c, g in zip(z, expected))
+                       for r in range(n)] for z in (x, y))
+            assert linking_value(disc, x, y) == b(gx, gy) % 1
 
 
 def test_metabolizer_skip_agrees_with_exhaustive_search():

@@ -117,7 +117,9 @@ def test_pfaffian_squares_to_bareiss_det(rng):
     the benchmark reaches: dense, sparse (zero pivots force the
     e_(k+1) -> e_(k+1) + e_j repair, and many are singular), with a zero
     row, of lower rank (B J B^T), and from size 16 on with a zero pivot
-    at step 12 that only the repair gets past."""
+    at step 12 that only the repair gets past.  The elimination reads and
+    writes only the upper triangle, so the diagonal and the lower triangle
+    stay as they were."""
     seen = {"zero": 0, "unit": 0}
     for n in range(25):
         cases = [_random_skew(rng, n) for _ in range(6)]
@@ -138,8 +140,10 @@ def test_pfaffian_squares_to_bareiss_det(rng):
         if n >= 16 and n % 2 == 0:
             cases.append(_late_zero_pivot(rng, n))
         for a in cases:
-            pf = _pfaffian([list(row) for row in a])
+            m = [list(row) for row in a]
+            pf = _pfaffian(m)
             assert pf * pf == bareiss_det(a), a
+            assert all(m[i][:i + 1] == list(a[i][:i + 1]) for i in range(n)), a
             if n % 2:
                 assert pf == 0
             seen["zero"] += pf == 0
