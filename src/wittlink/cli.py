@@ -108,7 +108,7 @@ def _cmd_gauss(args) -> int:
     # write, with "terms", the last key, filled in slice by slice from the
     # decimal pieces of discriminant._term_texts.
     f = _load_gram(args.gram)
-    n, table, check = discriminant._gauss_table(f, args.bound_det)
+    n, table, check, shared = discriminant._gauss_table(f, args.bound_det)
     out = {"denominator": n, "terms": [], "check": check}
     if args.approx:
         z = discriminant._approx(n, discriminant._terms(n, table))
@@ -116,7 +116,7 @@ def _cmd_gauss(args) -> int:
     write = sys.stdout.write
     write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])
     sep = ""
-    for text in discriminant._term_texts(n, table):
+    for text in discriminant._term_texts(n, table, shared):
         write(sep + text)
         sep = ", "
     write("]}\n")

@@ -19,7 +19,9 @@ holds the sum, by one rule for every prime: the table minus one of
 Milgram's candidates must equal its rotation by R/p.  The merged table is
 the only list of its size: the CLI writes its terms as text, one slice at a
 time, joined from decimal pieces built in advance, so the memory of a
-``gauss`` report is bounded by the table.
+``gauss`` report is bounded by the table.  On (Z/p)^k, p odd, with k = 1
+or k even, every term after the first has one count, and each slice after
+the first is one join of its offsets around one separator.
 """
 
 from __future__ import annotations
@@ -366,16 +368,18 @@ def gauss_sum(f: IntegerSymmetricForm,
     :func:`_gauss_table` by :func:`_terms`; the table's check stays there,
     and :func:`gauss_sum_matches` rebuilds it from f.
     """
-    n, table, _ = _gauss_table(f, enum_bound)
+    n, table, _, _ = _gauss_table(f, enum_bound)
     # A list first: tuple() of an iterator with no length resizes as it
     # grows, and each resize puts it back in the GC's youngest generation.
     return GaussSumValue(denominator=n, terms=tuple(list(_terms(n, table))))
 
 
 def _gauss_table(f, enum_bound):
-    """(N, table, check) of the Gauss sum of f: table[x] counts the u with
-    N b(u,u) = x 2N / len(table) mod 2N, and check is whether the sum is
-    sqrt|det| e^(2 pi i sigma / 8), Milgram's formula.
+    """(N, table, check, shared) of the Gauss sum of f: table[x] counts the
+    u with N b(u,u) = x 2N / len(table) mod 2N, check is whether the sum is
+    sqrt|det| e^(2 pi i sigma / 8), Milgram's formula, and shared is the
+    count of every nonzero entry after index 0 when they all have one,
+    read from the group, else None.
 
     G is the orthogonal sum of its p-primary components G_p, and
     b(u + v, u + v) = b(u, u) + b(v, v) mod 2 for u, v in different
@@ -388,6 +392,13 @@ def _gauss_table(f, enum_bound):
     check :func:`_component_phase` (None if there is no such k).  The
     component tables merge into one by :func:`_merge`; the check is that
     the k sum to sigma mod 8 and the counts to |det|, so no phase leaves.
+
+    shared is set when G = (Z/p)^k, p odd, is one component with k = 1 or
+    k even, where table is the count of S(c) = t over F_p for a
+    nondegenerate S (Lidl and Niederreiter, Finite Fields, Theorems 6.26
+    and 6.27): for k = 1 a nonzero t has 0 or 2 solutions, and for even k
+    every nonzero t has the same count, p^(k-1) -+ p^(k/2-1).  For odd
+    k >= 3 the squares and the non-squares have different counts.
     """
     if not is_even(f):
         raise NotEvenError("Gauss sums require an even form")
@@ -398,7 +409,8 @@ def _gauss_table(f, enum_bound):
     d = discriminant_form(f)
     table = [1]
     phase = 0
-    for p, _, orders, size, quad, link2 in _primary_components(d):
+    components = _primary_components(d)
+    for p, _, orders, size, quad, link2 in components:
         e = _split(math.prod(orders), p)[0]
         if orders[0] == size:  # odd p, all orders equal
             counts, k = _homogeneous_counts(quad, link2, p, e // len(orders))
@@ -409,8 +421,14 @@ def _gauss_table(f, enum_bound):
             k = _component_phase(counts, p, e)
         phase = None if phase is None or k is None else (phase + k) % 8
         table = _merge(table, counts) if len(table) > 1 else counts
+    shared = None
+    if len(components) == 1 and size == p:  # (Z/p)^rank, p odd
+        rank = len(orders)
+        if rank == 1 or rank % 2 == 0:
+            shared = 2 if rank == 1 else table[1]
     sig = signature_from_minors(f.minors)
-    return d.denominator, table, phase == sig % 8 and sum(table) == adet
+    return (d.denominator, table, phase == sig % 8 and sum(table) == adet,
+            shared)
 
 
 # Decimal digits of an offset in a slice: the terms are cut at r = K 10^D.
@@ -425,22 +443,31 @@ def _offsets(step, digits):
     return tuple(map(str, offs)), tuple(f"{x:0{digits}d}" for x in offs)
 
 
-def _term_texts(n, table):
+def _term_texts(n, table, shared=None):
     """The terms "[r1, c1], [r2, c2], ..." of the nonzero entries of a dense
     table over denominator n, r increasing, one string per slice r in
     [K 10^D, (K + 1) 10^D) that holds a term.  step = 2n / len(table) is 2
     for odd n and 1 for even n (the p = 2 table has length 2^(a+1) for N's
     2^a), so a slice is 10^D / step entries, each r is str(K) and then an
     offset padded to D digits (unpadded for K = 0), and each count's
-    ", c], [K" is made once per slice: no int per entry, no % per term."""
+    ", c], [K" is made once per slice: no int per entry, no % per term.
+    ``shared``, the count of every nonzero entry after index 0 if there is
+    one (see :func:`_gauss_table`), makes each slice K >= 1 one join of its
+    offsets around the one separator ", c], [K"."""
     step = 2 * n // len(table)
     width = 10 ** _DIGITS // step
     plain, padded = _offsets(step, _DIGITS)
     for k, start in enumerate(range(0, len(table), width)):
         part = table[start:start + width]
+        head = "[%d" % k if k else "["
+        if k and shared:
+            text = (", %d], %s" % (shared, head)).join(
+                itertools.compress(padded, part))
+            if text:
+                yield head + text + ", %d]" % shared
+            continue
         counts = list(filter(None, part))
         if counts:
-            head = "[%d" % k if k else "["
             mid = {c: ", %d], %s" % (c, head) for c in set(counts)}
             flat = counts * 2
             flat[::2] = itertools.compress(padded if k else plain, part)
@@ -621,7 +648,7 @@ def gauss_sum_matches(f: IntegerSymmetricForm, g: GaussSumValue) -> bool:
     stream from the table, so f's terms are never held whole; as in a
     comparison of tuples, terms that are a list, or hold lists, do not match.
     """
-    n, table, check = _gauss_table(f, DEFAULT_DET_BOUND)
+    n, table, check, _ = _gauss_table(f, DEFAULT_DET_BOUND)
     denominator, terms = g
     return (check and denominator == n and isinstance(terms, tuple)
             and all(itertools.starmap(eq, itertools.zip_longest(

@@ -605,6 +605,31 @@ def test_gauss_sum_check_random(rng):
         assert gauss_sum_check(f)
 
 
+def test_gauss_sum_check_fails_when_either_half_fails(monkeypatch):
+    """The check needs both halves: on A8 (Z/9, in closed form), a
+    signature off by one with counts that still add up to |det|, and one
+    count too many at index 0 with the phase still right, each make it
+    false; so does a walked component with no Milgram phase, on the
+    (Z/2)^2 of <2> + <-2>."""
+    from wittlink import discriminant
+    real_sig = discriminant.signature_from_minors
+    real_counts = discriminant._homogeneous_counts
+
+    def one_more(*args):
+        counts, phase = real_counts(*args)
+        return [counts[0] + 1] + counts[1:], phase
+
+    for rows, name, fake in (
+            (A8_NEG, "signature_from_minors", lambda m: real_sig(m) + 1),
+            (A8_NEG, "_homogeneous_counts", one_more),
+            (DIAG_2_M2, "_component_phase", lambda *args: None)):
+        f = form_from_rows(rows)
+        assert gauss_sum_check(f)
+        monkeypatch.setattr(discriminant, name, fake)
+        assert not gauss_sum_check(f), name
+        monkeypatch.undo()
+
+
 def test_exact_and_numeric_paths_agree(rng):
     # square determinant: run the numeric comparison alongside the exact one
     import cmath
@@ -1085,40 +1110,77 @@ def test_homogeneous_counts_build_the_table_once():
         assert peak < bound * sys.getsizeof(counts), (rows, peak)
 
 
-def test_term_slices_are_the_terms_in_key_order(monkeypatch):
+def _binary_of_prime_det(rng, p):
+    """A random even binary form [[2a, b], [b, 2c]] of |det| = p, b odd:
+    det = 4ac - b^2 is 3 mod 4, so det = p or -p as p = 3 or 1 mod 4."""
+    det = p if p % 4 == 3 else -p
+    b = rng.randrange(1, 60, 2)
+    ac = (det + b * b) // 4  # nonzero: p is not a square
+    a = rng.choice([x for x in range(1, abs(ac) + 1) if ac % x == 0])
+    a *= rng.choice((1, -1))
+    return [[2 * a, b], [b, 2 * (ac // a)]]
+
+
+def test_term_slices_are_the_terms_in_key_order(monkeypatch, rng):
     """The texts of _term_texts, read as JSON, are the nonzero entries of
     the dense table in order, each text those of one slice of r in
     [K 10^D, (K + 1) 10^D) that holds a term; _terms gives the same pairs.
     With D = 1, 2, 3 and back to 1, on tables of step 2 (A8, the trivial
-    group of U, the prime 1999 and the merged 601199) and of step 1
-    (<2> + <-2>, and diag(2, 2048), whose r cross 10^D), slices cut tables
-    mid-way, some hold no term, heads K >= 10 and K >= 100 occur, and the
-    offsets are never those cached for another D."""
+    group of U, the primes 1999 and 599999 and the merged 601199) and of
+    step 1 (<2> + <-2>, and diag(2, 2048), whose r cross 10^D), slices cut
+    tables mid-way, some hold no term, heads K >= 10 and K >= 100 occur, and
+    the offsets are never those cached for another D.
+
+    On (Z/p)^k, p odd and k = 1 or even, _gauss_table also gives the count
+    that every nonzero entry after index 0 shares, and the texts written
+    with it, one join per slice K >= 1, are those written without it: on
+    Z/1999 for +-[[2, 1], [1, 1000]] (the count is 2 even where the table
+    has no entry at 1), Z/599999, X + (-X) and X + X for X of det 991, and
+    pairs of random binary forms of one random prime det p < 1000, where
+    that count is p - 1 or p + 1.  On every other group there is none."""
     from wittlink import discriminant
+    x991 = [[4, 1], [1, 248]]
+    x31 = [[4, 1], [1, 8]]
+    a1x12 = [[2 * (i == j) for j in range(12)] for i in range(12)]
+    forms = [form_from_rows(rows) for rows in (
+        A8_NEG, HYPERBOLIC, DIAG_2_M2, [[2, 0], [0, 2048]],
+        [[2, 1], [1, 1000]], _neg([[2, 1], [1, 1000]]),
+        [[600, 1], [1, 1002]], [[600, 1], [1, 1000]])]
+    forms += [_block_sum(x991, _neg(x991)), _block_sum(x991, x991)]
+    primes = [p for p in range(3, 1000) if all(p % q for q in range(2, p))]
+    picked = rng.sample(primes, 6)
+    forms += [_block_sum(_binary_of_prime_det(rng, p),
+                         _binary_of_prime_det(rng, p)) for p in picked]
+    shares = []
     seen = set()
-    for rows in (A8_NEG, HYPERBOLIC, DIAG_2_M2, [[2, 0], [0, 2048]],
-                 [[2, 1], [1, 1000]], [[600, 1], [1, 1002]]):
-        f = form_from_rows(rows)
-        n, table, _ = discriminant._gauss_table(f, 10 ** 6)
+    for f in forms:
+        n, table, _, shared = discriminant._gauss_table(f, 10 ** 6)
+        shares.append(shared)
         step = 2 * n // len(table)
         want = [(x * step, c) for x, c in enumerate(table) if c]
         for digits in (1, 2, 3, 1):
             monkeypatch.setattr(discriminant, "_DIGITS", digits)
             texts = list(discriminant._term_texts(n, table))
+            assert list(discriminant._term_texts(n, table, shared)) == texts
             slices = [json.loads("[" + text + "]") for text in texts]
             for flat in slices:
                 heads = {str(r // 10 ** digits) for r, _ in flat}
-                assert len(heads) == 1, (rows, digits)
+                assert len(heads) == 1, (f.rows(), digits)
                 seen.add(len(heads.pop()))
             width = 10 ** digits // step
             if len(texts) < -(-len(table) // width):
-                seen.add("empty")
+                seen.add("empty" if shared is None else "empty, shared")
             if len(table) > width:
                 seen.add("cut")
             assert [tuple(t) for flat in slices for t in flat] == want
             assert list(discriminant._terms(n, table)) == want
             monkeypatch.undo()
-    assert {"empty", "cut", 2, 3} <= seen
+    assert {"empty", "empty, shared", "cut", 2, 3} <= seen
+    assert shares[:10] == [None, None, None, None, 2, 2, None, 2, 990, 992]
+    assert all(c in (p - 1, p + 1) for p, c in zip(picked, shares[10:]))
+    for f in (_block_sum(x31, x31, x31), _block_sum([[2, 1], [1, -60]]),
+              _block_sum([[2, 1], [1, 14]]), _block_sum(a1x12)):
+        assert discriminant._gauss_table(f, 10 ** 6)[3] is None
 
 
 def test_merge_agrees_with_the_convolution(rng):
