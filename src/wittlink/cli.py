@@ -10,10 +10,10 @@ closes stdout early ends any command with exit 0.
 
 from __future__ import annotations
 
+# json and csv are imported where they are used, not here: dioph reads and
+# writes neither, and only CSV Seifert input reads csv
 import argparse
-import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -23,12 +23,14 @@ from .errors import WittLinkError
 
 
 def _emit(obj) -> None:
+    import json
     # every report is a fresh tree built here, so it can hold no cycle
     print(json.dumps(obj, sort_keys=True, check_circular=False))
 
 
 def _read_key(path, key):
     """``data[key]`` of the JSON object in the file at ``path``."""
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or key not in data:
@@ -42,6 +44,7 @@ def _load_gram(path) -> forms.IntegerSymmetricForm:
 
 def _load_seifert(path) -> knots.SeifertMatrix:
     if path.endswith(".csv"):
+        import csv
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
         return knots.seifert_from_rows(rows)
@@ -107,6 +110,7 @@ def _cmd_gauss(args) -> int:
     # of the dense table at a time: the report is the bytes _emit would
     # write, with "terms", the last key, filled in slice by slice from the
     # decimal pieces of discriminant._term_texts.
+    import json
     f = _load_gram(args.gram)
     n, table, check, shared = discriminant._gauss_table(f, args.bound_det)
     out = {"denominator": n, "terms": [], "check": check}

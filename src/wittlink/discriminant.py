@@ -26,7 +26,6 @@ the first is one join of its offsets around one separator.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -484,6 +483,7 @@ def _terms(n, table):
 
 def _approx(n, terms):
     """sum count e^(pi i r / n) over the (r, count) pairs ``terms``."""
+    import cmath
     return sum(c * cmath.exp(1j * math.pi * r / n) for r, c in terms)
 
 

@@ -124,7 +124,10 @@ def _factor_magnitude(n: int) -> tuple[tuple[int, int], ...]:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    stack = [n] if n > 1 else []
+    # no prime below d divides n, so a cofactor below d^2 is already proved
+    stack = [n] if d * d <= n else []
+    if 1 < n < d * d:
+        out[n] = 1
     while stack:
         m = stack.pop()
         if is_prime(m):

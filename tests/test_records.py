@@ -2,6 +2,7 @@
 cheap to import."""
 
 import ast
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -103,21 +104,28 @@ def test_minors_are_eliminated_once(monkeypatch):
 
 
 GUARD = """
+import io
 import sys
 sys.path.insert(0, sys.argv[1])
 import wittlink.cli
+if sys.argv[3:]:
+    sys.stdout = io.StringIO()
+    code = wittlink.cli.main(sys.argv[3:])
+    sys.stdout = sys.__stdout__
+    assert code == 0, code
 print(wittlink.__file__)
-print(*sorted(set(sys.argv[2:]) & set(sys.modules)))
+print(*sorted(set(sys.argv[2].split()) & set(sys.modules)))
 """
 
 
-def _loaded_by_import(*names):
-    """Which of ``names`` importing the CLI loads, without site (so nothing
-    is preloaded)."""
+def _loaded_by_import(*names, argv=()):
+    """Which of ``names`` importing the CLI, and then running it on
+    ``argv`` if one is given, loads, without site (so nothing is
+    preloaded)."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", GUARD, str(src),
-                           *names], capture_output=True, text=True,
-                          timeout=30)
+                           " ".join(names), *argv], capture_output=True,
+                          text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     module, loaded = proc.stdout.splitlines()
     assert Path(module).resolve().is_relative_to(src)
@@ -135,6 +143,38 @@ def test_import_loads_no_fractions():
     loads neither ``fractions`` nor the ``numbers`` and ``decimal`` it
     would pull in; only the accessors typed as Fractions load it."""
     assert _loaded_by_import("fractions", "numbers", "decimal") == ""
+
+
+def test_import_loads_every_layer_module():
+    """Importing the CLI loads each layer module that the benchmark's
+    tracer wraps right after that import, so a package that defers its
+    submodules fails here."""
+    layers = ["wittlink." + name for name in (
+        "_mat", "cli", "diophantine", "discriminant", "forms", "knots",
+        "witt")]
+    assert _loaded_by_import(*layers) == " ".join(layers)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("", ""),
+    ("dioph --pq 9 --r 8 --m 9", ""),
+    ("dioph --verify --pq 9 --r 8 --m 9", ""),
+    ("knot --seifert {dir}/k.json", "json"),
+    ("knot --seifert {dir}/k.csv", "csv json"),
+    ("gauss --gram {dir}/g.json", "json"),
+    ("gauss --approx --gram {dir}/g.json", "cmath json"),
+])
+def test_json_csv_and_cmath_load_only_where_they_are_used(tmp_path, argv,
+                                                          loaded):
+    """Start-up loads none of them: ``json`` loads for JSON input or
+    output, ``csv`` for CSV Seifert input, ``cmath`` for ``--approx``."""
+    (tmp_path / "k.json").write_text(json.dumps({"seifert":
+                                                 NINE_ONE_SEIFERT}))
+    (tmp_path / "k.csv").write_text(
+        "".join(",".join(map(str, row)) + "\n" for row in NINE_ONE_SEIFERT))
+    (tmp_path / "g.json").write_text(json.dumps({"gram": A8_NEG}))
+    argv = [arg.format(dir=tmp_path) for arg in argv.split()]
+    assert _loaded_by_import("json", "csv", "cmath", argv=argv) == loaded
 
 
 def test_readme_quick_start_runs_and_its_comments_hold():

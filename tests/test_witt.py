@@ -190,6 +190,24 @@ def test_factorize_past_trial_division():
     assert factorize(p * q * r).factors == ((p, 1), (q, 1), (r, 1))
 
 
+def test_trial_division_proves_the_cofactor_it_stops_below(monkeypatch):
+    """Trial division that stops at d^2 > n has divided out every prime
+    below d, so the cofactor n > 1 is prime and Miller-Rabin is not run
+    on it: 997 in 2 * 3 * 997, 613 in 613 * 13 * 236."""
+    from wittlink import witt
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(witt, "is_prime", refuse)
+    witt._factor_magnitude.cache_clear()
+    assert witt._factor_magnitude(2 * 3 * 997) == ((2, 1), (3, 1), (997, 1))
+    assert witt._factor_magnitude(613 * 13 * 236) == (
+        (2, 2), (13, 1), (59, 1), (613, 1))
+    monkeypatch.undo()
+    witt._factor_magnitude.cache_clear()
+
+
 def test_rho_tries_the_next_polynomial_when_a_block_ends_at_n():
     """On 703 = 19 * 37 and on 25, y^2 + 1 ends a block with gcd n and its
     one-step walk again reaches n, so rho moves on to y^2 + 2, which
