@@ -682,6 +682,17 @@ def known_answer_rows(a, b, c, n, shears=6, seed=0):
     return rows
 
 
+def chain_shear(rows):
+    """Scramble ``rows`` in place by the congruence row_i += row_(i+1),
+    col_i += col_(i+1), for i = 0, 1, ..., n - 2 in turn, and return them:
+    a dense matrix of the same form."""
+    for i in range(len(rows) - 1):
+        rows[i] = [x + y for x, y in zip(rows[i], rows[i + 1])]
+        for row in rows:
+            row[i] += row[i + 1]
+    return rows
+
+
 def block_sum_rows(*blocks):
     """The block-diagonal sum of square integer row lists."""
     n = sum(len(b) for b in blocks)

@@ -66,8 +66,9 @@ def test_diag_prints_the_fraction_oracle(tmp_path, capsys, rng):
     def ratio(x):
         return f"{x.numerator}/{x.denominator}"
 
-    path = tmp_path / "f.json"
-    for rows in [random_mixed_even_rows(rng) for _ in range(30)] + [DENSE_24]:
+    forms = [random_mixed_even_rows(rng) for _ in range(30)] + [DENSE_24]
+    for i, rows in enumerate(forms):
+        path = tmp_path / f"f{i}.json"
         path.write_text(json.dumps({"gram": rows}))
         assert cli.main(["diag", "--gram", str(path), "--approx"]) == 0
         d = fraction_diagonalize(rows)
@@ -112,10 +113,10 @@ def test_disc_linking_is_the_reduced_fraction(rng, tmp_path, capsys):
     prints the cyclic orders in the order of that table."""
     from conftest import random_mixed_even_rows
     from wittlink import cli, discriminant_form, form_from_rows
-    path = tmp_path / "f.json"
     reduced = full = 0
-    for _ in range(60):
+    for i in range(60):
         rows = random_mixed_even_rows(rng, max_rank=8)
+        path = tmp_path / f"f{i}.json"
         path.write_text(json.dumps({"gram": rows}))
         assert cli.main(["disc", "--gram", str(path),
                          "--bound-group", "1"]) == 0
@@ -307,10 +308,29 @@ def read_then_close(*args, size):
     return head, proc.wait(timeout=60), err
 
 
-def test_dioph_closed_pipe_exits_quietly():
+@pytest.mark.parametrize("extra", ((), ("--sign", "1"), ("--dedupe",)),
+                         ids=("sign-1", "sign1", "dedupe"))
+def test_dioph_closed_pipe_exits_quietly(extra):
     header = b"p,q,r,m,sign,p_plus_q_mod_8\n"
-    assert read_then_close("dioph", "--pq", "399", "--r", "400", "--m", "399",
-                           size=len(header)) == (header, 0, b"")
+    assert read_then_close("dioph", *extra, "--pq", "399", "--r", "400",
+                           "--m", "399", size=len(header)) == (header, 0, b"")
+
+
+@pytest.mark.parametrize("sign", ("-1", "1"))
+def test_dioph_dedupe_is_the_full_stream_cut_to_p_at_most_q(sign, capsys):
+    """dioph --dedupe writes the header and the rows of the full stream with
+    p <= q, byte for byte, on a window wider than any dioph window of the
+    golden corpus."""
+    from wittlink import cli
+    argv = ["dioph", "--sign", sign, "--pq", "149", "--r", "150",
+            "--m", "149"]
+    assert cli.main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines(keepends=True)
+    assert cli.main(argv + ["--dedupe"]) == 0
+    kept = [row for row in rows
+            if int(row.split(",")[0]) <= int(row.split(",")[1])]
+    assert len(rows) > len(kept) > 0
+    assert capsys.readouterr().out == header + "".join(kept)
 
 
 def test_gauss_closed_pipe_exits_quietly(tmp_path):
@@ -385,7 +405,8 @@ def test_error_exit_codes(tmp_path):
     assert json.loads(out)["error"]["type"] == "not_symmetric"
 
     # symmetric matrices whose entries are not all integers
-    for rows in ([[0.5]], [[True]], [[2, 1], [1, 2.0]]):
+    for i, rows in enumerate(([[0.5]], [[True]], [[2, 1], [1, 2.0]])):
+        bad = tmp_path / f"bad{i}.json"
         bad.write_text(json.dumps({"gram": rows}))
         code, out, _ = run_cli("analyze", "--gram", str(bad))
         assert code == 1
@@ -515,6 +536,20 @@ def test_boundary_factors_the_reduced_entry(tmp_path):
         '"zero": false}], "witt_entries": [4000000000006, 4000000000246]}\n')
 
 
+def test_boundary_answers_past_a_refuted_cofactor(tmp_path, capsys):
+    """diag(2, 2 * 1000003 * P), P = 4000000000000000037: trial division
+    leaves the cofactor 1000003 * P, above the Miller-Rabin certification
+    bound, which base 2 refutes, so boundary answers (exit 0) with a class
+    at the prime 1000003."""
+    from wittlink import cli
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps({"gram": [[2, 0],
+                                         [0, 8000024000000000074000222]]}))
+    assert cli.main(["boundary", "--gram", str(path)]) == 0
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    assert 1000003 in [c["prime"] for c in classes]
+
+
 def test_psi_12_form_has_a_vanishing_boundary(tmp_path):
     """diag(2 psi_12, 146 psi_12, 2, 146) is <2, 146> twice over, up to
     the square psi_12^2 (psi_12 = 399165290221 * 798330580441, a strong
@@ -633,8 +668,8 @@ def test_gauss_stream_skips_empty_slices(digits, tmp_path, monkeypatch,
     another D."""
     from wittlink import cli, discriminant
     monkeypatch.setattr(discriminant, "_DIGITS", digits)
-    for rows in SLICED_FORMS:
-        path = tmp_path / "f.json"
+    for i, rows in enumerate(SLICED_FORMS):
+        path = tmp_path / f"f{i}.json"
         path.write_text(json.dumps({"gram": rows}))
         for approx in (False, True):
             argv = ["gauss", "--gram", str(path)] + ["--approx"] * approx
@@ -673,6 +708,7 @@ def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
     (3, 9), and tables merged from several components."""
     import contextlib
     import functools
+    import itertools
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from wittlink import (cli, determinant, direct_sum, discriminant,
@@ -683,7 +719,7 @@ def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
         lambda t: 4 * t[0] * t[2] != t[1] ** 2).map(
         lambda t: [[2 * t[0], t[1]], [t[1], 2 * t[2]]])
     seen = set()
-    path = tmp_path / "f.json"
+    names = itertools.count()
     default = discriminant._DIGITS
 
     @hypothesis.settings(derandomize=True, deadline=None, database=None)
@@ -703,6 +739,7 @@ def test_gauss_stream_is_the_emitted_report_on_generated_forms(tmp_path):
                 seen.add("walked 2" if p == 2 else "mixed odd")
         if len(components) > 1:
             seen.add("merged")
+        path = tmp_path / f"f{next(names)}.json"
         path.write_text(json.dumps({"gram": rows}))
         for approx in (False, True):
             want = _emitted_gauss_report(rows, approx)
@@ -825,6 +862,45 @@ def test_main_reuses_one_parser_without_carrying_options(a8_json, monkeypatch,
     assert outputs[8] != outputs[9]
 
 
+# (gram, extra args, terms, elements), one large form a line:
+# f2: Z/599999 has rank 1, so each slice after the first is one join;
+# xmx991, X + (-X) for X = [[4, 1], [1, 248]] of det 991: (Z/991)^2 has even
+#   rank, so every term after the first has the one count 990;
+# f3, 601199 = 29 * 20731: the merged table, on the interleaved path;
+# c3x12, det -3^12, cyclic of order 531441: the closed form recurses to the
+#   multiples of p^2 six times over;
+# f4, det 1099999 = 29 * 83 * 457 above the default bound of 10^6: the
+#   table checks itself under the caller's bound.
+LARGE_GAUSS = {
+    "f2": ([[600, 1], [1, 1000]], (), 300000, 599999),
+    "xmx991": ([[4, 1, 0, 0], [1, 248, 0, 0], [0, 0, -4, -1],
+                [0, 0, -1, -248]], (), 991, 982081),
+    "f3": ([[600, 1], [1, 1002]], (), 155490, 601199),
+    "c3x12": ([[2, 731], [731, 1460]], (), 199291, 531441),
+    "f4": ([[1000, 1], [1, 1100]], ("--bound-det", "2000000"), 144270,
+           1099999),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_GAUSS)
+def test_gauss_large_report_is_one_checked_object(name, tmp_path, capsys):
+    """The whole streamed gauss report of each large form is one JSON
+    object: the check holds, its terms count all the elements, and stdout
+    is byte for byte json.dumps of that object, so a wrong separator or
+    digit padding fails here."""
+    from wittlink import cli
+    rows, extra, terms, elements = LARGE_GAUSS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"gram": rows}))
+    assert cli.main(["gauss", "--gram", str(path), *extra]) == 0
+    raw = capsys.readouterr().out
+    rep = json.loads(raw)
+    assert rep["check"] is True
+    assert len(rep["terms"]) == terms
+    assert sum(c for _, c in rep["terms"]) == elements
+    assert json.dumps(rep, sort_keys=True) + "\n" == raw
+
+
 def test_gauss_check_holds_for_non_square_det_near_a_million(tmp_path):
     # det 599999, a prime: the plain float sum misses
     # sqrt|det| * e^(2 pi i sigma/8) by about 1.3e-9 here; the exact check
@@ -906,8 +982,8 @@ def test_gauss_prints_the_enumerated_terms_byte_for_byte(tmp_path, capsys):
 
     from conftest import fsum_gauss_value
     from wittlink import GaussSumValue, cli, discriminant_form, form_from_rows
-    for rows in ([[600, 1], [1, 1002]], [[600, 1], [1, 1004]]):
-        path = tmp_path / "f.json"
+    for i, rows in enumerate(([[600, 1], [1, 1002]], [[600, 1], [1, 1004]])):
+        path = tmp_path / f"f{i}.json"
         path.write_text(json.dumps({"gram": rows}))
         f = form_from_rows(rows)
         n = discriminant_form(f).denominator
@@ -1033,6 +1109,54 @@ def test_disc_above_the_group_bound_tests_no_residue(tmp_path, capsys):
     assert cli.main(["analyze", "--gram", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"]["type"] == "certification_bound"
+
+
+def test_disc_finds_a_metabolizer_above_the_default_group_bound(tmp_path,
+                                                                capsys):
+    """X + -X, X = [[2, 1], [1, 52]] of det 103, has |G| = 103^2 > 10^4, so
+    disc prints a null metabolizer by default; under --bound-group 100000
+    it prints generators of a subgroup of order 103 on which the linking
+    form vanishes."""
+    from fractions import Fraction
+
+    from wittlink import cli
+    path = tmp_path / "xmx.json"
+    path.write_text(json.dumps({"gram": [[2, 1, 0, 0], [1, 52, 0, 0],
+                                         [0, 0, -2, -1], [0, 0, -1, -52]]}))
+    assert cli.main(["disc", "--gram", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["metabolizer"] is None
+    assert cli.main(["disc", "--gram", str(path),
+                     "--bound-group", "100000"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    orders, link, gens = rep["orders"], rep["linking"], rep["metabolizer"]
+    assert gens
+    span = {(0,) * len(orders)}
+    for g in gens:
+        while True:
+            grown = span | {tuple((a + b) % d for a, b, d in
+                                  zip(x, g, orders)) for x in span}
+            if grown == span:
+                break
+            span = grown
+    assert len(span) == 103
+    k = range(len(orders))
+    assert not any(sum(Fraction(*link[i][j]) * x[i] * y[j]
+                       for i in k for j in k) % 1
+                   for x in gens for y in gens)
+
+
+def test_pretzel_stops_at_the_rho_budget(capsys):
+    """The pretzel class factors p*q*r; the cofactor p*q of two 19-digit
+    primes is composite and above the Miller-Rabin bound, and Pollard
+    rho's step budget runs out on it, so the command stops with a
+    certification_bound error (exit 1), in seconds, not minutes."""
+    from wittlink import cli
+    start = time.perf_counter()
+    assert cli.main(["pretzel", "4000000000000000037", "5000000000000000003",
+                     "2"]) == 1
+    assert time.perf_counter() - start < 120
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "certification_bound"
 
 
 def test_approx_beyond_the_float_range_is_bad_input(tmp_path, capsys):

@@ -902,9 +902,8 @@ def test_metabolizer_gate_is_the_residue_verdict(rng, tmp_path, capsys):
             targeted.append(_block_sum(block, x, x).rows())
     forms = [form_from_rows(rows) for rows in targeted]
     forms += [_gate_form(rng) for _ in range(2500)]
-    path = tmp_path / "f.json"
     seen = Counter()
-    for f in forms:
+    for i, f in enumerate(forms):
         det = determinant(f)
         assert abs(det) <= DEFAULT_GROUP_BOUND
         found = find_metabolizer(discriminant_form(f))
@@ -914,6 +913,7 @@ def test_metabolizer_gate_is_the_residue_verdict(rng, tmp_path, capsys):
             assert (found is not None) == zero, f
         want = tuple(found) if found is not None else None
         assert verify_main_theorem(f).metabolizer == want, f
+        path = tmp_path / f"f{i}.json"
         path.write_text(json.dumps({"gram": f.rows()}))
         assert cli.main(["disc", "--gram", str(path)]) == 0
         got = json.loads(capsys.readouterr().out)["metabolizer"]

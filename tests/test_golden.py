@@ -276,7 +276,7 @@ for argv in ops:
             cli.main(argv)
         except SystemExit:
             pass
-    if "fractions" in sys.modules:
+    if {"fractions", "decimal"} & set(sys.modules):
         break
     done += 1
 print(done)
@@ -285,8 +285,8 @@ print(done)
 
 def test_no_op_loads_fractions(tmp_path):
     """Every op of the corpus, all in one fresh interpreter, leaves
-    fractions unloaded: the decisions and the reports of every command,
-    diag's "num/den" strings too, run on integers only."""
+    fractions and decimal unloaded: the decisions and the reports of every
+    command, diag's "num/den" strings too, run on integers only."""
     rng = random.Random(SEED)
     ops = [argv for _, argv in _corpus(tmp_path, rng)]
     assert len(ops) == 1322
@@ -296,7 +296,8 @@ def test_no_op_loads_fractions(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     done = int(proc.stdout)
-    assert done == len(ops), f"fractions loaded by: {' '.join(ops[done])}"
+    assert done == len(ops), \
+        f"fractions or decimal loaded by: {' '.join(ops[done])}"
 
 
 if __name__ == "__main__":

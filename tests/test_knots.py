@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (NINE_ONE_SEIFERT, NINE_ONE_SYM, SEIFERT_6_3,
                       SEIFERT_8_1, TREFOIL_SEIFERT, bareiss_det,
+                      block_sum_rows, chain_shear,
                       closed_form_pretzel_signature, permutation_pfaffian,
                       pretzel_window, random_seifert_rows)
 from wittlink import (PretzelKnot, analyze_knot, boundary_is_zero, is_even,
@@ -254,6 +255,19 @@ def test_analyze_knot_raises_on_a_theorem_contradiction(tmp_path, capsys,
         assert err == {"type": "internal", "message": message}, argv
 
 
+def test_knot_at_rank_24(tmp_path, capsys):
+    """The sum of 12 trefoils, chain-sheared into a dense rank-24 Seifert
+    matrix, passes the Pfaffian check with det 3^12 and signature -24."""
+    from wittlink import cli
+    path = tmp_path / "trefoil12.json"
+    rows = chain_shear(block_sum_rows(*[TREFOIL_SEIFERT] * 12))
+    path.write_text(json.dumps({"seifert": rows}))
+    assert cli.main(["knot", "--seifert", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"boundary_zero": true, "determinant": 531441, "murasugi_class": 0, '
+        '"signature": -24, "signature_mod_8": 0}\n')
+
+
 def test_analyze_connected_sum_six_three_eight_one():
     s63 = seifert_from_rows(SEIFERT_6_3)
     s81 = seifert_from_rows(SEIFERT_8_1)
@@ -355,3 +369,17 @@ def test_pretzel_signature_is_the_closed_form():
             with pytest.raises(DegenerateParameterError) as err:
                 pretzel_signature(k)
             assert str(err.value) == "signature formula needs p + q != 0"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: pretzel decides from the closed class <p, q, r, pqr>, "
+    "not from its Goeritz form; perfbench/oracle.py::check_pretzel "
+    "recomputes that class, so the fix waits for a benchmark change"))
+def test_pretzel_boundary_is_the_goeritz_verdict(capsys):
+    """pretzel -613 13 -236: det 133631 is not a square and sigma = 598 = 6
+    (mod 8), so the boundary cannot vanish."""
+    from wittlink import cli
+    assert cli.main(["pretzel", "--", "-613", "13", "-236"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["determinant"], rep["signature"]) == (133631, 598)
+    assert rep["boundary_zero"] is False

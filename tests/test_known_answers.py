@@ -19,7 +19,8 @@ import random
 
 import pytest
 
-from conftest import block_sum_rows, known_answer_rows
+from conftest import (E8, HYPERBOLIC, block_sum_rows, chain_shear,
+                      known_answer_rows)
 from wittlink import discriminant_form, form_from_rows
 from wittlink.discriminant import overlattice_from_metabolizer
 from wittlink.forms import determinant, signature
@@ -29,7 +30,7 @@ PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 
 def _run(tmp_path, capsys, cmd, rows, *flags):
     from wittlink import cli
-    path = tmp_path / f"{cmd}.json"
+    path = tmp_path / f"{cmd}{len(list(tmp_path.iterdir()))}.json"
     path.write_text(json.dumps({"gram": rows}))
     assert cli.main([cmd, "--gram", str(path), *flags]) == 0
     return json.loads(capsys.readouterr().out)
@@ -102,6 +103,31 @@ def test_known_answers_at_chosen_sizes(tmp_path, capsys):
         assert (rep["rank"], rep["signature"], rep["det"]) == (
             rank, 16, -n * n)
         assert rep["boundary_zero"] is True and rep["theorem_applies"] is True
+
+
+def test_known_answers_on_chain_sheared_inputs(tmp_path, capsys):
+    """Dense inputs from chain_shear: A12 + -A12 (rank 24, det 13^2) gets a
+    metabolizer from its Smith form, and E8^3 + -E8 + U, sheared on both
+    sides of diag(n, 1, ..., 1) for n = 10^18 + 3 (rank 34), gets sigma 16,
+    det -n^2, a vanishing boundary and theorem_applies."""
+    a12 = [[2 * (i == j) - (abs(i - j) == 1) for j in range(12)]
+           for i in range(12)]
+    minus = [[-x for x in row] for row in a12]
+    rep = _run(tmp_path, capsys, "analyze",
+               chain_shear(block_sum_rows(a12, minus)))
+    assert (rep["det"], rep["signature"], rep["theorem_applies"]) == (
+        169, 0, True)
+    assert rep["metabolizer"]
+
+    n = 10 ** 18 + 3
+    minus = [[-x for x in row] for row in E8]
+    rows = chain_shear(block_sum_rows(E8, E8, E8, minus, HYPERBOLIC))
+    rows[0] = [n * x for x in rows[0]]
+    for row in rows:
+        row[0] *= n
+    rep = _run(tmp_path, capsys, "analyze", chain_shear(rows))
+    assert (rep["rank"], rep["signature"], rep["det"]) == (34, 16, -n * n)
+    assert rep["boundary_zero"] is True and rep["theorem_applies"] is True
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
