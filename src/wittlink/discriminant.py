@@ -16,12 +16,13 @@ remainders, in closed form for odd p and equal orders.  The builder checks
 its own table against sqrt|det| e^(2 pi i sigma/8), per component, from a
 Legendre symbol in closed form and otherwise in the ring Z[zeta_R] that
 holds the sum, by one rule for every prime: the table minus one of
-Milgram's candidates must equal its rotation by R/p.  The merged table is
-the only list of its size: the CLI writes its terms as text, one slice at a
-time, joined from decimal pieces built in advance, so the memory of a
-``gauss`` report is bounded by the table.  On (Z/p)^k, p odd, with k = 1
-or k even, every term after the first has one count, and each slice after
-the first is one join of its offsets around one separator.
+Milgram's candidates must equal its rotation by R/p.  The merged table, one
+byte per count when every count is below 256, is the only object of its
+size: the CLI writes its terms as text, one slice at a time, joined from
+decimal pieces built in advance, so the memory of a ``gauss`` report is
+bounded by the table.  On (Z/p)^k, p odd, with k = 1 or k even, every term
+after the first has one count, and each slice after the first is one join of
+its offsets around one separator.
 """
 
 from __future__ import annotations
@@ -391,6 +392,7 @@ def _gauss_table(f, enum_bound):
     check :func:`_component_phase` (None if there is no such k).  The
     component tables merge into one by :func:`_merge`; the check is that
     the k sum to sigma mod 8 and the counts to |det|, so no phase leaves.
+    Every table is a bytearray when its counts fit a byte (:func:`_dense`).
 
     shared is set when G = (Z/p)^k, p odd, is one component with k = 1 or
     k even, where table is the count of S(c) = t over F_p for a
@@ -406,7 +408,7 @@ def _gauss_table(f, enum_bound):
         raise DeterminantTooLargeError(
             f"|det| = {adet} exceeds enumeration bound {enum_bound}")
     d = discriminant_form(f)
-    table = [1]
+    table = _dense([1], 1)
     phase = 0
     components = _primary_components(d)
     for p, _, orders, size, quad, link2 in components:
@@ -416,7 +418,8 @@ def _gauss_table(f, enum_bound):
         else:
             hist = Counter()
             _walk(quad, link2, orders, size, hist.update)
-            counts = [hist.get(x, 0) for x in range(size)]
+            counts = _dense([hist.get(x, 0) for x in range(size)],
+                            max(hist.values()))
             k = _component_phase(counts, p, e)
         phase = None if phase is None or k is None else (phase + k) % 8
         table = _merge(table, counts) if len(table) > 1 else counts
@@ -533,7 +536,7 @@ def _homogeneous_counts(quad, link2, p, a):
     The table is built by that recursion: one row of F values repeated over
     the units, one count over the other multiples of p, and the table of
     N_(e-2) over the multiples of p^2, in O(p^a) steps rather than the
-    walk's p^(ka) / 2.
+    walk's p^(ka) / 2.  N_(e-2) comes first, for the row's largest count.
     """
     k = len(quad)
     half = (p + 1) // 2  # 2^-1 mod p; only det A mod p is needed
@@ -556,14 +559,16 @@ def _homogeneous_counts(quad, link2, p, a):
             return [add + mul]
         scale = mul * p ** ((e - 1) * (k - 1))
         value, other = add + scale * square, add + scale * nonsquare
-        row = [other] * p
+        base = add + scale * (zero - 1) + mul * (e == 1)
+        sub = counts(e - 2, base, mul * p ** k) if e >= 2 else [base]
+        row = _dense([other], max(value, other, base, max(sub))) * p
         if value != other:
             for x in range(1, (p + 1) // 2):
                 row[x * x % p] = value
-        row[0] = base = add + scale * (zero - 1) + mul * (e == 1)
+        row[0] = base
         row *= p ** (e - 1)
         if e >= 2:
-            row[::p * p] = counts(e - 2, base, mul * p ** k)
+            row[::p * p] = sub
         return row
 
     # With A ~ <u_1, ..., u_k>, the sum is prod_i G(u_i, p^a): p^(a/2) for
@@ -573,17 +578,25 @@ def _homogeneous_counts(quad, link2, p, a):
     return counts(a, 0, 1), phase
 
 
+def _dense(counts, top):
+    """The list counts, as a bytearray if top, its largest count, is < 256."""
+    return bytearray(counts) if top < 256 else counts
+
+
 def _merge(a, b):
     """The dense table of r + s for r, s from dense tables of coprime lengths;
     with a the shorter (m <= n), x of a and y of b land at n x + m y mod m n
-    (CRT), so b scaled by a[x] and rotated by n x // m fills out[n x % m::m]."""
+    (CRT), so b scaled by a[x] and rotated by n x // m fills out[n x % m::m].
+    Each pair lands once and counts are >= 0, so out's top is max(a) max(b)."""
     a, b = sorted((a, b), key=len)
     m, n = len(a), len(b)
-    out = [0] * (m * n)
+    top = max(a) * max(b)
+    out = _dense([0], top) * (m * n)
     scaled = {1: b}
     for x, c in enumerate(a):
         if c:
-            row = scaled.get(c) or scaled.setdefault(c, [c * y for y in b])
+            row = scaled.get(c) or scaled.setdefault(
+                c, _dense([c * y for y in b], top))
             s = n - n * x // m % n
             out[n * x % m::m] = row[s:] + row[:s]
     return out

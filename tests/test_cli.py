@@ -765,8 +765,9 @@ def test_gauss_memory_is_bounded_by_the_table(tmp_path):
     import tracemalloc
     from wittlink import cli
     # 300000 terms, 3.7 MiB of JSON: a tuple per term and one encoded
-    # string peaked near 35 MiB; the dense table of 599999 entries is
-    # 4.6 MiB, and the stream holds one slice of terms beside it.
+    # string peaked near 35 MiB; the dense table of 599999 counts is
+    # 0.6 MiB, one byte each, and the stream holds one slice of terms
+    # beside it.
     path = tmp_path / "f2.json"
     path.write_text(json.dumps({"gram": [[600, 1], [1, 1000]]}))
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -778,6 +779,49 @@ def test_gauss_memory_is_bounded_by_the_table(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 15 * 2 ** 20
+
+
+class _NullWriter:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def gauss_peak(rows):
+    """The tracemalloc peak, in bytes, of ``gauss --gram`` on ``rows`` in a
+    process that has run it once, with stdout sent to a null writer."""
+    import contextlib
+    import tempfile
+    import tracemalloc
+    from wittlink import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/gram.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"gram": rows}, fh)
+        with contextlib.redirect_stdout(_NullWriter()):
+            assert cli.main(["gauss", "--gram", path]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(["gauss", "--gram", path]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+
+def test_gauss_table_holds_one_byte_per_count():
+    """Every count of the dense tables of [[600, 1], [1, 1000]] (599999
+    entries, counts up to 2) and [[600, 1], [1, 1002]] (two primes,
+    29 * 20731, counts up to 4) is below 256, so each table is a bytearray
+    and a warm gauss peaks below 1.5 and 2 MiB; as lists of 8-byte entries
+    they peaked at 4.61 and 5.23 MiB, and as bytearrays near 0.60 and
+    0.78 MiB."""
+    for rows, bound in (([[600, 1], [1, 1000]], 1.5),
+                        ([[600, 1], [1, 1002]], 2)):
+        assert gauss_peak(rows) < bound * 2 ** 20, rows
 
 
 def test_metabolizer_search_reads_integer_tables(a8_json, tmp_path,
@@ -938,8 +982,9 @@ def test_gauss_terms_near_a_million_equal_the_whole_group_enumeration():
 
 def test_gauss_sum_check_memory_is_bounded_by_the_table():
     """gauss_sum_check reads the phase and the group order off the dense
-    table: no terms tuple.  On [[600, 1], [1, 1000]] the table is 4.6 MiB;
-    building the 300000 terms as well peaked near 34.5 MiB."""
+    table: no terms tuple.  On [[600, 1], [1, 1000]] the table is 0.6 MiB
+    and the check peaks near it; building the 300000 terms as well peaked
+    near 34.5 MiB."""
     import tracemalloc
     from wittlink import form_from_rows, gauss_sum_check
     f = form_from_rows([[600, 1], [1, 1000]])
@@ -956,7 +1001,7 @@ def test_gauss_sum_check_memory_is_bounded_by_the_table():
 def test_gauss_sum_matches_memory_is_near_the_check():
     """gauss_sum_matches compares the terms as they stream from the table,
     so on [[600, 1], [1, 1000]] its peak stays near gauss_sum_check's
-    4.6 MiB; building f's 300000 terms as a tuple peaked at 32.6 MiB."""
+    0.6 MiB; building f's 300000 terms as a tuple peaked at 32.6 MiB."""
     import tracemalloc
     from wittlink import (form_from_rows, gauss_sum, gauss_sum_check,
                           gauss_sum_matches)

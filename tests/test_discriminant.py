@@ -617,7 +617,7 @@ def test_gauss_sum_check_fails_when_either_half_fails(monkeypatch):
 
     def one_more(*args):
         counts, phase = real_counts(*args)
-        return [counts[0] + 1] + counts[1:], phase
+        return [counts[0] + 1] + list(counts[1:]), phase
 
     for rows, name, fake in (
             (A8_NEG, "signature_from_minors", lambda m: real_sig(m) + 1),
@@ -1053,7 +1053,7 @@ def test_homogeneous_counts_agree_with_the_walk(rng):
             discriminant._walk(quad, link2, [p ** a] * k, p ** a,
                                walk.update)
             closed, _ = discriminant._homogeneous_counts(quad, link2, p, a)
-            assert closed == [walk[x] for x in range(p ** a)], (
+            assert list(closed) == [walk[x] for x in range(p ** a)], (
                 p, a, k, quad, link2)
             cases.add((p % 4, a, k, nonsquare))
     assert {(r, a, s) for r, a, _, s in cases} == set(
@@ -1088,10 +1088,11 @@ def test_homogeneous_phase_agrees_with_the_ring_check(rng):
 
 def test_homogeneous_counts_build_the_table_once():
     """On the lone prime 599999 of [[600, 1], [1, 1000]] the closed form
-    peaks at its result, a table of 4.6 MiB: it held the row, a copy of it
-    and the table at once, near 18.3 MiB.  On the cyclic 3^12 of
-    [[2, 731], [731, 1460]] it peaks below 1.3 tables: a strided store of
-    the common count of the multiples of 3 peaked at 1.667."""
+    peaks at its result, a bytearray of 0.6 MiB; as a list of 4.6 MiB it
+    once held the row, a copy of it and the table at once, near 18.3 MiB.
+    On the cyclic 3^12 of [[2, 731], [731, 1460]] it peaks below 1.3
+    tables: a strided store of the common count of the multiples of 3
+    peaked at 1.667."""
     import sys
     import tracemalloc
     from wittlink import discriminant
@@ -1108,6 +1109,59 @@ def test_homogeneous_counts_build_the_table_once():
             tracemalloc.stop()
         assert len(counts) == p ** a
         assert peak < bound * sys.getsizeof(counts), (rows, peak)
+
+
+def test_tables_are_bytearrays_exactly_when_every_count_fits():
+    """A dense Gauss table holds one byte per count, as a bytearray, exactly
+    when its largest count is below 256, and is a list otherwise; either
+    way it equals its list oracle entry by entry.  Each builder is met on
+    both sides of 256:
+    - the closed form, against the walk: Z/1999 of [[2, 1], [1, 1000]]
+      (counts up to 2) and (Z/991)^2 of X + X, X of det 991 (count 992 at
+      every index but 0);
+    - walked 2-parts, as the whole table, against the whole-group
+      enumeration: (Z/2)^2 of <2> + <-2> and (Z/2)^12 of A1^12, whose
+      counts are near 1024;
+    - _merge of a bytearray with a list, against a[x] b[y] placed at
+      n x + m y mod m n: Z/1999's table with [1, 3, 0, 0] (top 6) and with
+      the list of A1^12 (top 2 * 1056)."""
+    from wittlink import discriminant
+    x991 = [[4, 1], [1, 248]]
+    a1x12 = [[2 * (i == j) for j in range(12)] for i in range(12)]
+    tops = {}
+    for f in (_block_sum([[2, 1], [1, 1000]]), _block_sum(x991, x991)):
+        d = discriminant_form(f)
+        [(p, _, orders, size, quad, link2)] = (
+            discriminant._primary_components(d))
+        closed, _ = discriminant._homogeneous_counts(quad, link2, p, 1)
+        walk = Counter()
+        discriminant._walk(quad, link2, orders, size, walk.update)
+        assert list(closed) == [walk[x] for x in range(size)], f.rows()
+        tops["closed", max(closed)] = type(closed)
+    for rows in (DIAG_2_M2, a1x12):
+        n, table, _, _ = discriminant._gauss_table(form_from_rows(rows),
+                                                   10 ** 6)
+        want = dict(enumerate_gauss_terms(rows))
+        step = 2 * n // len(table)
+        assert list(table) == [want.get(x * step, 0)
+                               for x in range(len(table))], rows
+        tops["walked", max(table)] = type(table)
+    z1999 = discriminant._gauss_table(
+        form_from_rows([[2, 1], [1, 1000]]), 10 ** 6)[1]
+    a1 = discriminant._gauss_table(form_from_rows(a1x12), 10 ** 6)[1]
+    for b in ([1, 3, 0, 0], a1):
+        assert (type(z1999), type(b)) == (bytearray, list)
+        out = discriminant._merge(z1999, b)
+        m, n = len(b), len(z1999)
+        want = [0] * (m * n)
+        for x, y in itertools.product(range(m), range(n)):
+            want[(n * x + m * y) % (m * n)] = b[x] * z1999[y]
+        assert list(out) == want
+        tops["merged", max(out)] = type(out)
+    assert {(kind, top < 256) for kind, top in tops} == set(
+        itertools.product(("closed", "walked", "merged"), (True, False)))
+    for (kind, top), table_type in tops.items():
+        assert table_type is (bytearray if top < 256 else list), (kind, top)
 
 
 def _binary_of_prime_det(rng, p):
