@@ -103,24 +103,26 @@ def _odd_roots(mod: int, odds: range,
 
 
 def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
-           render=None):
+           render=list):
     """Yield (p, pairs) once for each odd p with a solution in w: pairs
     lists the (q, rows) of every solved pair of row p, in increasing q.
 
     Only pairs whose s = p + q lies in the class ``live`` = (k, c), that
     is s = c (mod k), are scanned: by default the live class of ``sign``.
     For s != 0 a pair is one lookup of sign*pq mod 2|s| in the table of
-    odd roots modulo 2|s| (module docstring).  The tables (one per
-    modulus, built from one list of odd squares) and the moduli are laid
-    out once, indexed by (s - s_min)/k: s = 0 gets a sentinel table that
-    every product hits.  Along one p, sign*pq is an arithmetic progression
-    in q of step k*sign*p, so a whole row of pairs is looked up in one
-    C-level pass and only the hits run Python code.
+    odd roots modulo 2|s| (module docstring).  Before the first row, one
+    table is built per distinct modulus from one list of odd squares.
+    Only s = 0 has modulus 1, and its entry is a sentinel that every
+    product hits at sign -1 when the window has an even r, else empty.
+    Tables and moduli are indexed by (s - s_min)/k.  Along one p, sign*pq
+    is an arithmetic progression in q of step k*sign*p, so a whole row of
+    pairs is looked up in one C-level pass and only the hits run Python.
 
     rows are the (r, m) of the pair in increasing r, passed through
-    ``render``, when s != 0.  None stands for the rows at s = 0, (r, |p|)
-    for every even r, built only when yielded, by the caller: at sign +1
-    the s = 0 table is empty and the verify classes hold no s = 0, so
+    ``render`` (``list`` by default, which keeps them) when s != 0.  None
+    stands for the rows at s = 0, (r, |p|) for every even r, built only
+    when yielded, by the caller: at sign +1 the s = 0 entry is empty and
+    the verify classes hold no s = 0, so
     ``witness_both_positive_residues`` never sees None.  The window
     decides which symmetries save lookups: ``swap`` when its p and q
     ranges are equal, and ``neg`` when all three ranges are closed under
@@ -154,19 +156,10 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     s_min += (c - s_min) % k
     odds = range(1, w.m_max + 1, 2)
     squares = [m * m for m in odds]
-    roots = {}
-    tables = []
-    mods = []
-    for s in range(s_min, ps[-1] + qs[-1] + 1, k):
-        mod = 2 * abs(s) or 1
-        if s:
-            table = roots.get(mod)
-            if table is None:
-                table = roots[mod] = _odd_roots(mod, odds, squares)
-        else:
-            table = {0: True} if sign == -1 and evens else {}
-        tables.append(table)
-        mods.append(mod)
+    mods = [2 * abs(s) or 1 for s in range(s_min, ps[-1] + qs[-1] + 1, k)]
+    roots = {mod: _odd_roots(mod, odds, squares) for mod in set(mods) - {1}}
+    roots[1] = {0: True} if sign == -1 and evens else {}
+    tables = [roots[mod] for mod in mods]
     later = defaultdict(list)
     for p in ps:
         lo = max(p, q_lo) if swap or dedupe and not neg else q_lo
@@ -191,11 +184,8 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
                     if sign * s < 0:
                         rows.reverse()
                     if neg:
-                        negs = [(-r, m) for r, m in reversed(rows)]
-                        if render is not None:
-                            negs = render(negs)
-                    if render is not None:
-                        rows = render(rows)
+                        negs = render([(-r, m) for r, m in reversed(rows)])
+                    rows = render(rows)
                 elif abs(p) <= w.m_max:
                     rows = negs = None
                 else:

@@ -253,6 +253,44 @@ def test_windows_without_the_swap_look_up_each_pair_once(monkeypatch):
                     and (p + q - c) % k == 0)
 
 
+def test_each_root_table_is_built_once(monkeypatch):
+    """Each _solve call builds the root table of each distinct modulus
+    2|s| of its scanned class once, before the first row, and none for
+    s = 0, whose entry (modulus 1) is a sentinel: it is empty at sign +1
+    and on a window with no even r, so no row has p + q = 0 there."""
+    from wittlink import diophantine
+    built = []
+    odd_roots = diophantine._odd_roots
+
+    def counted(mod, odds, squares):
+        built.append(mod)
+        return odd_roots(mod, odds, squares)
+
+    monkeypatch.setattr(diophantine, "_odd_roots", counted)
+    cases = [(symmetric_window(bound, bound, bound), sign, live)
+             for bound in (9, 15)
+             for sign, live in ((-1, (8, 0)), (1, (4, 2)), (-1, (4, 2)),
+                                (-1, (8, 4)))]
+    cases += [(SearchWindow((-13, 7), (-5, 15), (-9, 12), 11), sign, live)
+              for sign, live in ((-1, (8, 0)), (1, (4, 2)))]
+    for w, sign, (k, c) in cases:
+        built.clear()
+        next(_solve(w, sign, live=(k, c)), None)  # all built by row one
+        assert sorted(built) == sorted(
+            {2 * abs(p + q) for p in odd_values(*w.p_range)
+             for q in odd_values(*w.q_range)
+             if p + q and (p + q - c) % k == 0})
+        assert 1 not in built
+    # s = 0 is scanned in every case below; only the last has s = 0 rows
+    for w, sign, zero_rows in (
+            (symmetric_window(9, 10, 9), 1, False),
+            (SearchWindow((-9, 9), (-9, 9), (1, 1), 9), -1, False),
+            (SearchWindow((-9, 9), (-9, 9), (-1, 1), 9), -1, True)):
+        qs = [q for p, pairs in _solve(w, sign, live=(8, 0))
+              for q, _ in pairs if p + q == 0]
+        assert bool(qs) == zero_rows
+
+
 def test_random_negation_only_windows_match_naive_oracle(rng):
     """On 100 random windows closed under negation, with p and q ranges that
     mostly differ, search and csv_chunks of both signs, with and without
