@@ -106,10 +106,9 @@ def _cmd_disc(args) -> int:
 
 def _cmd_gauss(args) -> int:
     # Everything is computed before the first write, so an error still
-    # prints as one error object.  The terms are then streamed one slice
-    # of the dense table at a time: the report is the bytes _emit would
-    # write, with "terms", the last key, filled in slice by slice from the
-    # decimal pieces of discriminant._term_texts.
+    # prints as one error object.  The report is the bytes _emit would
+    # write, with the body of "terms", the last key, streamed one slice of
+    # the dense table at a time by discriminant._term_texts.
     import json
     f = _load_gram(args.gram)
     n, table, check, shared = discriminant._gauss_table(f, args.bound_det)
@@ -117,13 +116,10 @@ def _cmd_gauss(args) -> int:
     if args.approx:
         z = discriminant._approx(n, discriminant._terms(n, table))
         out["approx"] = [z.real, z.imag]
-    write = sys.stdout.write
-    write(json.dumps(out, sort_keys=True, check_circular=False)[:-2])
-    sep = ""
-    for text in discriminant._term_texts(n, table, shared):
-        write(sep + text)
-        sep = ", "
-    write("]}\n")
+    sys.stdout.write(
+        json.dumps(out, sort_keys=True, check_circular=False)[:-2])
+    sys.stdout.writelines(discriminant._term_texts(n, table, shared))
+    sys.stdout.write("]}\n")
     return 0
 
 
@@ -156,7 +152,6 @@ def _cmd_dioph(args) -> int:
         _emit({"error": {"type": "restriction_violated",
                          "message": "a solution with p+q != 0 mod 8 exists"}})
         return 1
-    sys.stdout.write("p,q,r,m,sign,p_plus_q_mod_8\n")
     sys.stdout.writelines(
         diophantine.csv_chunks(w, args.sign, dedupe=args.dedupe))
     return 0

@@ -227,7 +227,8 @@ def _rm_lines(rows) -> str:
 
 
 def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
-    """Yield the CSV rows of ``search(w, sign, dedupe)``, one chunk per p.
+    """Yield the CSV of ``search(w, sign, dedupe)``: the header line, then
+    the rows, one chunk per p.
 
     Each chunk holds the rows "p,q,r,m,sign,p_plus_q_mod_8" of one row p
     of ``_solve``, in the same order as ``search``, so memory grows only
@@ -240,6 +241,7 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     """
     even_rs = list(map(str, _parity_values(*w.r_range, 0)))
     tails = [f",{sign},{s8}\n" for s8 in range(8)]
+    yield "p,q,r,m,sign,p_plus_q_mod_8\n"
     for p, pairs in _solve(w, sign, dedupe, render=_rm_lines):
         chunk = []
         for q, rows in pairs:

@@ -18,11 +18,11 @@ Legendre symbol in closed form and otherwise in the ring Z[zeta_R] that
 holds the sum, by one rule for every prime: the table minus one of
 Milgram's candidates must equal its rotation by R/p.  The merged table, one
 byte per count when every count is below 256, is the only object of its
-size: the CLI writes its terms as text, one slice at a time, joined from
-decimal pieces built in advance, so the memory of a ``gauss`` report is
-bounded by the table.  On (Z/p)^k, p odd, with k = 1 or k even, every term
-after the first has one count, and each slice after the first is one join of
-its offsets around one separator.
+size: :func:`_term_texts` writes the body of the terms array, one slice at a
+time, joined from decimal pieces built in advance, so the memory of a
+``gauss`` report is bounded by the table.  On (Z/p)^k, p odd, with k = 1 or
+k even, every term after the first has one count, and each slice after the
+first is one join of its offsets around one separator.
 """
 
 from __future__ import annotations
@@ -446,35 +446,37 @@ def _offsets(step, digits):
 
 
 def _term_texts(n, table, shared=None):
-    """The terms "[r1, c1], [r2, c2], ..." of the nonzero entries of a dense
+    """The body "[r1, c1], [r2, c2], ..." of the terms array of a dense
     table over denominator n, r increasing, one string per slice r in
-    [K 10^D, (K + 1) 10^D) that holds a term.  step = 2n / len(table) is 2
-    for odd n and 1 for even n (the p = 2 table has length 2^(a+1) for N's
-    2^a), so a slice is 10^D / step entries, each r is str(K) and then an
-    offset padded to D digits (unpadded for K = 0), and each count's
-    ", c], [K" is made once per slice: no int per entry, no % per term.
-    ``shared``, the count of every nonzero entry after index 0 if there is
-    one (see :func:`_gauss_table`), makes each slice K >= 1 one join of its
-    offsets around the one separator ", c], [K"."""
+    [K 10^D, (K + 1) 10^D) that holds a term, each after the first starting
+    with ", [K" (slice 0 holds r = 0, so it is always first).  step =
+    2n / len(table) is 2 for odd n and 1 for even n (the p = 2 table has
+    length 2^(a+1) for N's 2^a), so a slice is 10^D / step entries, each r
+    is str(K) and then an offset padded to D digits (unpadded for K = 0),
+    and each count's ", c], [K" is made once per slice: no int per entry, no
+    % per term.  ``shared``, the count of every nonzero entry after index 0
+    if there is one (see :func:`_gauss_table`), makes each slice K >= 1 one
+    join of its offsets around the one separator ", c], [K"."""
     step = 2 * n // len(table)
     width = 10 ** _DIGITS // step
     plain, padded = _offsets(step, _DIGITS)
     for k, start in enumerate(range(0, len(table), width)):
         part = table[start:start + width]
-        head = "[%d" % k if k else "["
+        key = "[%d" % k if k else "["
+        head = ", " + key if k else key
         if k and shared:
-            text = (", %d], %s" % (shared, head)).join(
+            text = (", %d], %s" % (shared, key)).join(
                 itertools.compress(padded, part))
             if text:
                 yield head + text + ", %d]" % shared
             continue
         counts = list(filter(None, part))
         if counts:
-            mid = {c: ", %d], %s" % (c, head) for c in set(counts)}
+            mid = {c: ", %d], %s" % (c, key) for c in set(counts)}
             flat = counts * 2
             flat[::2] = itertools.compress(padded if k else plain, part)
             flat[1::2] = map(mid.get, counts)
-            yield head + "".join(flat)[:-2 - len(head)]
+            yield head + "".join(flat)[:-2 - len(key)]
 
 
 def _terms(n, table):

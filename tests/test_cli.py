@@ -787,6 +787,10 @@ class _NullWriter:
     def write(self, text):
         return len(text)
 
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
     def flush(self):
         pass
 

@@ -379,8 +379,8 @@ def test_witness_stops_the_orbit_path_like_the_swap_only_path():
 
 
 def naive_csv(rows, sign):
-    return "".join(f"{p},{q},{r},{m},{sign},{(p + q) % 8}\n"
-                   for p, q, r, m in rows)
+    return "p,q,r,m,sign,p_plus_q_mod_8\n" + "".join(
+        f"{p},{q},{r},{m},{sign},{(p + q) % 8}\n" for p, q, r, m in rows)
 
 
 def test_csv_chunks_match_naive_oracle_on_asymmetric_windows():
@@ -397,16 +397,19 @@ def test_csv_chunks_match_naive_oracle_on_asymmetric_windows():
 
 
 def test_csv_chunks_hold_one_row_each():
-    """csv_chunks writes one chunk per row p, holding the lines of that p
-    alone, in strictly increasing p; _solve yields the same rows, each p
-    once, with its pairs in strictly increasing q."""
+    """csv_chunks writes the header line alone, then one chunk per row p,
+    holding the lines of that p alone, in strictly increasing p; _solve
+    yields the same rows, each p once, with its pairs in strictly
+    increasing q."""
     windows = [SearchWindow(*args) for args in ORACLE_WINDOWS] + [
         symmetric_window(*args) for args in SYMMETRIC_WINDOWS]
     for w in windows:
         for sign in (1, -1):
             for dedupe in (False, True):
+                chunks = csv_chunks(w, sign, dedupe)
+                assert next(chunks) == "p,q,r,m,sign,p_plus_q_mod_8\n"
                 ps = []
-                for chunk in csv_chunks(w, sign, dedupe):
+                for chunk in chunks:
                     (p,) = {int(line.split(",")[0])
                             for line in chunk.splitlines()}
                     ps.append(p)

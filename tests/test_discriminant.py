@@ -1179,6 +1179,8 @@ def test_term_slices_are_the_terms_in_key_order(monkeypatch, rng):
     """The texts of _term_texts, read as JSON, are the nonzero entries of
     the dense table in order, each text those of one slice of r in
     [K 10^D, (K + 1) 10^D) that holds a term; _terms gives the same pairs.
+    The first text starts with r = 0 and each later one with ", [", so the
+    texts joined are the body of the terms array.
     With D = 1, 2, 3 and back to 1, on tables of step 2 (A8, the trivial
     group of U, the primes 1999 and 599999 and the merged 601199) and of
     step 1 (<2> + <-2>, and diag(2, 2048), whose r cross 10^D), slices cut
@@ -1216,7 +1218,10 @@ def test_term_slices_are_the_terms_in_key_order(monkeypatch, rng):
             monkeypatch.setattr(discriminant, "_DIGITS", digits)
             texts = list(discriminant._term_texts(n, table))
             assert list(discriminant._term_texts(n, table, shared)) == texts
-            slices = [json.loads("[" + text + "]") for text in texts]
+            assert texts[0].startswith("[0, ")
+            assert all(text.startswith(", [") for text in texts[1:])
+            slices = [json.loads("[" + text.removeprefix(", ") + "]")
+                      for text in texts]
             for flat in slices:
                 heads = {str(r // 10 ** digits) for r, _ in flat}
                 assert len(heads) == 1, (f.rows(), digits)
@@ -1227,6 +1232,8 @@ def test_term_slices_are_the_terms_in_key_order(monkeypatch, rng):
             if len(table) > width:
                 seen.add("cut")
             assert [tuple(t) for flat in slices for t in flat] == want
+            assert [tuple(t) for t in json.loads(
+                "[" + "".join(texts) + "]")] == want
             assert list(discriminant._terms(n, table)) == want
             monkeypatch.undo()
     assert {"empty", "empty, shared", "cut", 2, 3} <= seen
