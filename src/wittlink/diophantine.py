@@ -28,11 +28,11 @@ of odd square roots modulo 2|p + q|, and each p-row of pairs is looked up
 in one C-level pass.  The equation is symmetric in p and q, and
 homogeneous of degree 2, so (p, q, r) -> (-p, -q, -r) maps solutions to
 solutions with the same m; it keeps pq and the modulus 2|s|, and maps
-each live class of s to itself.  The window decides which symmetries the
-search uses: p <-> q when the p and q ranges are equal, negation when
-every range is closed under it.  Each orbit of pairs under those is
-looked up once, and its other members wait in per-row lists; every
-``symmetric_window`` has both.  ``verify_negative_restriction`` scans
+each live class of s to itself.  On a window with equal p and q ranges
+and every range closed under negation, as every ``symmetric_window`` is,
+the search looks up each orbit of pairs under both symmetries once, and
+its other members wait in per-row lists; on every other window it looks
+up each pair on its own.  ``verify_negative_restriction`` scans
 every other class of s of the negative sign, which checks this argument
 by exhaustion.
 """
@@ -123,23 +123,21 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     stands for the rows at s = 0, (r, |p|) for every even r, built only
     when yielded, by the caller: at sign +1 the s = 0 entry is empty and
     the verify classes hold no s = 0, so
-    ``witness_both_positive_residues`` never sees None.  The window
-    decides which symmetries save lookups: ``swap`` when its p and q
-    ranges are equal, and ``neg`` when all three ranges are closed under
-    negation and so is the class (2c = 0 mod k).  Row p looks up one
-    interval of q: from max(p, q_lo) under swap, or under dedupe without
-    neg, else from q_lo (under dedupe, a pair 0 < p < q is the image of
-    (-p, -q), whose q < p); up to -p under both, else up to q_hi; and rows
-    p > 0 look up nothing under neg.  Each solved pair appends its images
-    to the list of their row in ``later``, each once and under dedupe only
-    those with p <= q: itself, (q, p) under swap, (-p, -q) under neg and
-    (-q, -p) under both, the last two with r negated and the rows
-    reversed.  Every image lands in a later row or is the pair itself, so
-    row p is complete after its lookups and yields its list, sorted by q
-    in place: rows come in increasing p.
+    ``witness_both_positive_residues`` never sees None.  One rule picks
+    the lookups: ``sym`` holds when the p and q ranges are equal and all
+    three ranges are closed under negation, and so is the class (2c = 0
+    mod k), as on every ``symmetric_window`` in a live or verify class.
+    Under ``sym`` row p looks up q from p to -p, so rows p > 0 look up
+    nothing, and each orbit {(p, q), (q, p), (-p, -q), (-q, -p)} is one
+    lookup.  Each solved pair appends its images to the list of their row
+    in ``later``, each once and under dedupe only those with p <= q:
+    itself, (q, p), (-q, -p) and (-p, -q), the last two with r negated and
+    the rows reversed.  Every image lands in a later row or is the pair
+    itself.  Every other window gets the plain scan: row p looks up q from
+    max(p, q_lo) under dedupe, else from q_lo, up to q_hi, and each solved
+    pair appends only itself.  So row p is complete after its lookups and
+    yields its list, sorted by q in place: rows come in increasing p.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     k, c = live or _LIVE[sign]
     p_lo, p_hi = w.p_range
     q_lo, q_hi = w.q_range
@@ -149,8 +147,7 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     qs = _parity_values(q_lo, q_hi, 1)
     if not ps or not qs:
         return
-    swap = w.p_range == w.q_range
-    neg = (p_lo == -p_hi and q_lo == -q_hi and r_lo == -r_hi
+    sym = (w.p_range == w.q_range and p_lo == -p_hi and r_lo == -r_hi
            and 2 * c % k == 0)
     s_min = ps[0] + qs[0]
     s_min += (c - s_min) % k
@@ -162,10 +159,9 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
     tables = [roots[mod] for mod in mods]
     later = defaultdict(list)
     for p in ps:
-        lo = max(p, q_lo) if swap or dedupe and not neg else q_lo
-        hi = -p if swap and neg else q_hi
-        row = range(lo + (c - p - lo) % k, hi + 1, k)
-        if row and not (neg and p > 0):
+        lo = max(p, q_lo) if sym or dedupe else q_lo
+        row = range(lo + (c - p - lo) % k, (-p if sym else q_hi) + 1, k)
+        if row:
             a = (p + row[0] - s_min) // k
             b = a + len(row)
             step = k * sign * p
@@ -183,23 +179,20 @@ def _solve(w: SearchWindow, sign: int, dedupe: bool = False, live=None,
                         continue
                     if sign * s < 0:
                         rows.reverse()
-                    if neg:
+                    if sym:
                         negs = render([(-r, m) for r, m in reversed(rows)])
                     rows = render(rows)
                 elif abs(p) <= w.m_max:
                     rows = negs = None
                 else:
                     continue
-                if p <= q or not dedupe:
-                    later[p].append((q, rows))
-                if swap and p < q and not dedupe:
+                later[p].append((q, rows))
+                if sym and p < q and not dedupe:
                     later[q].append((p, rows))
-                if swap and neg and q < -p:
+                if sym and q < -p:
                     later[-q].append((-p, negs))
-                # under swap, (-p, -q) is (-q, -p) at q = p, (q, p) at q = -p
-                if (neg and (p < q < -p or not swap)
-                        and (q <= p or not dedupe)):
-                    later[-p].append((-q, negs))
+                    if p < q and not dedupe:
+                        later[-p].append((-q, negs))
         if pairs := later.pop(p, None):
             pairs.sort(key=operator.itemgetter(0))
             yield p, pairs
@@ -215,6 +208,8 @@ def search(w: SearchWindow, sign: int,
     ``csv_chunks`` streams the same rows from the same solver.  With
     ``dedupe`` only representatives with p <= q are kept.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     evens = _parity_values(*w.r_range, 0)
     return [SolutionRecord(p, q, r, m, sign, (p + q) % 8)
             for p, pairs in _solve(w, sign, dedupe) for q, rows in pairs
@@ -239,6 +234,8 @@ def csv_chunks(w: SearchWindow, sign: int, dedupe: bool = False):
     None, has a row for every even r of the window with m = |p|; those
     rows are joined from one list of r strings built once per window.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     even_rs = list(map(str, _parity_values(*w.r_range, 0)))
     tails = [f",{sign},{s8}\n" for s8 in range(8)]
     yield "p,q,r,m,sign,p_plus_q_mod_8\n"

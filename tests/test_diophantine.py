@@ -97,6 +97,8 @@ def test_window_validation():
         SearchWindow((1, 1), (1, 1), (0, 0), 0)
     with pytest.raises(ValueError):
         search(symmetric_window(3, 2, 1), 0)
+    with pytest.raises(ValueError):  # before the header line
+        next(csv_chunks(symmetric_window(3, 2, 1), 0))
 
 
 # (p_range, q_range, r_range, m_max): asymmetric windows, m_max below and
@@ -140,11 +142,11 @@ def test_search_matches_naive_oracle_on_asymmetric_windows():
             assert deduped == [row for row in want if row[0] <= row[1]]
 
 
-def swap_only_twin(bound, r_bound, m_max):
+def plain_twin(bound, r_bound, m_max):
     """The window of ``symmetric_window(bound, r_bound, m_max)``'s pairs
     and even r whose r range is not closed under negation: its upper end
-    is odd, one past or one short of r_bound.  So ``_solve`` uses the swap
-    alone on it, and negation as well on the symmetric window."""
+    is odd, one past or one short of r_bound.  So ``_solve`` runs the plain
+    scan on it, and the orbit path on the symmetric window."""
     r_hi = r_bound + 1 if r_bound % 2 == 0 else r_bound - 1
     return SearchWindow((-bound, bound), (-bound, bound), (-r_bound, r_hi),
                         m_max)
@@ -167,42 +169,35 @@ def counted_moduli(monkeypatch):
     return moduli
 
 
-def test_each_unordered_pair_is_looked_up_once(monkeypatch):
-    """With the swap alone the lookup pass reduces the product of each
-    unordered live pair {p, q} of the window once, modulo 2|p + q| (1 at
-    p + q = 0): a pair (p, q) with q < p comes from the row that solved
-    (q, p)."""
-    moduli = counted_moduli(monkeypatch)
-    for bound in (9, 15):
-        odd = range(-bound, bound + 1, 2)
-        w = swap_only_twin(bound, bound, bound)
-        for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2))):
-            moduli.clear()
-            got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
-            assert got == naive_window_search(bound, sign, bound)
-            assert sorted(moduli) == sorted(
-                2 * abs(p + q) or 1 for p in odd for q in odd
-                if p <= q and (p + q - c) % k == 0)
-
-
-def solved(w, sign, live):
+def solved(w, sign, live, dedupe=False):
     """The (p, q, r, m) of _solve's rows in class ``live``, with None, the
     rows at s = 0, expanded as search expands it."""
     evens = _parity_values(*w.r_range, 0)
-    return [(p, q, r, m) for p, pairs in _solve(w, sign, live=live)
+    return [(p, q, r, m) for p, pairs in _solve(w, sign, dedupe, live)
             for q, rows in pairs
             for r, m in rows or zip(evens, repeat(abs(p)))]
 
 
+def orbit_moduli(bound, live):
+    """The moduli 2|p + q| (1 at p + q = 0) of the orbit path's lookups on
+    ``symmetric_window(bound, ...)`` in class ``live`` = (k, c): one per
+    orbit {(p, q), (q, p), (-p, -q), (-q, -p)} of live pairs, from its
+    member with p < 0 and p <= q <= -p."""
+    k, c = live
+    odd = range(-bound, bound + 1, 2)
+    return [2 * abs(p + q) or 1 for p in odd for q in odd
+            if p < 0 and p <= q <= -p and (p + q - c) % k == 0]
+
+
 def test_each_orbit_is_looked_up_once(monkeypatch):
     """On a window closed under p <-> q and under negation, the lookup pass
-    reduces the product of each orbit {(p, q), (q, p), (-p, -q), (-q, -p)}
-    of live pairs once, from its member with p < 0 and p <= q <= -p:
-    about half of the unordered pairs.  The verify classes are closed
-    under negation too."""
+    reduces the product of each orbit of live pairs once: about half of
+    the unordered pairs.  The verify classes are closed under negation
+    too.  Every window of the dioph command is such a window, with and
+    without --dedupe and under --verify, whose classes it scans both."""
+    from wittlink import cli
     moduli = counted_moduli(monkeypatch)
     for bound in (9, 15):
-        odd = range(-bound, bound + 1, 2)
         w = symmetric_window(bound, bound, bound)
         for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2)), (-1, (4, 2)),
                              (-1, (8, 4))):
@@ -211,46 +206,58 @@ def test_each_orbit_is_looked_up_once(monkeypatch):
             assert got == [row for row in naive_window_search(bound, sign,
                                                               bound)
                            if (row[0] + row[1] - c) % k == 0]
+            assert sorted(moduli) == sorted(orbit_moduli(bound, (k, c)))
+        window = ["--pq", str(bound), "--r", str(bound + 1), "--m", "21"]
+        for extra, lives in ((["--sign", "-1"], [(8, 0)]),
+                             (["--sign", "1"], [(4, 2)]),
+                             (["--sign", "-1", "--dedupe"], [(8, 0)]),
+                             (["--sign", "1", "--dedupe"], [(4, 2)]),
+                             (["--verify"], [(4, 2), (8, 4)])):
+            moduli.clear()
+            assert cli.main(["dioph", *window, *extra]) == 0
             assert sorted(moduli) == sorted(
-                2 * abs(p + q) or 1 for p in odd for q in odd
-                if p < 0 and p <= q <= -p and (p + q - c) % k == 0)
+                mod for live in lives for mod in orbit_moduli(bound, live))
 
 
 def odd_values(lo, hi):
     return range(lo + 1 - lo % 2, hi + 1, 2)
 
 
-def test_windows_without_the_swap_look_up_each_pair_once(monkeypatch):
-    """On a window whose three ranges are closed under negation but whose p
-    and q ranges differ, the lookup pass reduces the product of each live
-    pair with p < 0 once, with and without dedupe: the pair (-p, -q) comes
-    from it, and so does every pair with p > 0.  On a window closed under
-    neither symmetry it reduces that of each live pair once, and under
-    dedupe only those with q >= p."""
+def test_plain_scan_looks_up_each_pair_once(monkeypatch):
+    """On a window not closed under both p <-> q and negation, and on a
+    symmetric window in a class that negation does not keep, the lookup
+    pass reduces the product of each live pair once, modulo 2|p + q| (1 at
+    p + q = 0), and under dedupe only those with q >= p.  The windows are
+    the plain twins of two symmetric windows, windows closed under
+    negation whose p and q ranges differ, windows with neither symmetry,
+    and symmetric windows in the class s = 2 (mod 8)."""
     moduli = counted_moduli(monkeypatch)
-    for p_range, q_range, r_range, m_max in (
-            ((-9, 9), (-15, 15), (-10, 10), 11),
-            ((-14, 14), (-5, 5), (-7, 7), 13),
-            ((-1, 1), (-12, 12), (0, 0), 9),
-            ((-13, 7), (-5, 15), (-9, 12), 11),
-            ((-9, 9), (-15, 15), (-10, 12), 11),
-            ((5, 19), (-3, 1), (-12, 12), 21),
-            ((-21, 21), (-23, 19), (-8, 8), 13)):
-        w = SearchWindow(p_range, q_range, r_range, m_max)
-        neg = all(lo == -hi for lo, hi in (p_range, q_range, r_range))
-        for sign, (k, c) in ((-1, (8, 0)), (1, (4, 2))):
-            want = naive_window_search(None, sign, m_max, p_range=p_range,
-                                       q_range=q_range, r_range=r_range)
-            for dedupe in (False, True):
-                moduli.clear()
-                got = [(r.p, r.q, r.r, r.m) for r in search(w, sign, dedupe)]
-                assert got == [row for row in want
-                               if row[0] <= row[1] or not dedupe]
-                assert sorted(moduli) == sorted(
-                    2 * abs(p + q) or 1 for p in odd_values(*p_range)
-                    for q in odd_values(*q_range)
-                    if (p < 0 if neg else p <= q or not dedupe)
-                    and (p + q - c) % k == 0)
+    lives = ((-1, (8, 0)), (1, (4, 2)))
+    cases = [(plain_twin(bound, bound, bound), sign, live)
+             for bound in (9, 15) for sign, live in lives]
+    cases += [(SearchWindow(*args), sign, live) for args in (
+        ((-9, 9), (-15, 15), (-10, 10), 11),
+        ((-14, 14), (-5, 5), (-7, 7), 13),
+        ((-1, 1), (-12, 12), (0, 0), 9),
+        ((-13, 7), (-5, 15), (-9, 12), 11),
+        ((-9, 9), (-15, 15), (-10, 12), 11),
+        ((5, 19), (-3, 1), (-12, 12), 21),
+        ((-21, 21), (-23, 19), (-8, 8), 13)) for sign, live in lives]
+    cases += [(symmetric_window(bound, bound, bound), sign, (8, 2))
+              for bound in (9, 15) for sign in (1, -1)]
+    for w, sign, (k, c) in cases:
+        want = [row for row in naive_window_search(
+                    None, sign, w.m_max, p_range=w.p_range,
+                    q_range=w.q_range, r_range=w.r_range)
+                if (row[0] + row[1] - c) % k == 0]
+        for dedupe in (False, True):
+            moduli.clear()
+            assert solved(w, sign, (k, c), dedupe) == [
+                row for row in want if row[0] <= row[1] or not dedupe]
+            assert sorted(moduli) == sorted(
+                2 * abs(p + q) or 1 for p in odd_values(*w.p_range)
+                for q in odd_values(*w.q_range)
+                if (q >= p or not dedupe) and (p + q - c) % k == 0)
 
 
 def test_each_root_table_is_built_once(monkeypatch):
@@ -327,16 +334,16 @@ SYMMETRIC_WINDOWS = [(bound, r_bound, m_max)
                                           2 * bound + 5})]
 
 
-def test_orbit_path_matches_naive_oracle_and_swap_only_path():
-    """On symmetric windows, where both symmetries serve, _solve yields what
-    the naive triple loop finds and what the swap alone yields, for both
-    signs, with and without dedupe, in every live class that negation
-    keeps: the two verify classes and that of every even s as well.
-    Negation does not keep the class s = 2 (mod 8), so there the swap
-    alone serves."""
+def test_orbit_path_matches_naive_oracle_and_plain_scan():
+    """On symmetric windows _solve yields what the naive triple loop finds
+    and what the plain scan yields on the plain twin, for both signs, with
+    and without dedupe, in every live class that negation keeps: the two
+    verify classes and that of every even s as well.  Negation does not
+    keep the class s = 2 (mod 8), so there both windows get the plain
+    scan."""
     for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
         w = symmetric_window(bound, r_bound, m_max)
-        twin = swap_only_twin(bound, r_bound, m_max)
+        twin = plain_twin(bound, r_bound, m_max)
         for sign in (1, -1):
             want = naive_window_search(bound, sign, m_max, r_bound)
             got = [(r.p, r.q, r.r, r.m) for r in search(w, sign)]
@@ -356,11 +363,11 @@ def test_orbit_path_matches_naive_oracle_and_swap_only_path():
         assert verify_negative_restriction(w)
 
 
-def test_witness_stops_the_orbit_path_like_the_swap_only_path():
+def test_witness_stops_the_orbit_path_like_the_plain_scan():
     """witness_both_positive_residues stops part-way through the stream,
     while images of negation still wait for later rows: on symmetric
-    windows it finds the first record of each residue, as with the swap
-    alone."""
+    windows it finds the first record of each residue, as the plain scan
+    does on the plain twin."""
     for bound, r_bound, m_max in SYMMETRIC_WINDOWS:
         w = symmetric_window(bound, r_bound, m_max)
         positive = naive_window_search(bound, 1, m_max, r_bound)
@@ -369,13 +376,29 @@ def test_witness_stops_the_orbit_path_like_the_swap_only_path():
                             None)
                        for k in (2, 6))
         if None in firsts:
-            for window in (w, swap_only_twin(bound, r_bound, m_max)):
+            for window in (w, plain_twin(bound, r_bound, m_max)):
                 with pytest.raises(NotFoundError):
                     witness_both_positive_residues(window)
         else:
             assert witness_both_positive_residues(w) == firsts
             assert witness_both_positive_residues(
-                swap_only_twin(bound, r_bound, m_max)) == firsts
+                plain_twin(bound, r_bound, m_max)) == firsts
+
+
+def test_orbit_path_matches_plain_scan_at_benchmark_size():
+    """At the half-widths of the dioph benchmark's windows, csv_chunks on a
+    symmetric window writes what it writes on the plain twin, for both
+    signs, with and without dedupe, and verify agrees on the two."""
+    for bound, r_bound, m_max in ((61, 64, 71), (101, 54, 89),
+                                  (199, 38, 61)):
+        w = symmetric_window(bound, r_bound, m_max)
+        twin = plain_twin(bound, r_bound, m_max)
+        for sign in (1, -1):
+            for dedupe in (False, True):
+                assert "".join(csv_chunks(w, sign, dedupe)) == "".join(
+                    csv_chunks(twin, sign, dedupe))
+        assert verify_negative_restriction(w)
+        assert verify_negative_restriction(twin)
 
 
 def naive_csv(rows, sign):
