@@ -223,14 +223,15 @@ def odd_values(lo, hi):
     return range(lo + 1 - lo % 2, hi + 1, 2)
 
 
-def test_plain_scan_looks_up_each_pair_once(monkeypatch):
+def check_plain_scan_lookups(monkeypatch, dedupe):
     """On a window not closed under both p <-> q and negation, and on a
-    symmetric window in a class that negation does not keep, the lookup
-    pass reduces the product of each live pair once, modulo 2|p + q| (1 at
-    p + q = 0), and under dedupe only those with q >= p.  The windows are
-    the plain twins of two symmetric windows, windows closed under
-    negation whose p and q ranges differ, windows with neither symmetry,
-    and symmetric windows in the class s = 2 (mod 8)."""
+    symmetric window in a class that negation does not keep, _solve runs
+    the plain scan: its lookup pass reduces the product of each live pair
+    (p, q) it scans once, modulo 2|p + q| (1 at p + q = 0), every pair
+    without dedupe and those with q >= p under it.  The windows are the
+    plain twins of two symmetric windows, windows closed under negation
+    whose p and q ranges differ, windows with neither symmetry, and
+    symmetric windows in the class s = 2 (mod 8)."""
     moduli = counted_moduli(monkeypatch)
     lives = ((-1, (8, 0)), (1, (4, 2)))
     cases = [(plain_twin(bound, bound, bound), sign, live)
@@ -250,14 +251,25 @@ def test_plain_scan_looks_up_each_pair_once(monkeypatch):
                     None, sign, w.m_max, p_range=w.p_range,
                     q_range=w.q_range, r_range=w.r_range)
                 if (row[0] + row[1] - c) % k == 0]
-        for dedupe in (False, True):
-            moduli.clear()
-            assert solved(w, sign, (k, c), dedupe) == [
-                row for row in want if row[0] <= row[1] or not dedupe]
-            assert sorted(moduli) == sorted(
-                2 * abs(p + q) or 1 for p in odd_values(*w.p_range)
-                for q in odd_values(*w.q_range)
-                if (q >= p or not dedupe) and (p + q - c) % k == 0)
+        moduli.clear()
+        assert solved(w, sign, (k, c), dedupe) == [
+            row for row in want if row[0] <= row[1] or not dedupe]
+        assert sorted(moduli) == sorted(
+            2 * abs(p + q) or 1 for p in odd_values(*w.p_range)
+            for q in odd_values(*w.q_range)
+            if (q >= p or not dedupe) and (p + q - c) % k == 0)
+
+
+def test_windows_without_the_swap_look_up_each_pair_once(monkeypatch):
+    """The plain scan uses neither p <-> q nor negation: without dedupe it
+    looks up each live pair of the window once."""
+    check_plain_scan_lookups(monkeypatch, dedupe=False)
+
+
+def test_each_unordered_pair_is_looked_up_once(monkeypatch):
+    """Under dedupe the plain scan looks up each unordered live pair
+    {p, q} of the window once, from its member with q >= p."""
+    check_plain_scan_lookups(monkeypatch, dedupe=True)
 
 
 def test_each_root_table_is_built_once(monkeypatch):
