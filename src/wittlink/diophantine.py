@@ -44,10 +44,11 @@ from collections import defaultdict, namedtuple
 from itertools import compress, repeat
 
 from .errors import NotFoundError, NotIntegerError
+from .forms import _Checked
 
 
-class SearchWindow(namedtuple("SearchWindow",
-                              "p_range q_range r_range m_max")):
+class SearchWindow(_Checked, namedtuple("SearchWindow",
+                                        "p_range q_range r_range m_max")):
     """Inclusive parameter ranges, each an int pair (lo, hi), and the int
     m_max; parity is enforced during iteration."""
 
@@ -63,10 +64,6 @@ class SearchWindow(namedtuple("SearchWindow",
         if m_max < 1:
             raise ValueError("m_max must be at least 1")
         return super().__new__(cls, p_range, q_range, r_range, m_max)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: check it too
-        return cls(*iterable)
 
 
 def symmetric_window(pq_bound: int, r_bound: int, m_max: int) -> SearchWindow:

@@ -20,21 +20,40 @@ from .errors import (DegenerateError, NotIntegerError, NotSquareError,
 _INT = frozenset((int,))
 
 
-class IntegerSymmetricForm(namedtuple("IntegerSymmetricForm", "n gram")):
-    """A nondegenerate symmetric Gram matrix ``gram``, a tuple of n tuples
-    of n ints, of rank ``n``.
+class _Checked:
+    """One ``_make``, so ``_replace`` checks as ``__new__`` does."""
 
-    Instances are immutable; build them through :func:`form_from_rows`,
-    which validates squareness, integer entries, symmetry and
-    nondegeneracy.  No ``__slots__``: the instance dict caches ``minors``.
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class IntegerSymmetricForm(_Checked,
+                           namedtuple("IntegerSymmetricForm", "n gram")):
+    """A nondegenerate symmetric Gram matrix ``gram``, a tuple of n tuples
+    of n ints, of rank ``n``.  Construction and ``_replace`` check shape,
+    entry types and symmetry; det != 0 is checked on the first read of
+    ``minors``, which :func:`form_from_rows` makes.  No ``__slots__``: the
+    instance dict caches ``minors``.
     """
+
+    def __new__(cls, n, gram):
+        gram = _int_rows(n, gram, NotIntegerError, "Gram")
+        if gram != tuple(zip(*gram)):
+            i, j = next((i, j) for i, row in enumerate(gram)
+                        for j in range(i + 1, len(gram)) if row[j] != gram[j][i])
+            raise NotSymmetricError(
+                f"gram[{i}][{j}] = {gram[i][j]} != gram[{j}][{i}] = {gram[j][i]}")
+        return super().__new__(cls, len(gram), gram)
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.gram]
 
     @cached_property
     def minors(self) -> tuple[int, ...]:
-        """:func:`pivot_minors` of the form, computed once, by validation."""
+        """:func:`pivot_minors`, computed once; DegenerateError if det = 0."""
         return pivot_minors(self)
 
 
@@ -54,37 +73,26 @@ class FormReport(namedtuple("FormReport",
 
 
 def form_from_rows(rows) -> IntegerSymmetricForm:
-    """Validate a list of integer rows as a symmetric nondegenerate form.
+    """The form of ``rows``; its elimination, run here, checks det != 0.
 
     A 0x0 matrix is accepted and represents the empty (rank zero) form,
     with determinant 1 by convention.
     """
-    f = _symmetric_form(rows)
+    f = IntegerSymmetricForm(len(rows), rows)
     f.minors  # the elimination raises DegenerateError when det is 0
     return f
 
 
-def _symmetric_form(rows) -> IntegerSymmetricForm:
-    """``rows`` checked for all but det != 0, which its elimination checks."""
-    gram = _int_rows(rows, NotIntegerError, "Gram")
-    if gram != tuple(zip(*gram)):
-        for i, row in enumerate(gram):
-            for j in range(i + 1, len(gram)):
-                if row[j] != gram[j][i]:
-                    raise NotSymmetricError(
-                        f"gram[{i}][{j}] = {row[j]} != gram[{j}][{i}] = {gram[j][i]}")
-    return IntegerSymmetricForm(n=len(gram), gram=gram)
+def _int_rows(n, rows, error, kind) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of ``n`` tuples of ``n`` exact ``int``s.
 
-
-def _int_rows(rows, error, kind) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as a square tuple of tuples of exact ``int``s.
-
-    Raises NotSquareError on a row of the wrong length, and ``error`` on the
-    first entry, in row-major order, that is not an integer (a bool is
-    not).  One C-level type test passes the common case; the loop runs only
-    to name the bad entry or to convert int subclasses to ``int``.
+    Raises NotSquareError unless there are n rows of n entries, and
+    ``error`` on the first entry, in row-major order, that is not an
+    integer (a bool is not).  One C-level type test passes the common case;
+    the loop runs only to name the bad entry or to convert int subclasses.
     """
-    n = len(rows)
+    if len(rows) != n:
+        raise NotSquareError(f"n = {n!r} but there are {len(rows)} rows")
     for row in rows:
         if len(row) != n:
             raise NotSquareError(f"expected {n} columns, got {len(row)}")
@@ -126,7 +134,7 @@ def _transition(rows) -> tuple[tuple[int, ...], list[list[int]]]:
     """The minors (1, D_1, ..., D_n) of ``rows``, checked as by
     :func:`form_from_rows`, and Q, whose row k is D_(k-1) times row k of
     the transition: one elimination, on the rows with I appended."""
-    f = _symmetric_form(rows)
+    f = IntegerSymmetricForm(len(rows), rows)
     a = [[*r, *e] for r, e in zip(f.gram, identity(f.n))]
     return _eliminate(a), [row[f.n:] for row in a]  # slices after it
 

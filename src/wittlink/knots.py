@@ -21,20 +21,27 @@ from operator import add, sub
 
 from .errors import (DegenerateParameterError, InvalidSeifertError,
                      NotIntegerError)
-from .forms import (IntegerSymmetricForm, _block_rows, _int_rows,
+from .forms import (IntegerSymmetricForm, _block_rows, _Checked, _int_rows,
                     determinant, form_from_rows, signature)
 from .witt import WittClassQ, _decide, witt_from_diagonal
 
 
-class SeifertMatrix(namedtuple("SeifertMatrix", "n entries")):
+class SeifertMatrix(_Checked, namedtuple("SeifertMatrix", "n entries")):
     """An integer Seifert pairing, ``entries`` a tuple of n tuples of n
-    ints; valid when det(S - S^T) = 1, that is when the Pfaffian
-    Pf(S - S^T) is +-1."""
+    ints with det(S - S^T) = 1, that is Pfaffian Pf(S - S^T) = +-1, as
+    construction and ``_replace`` check."""
 
     __slots__ = ()
 
+    def __new__(cls, n, entries):
+        s = _int_rows(n, entries, InvalidSeifertError, "Seifert")
+        anti = [list(map(sub, row, col)) for row, col in zip(s, zip(*s))]
+        if abs(_pfaffian(anti)) != 1:
+            raise InvalidSeifertError("det(S - S^T) must be 1")
+        return super().__new__(cls, len(s), s)
 
-class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
+
+class PretzelKnot(_Checked, namedtuple("PretzelKnot", "p q r")):
     """P(p, q, r) for ints p, q odd and r even.  Then pq + pr + qr =
     pq + r(p + q) is odd, so the determinant is never 0 and needs no check."""
 
@@ -49,10 +56,6 @@ class PretzelKnot(namedtuple("PretzelKnot", "p q r")):
         if r % 2 != 0:
             raise DegenerateParameterError("r must be even")
         return super().__new__(cls, p, q, r)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: check it too
-        return cls(*iterable)
 
 
 class KnotReport(namedtuple("KnotReport", "signature determinant "
@@ -101,11 +104,8 @@ def _pfaffian(a) -> int:
 
 
 def seifert_from_rows(rows) -> SeifertMatrix:
-    s = _int_rows(rows, InvalidSeifertError, "Seifert")
-    anti = [list(map(sub, row, col)) for row, col in zip(s, zip(*s))]
-    if abs(_pfaffian(anti)) != 1:
-        raise InvalidSeifertError("det(S - S^T) must be 1")
-    return SeifertMatrix(n=len(s), entries=s)
+    """The Seifert matrix of ``rows``, checked by its construction."""
+    return SeifertMatrix(len(rows), rows)
 
 
 def seifert_block_sum(s1: SeifertMatrix, s2: SeifertMatrix) -> SeifertMatrix:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import (CertificationBoundError, NotCoprimeError, NotPrimeError,
                      PrimeMismatchError, ZeroEntryError)
-from .forms import IntegerSymmetricForm
+from .forms import IntegerSymmetricForm, _Checked
 
 _TRIAL_LIMIT = 10 ** 3
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -188,12 +188,11 @@ def square_free_part(a) -> int:
     return _square_classes([(a.numerator, a.denominator)])[0][0]
 
 
-class WittClassQ(namedtuple("WittClassQ", "entries")):
-    """A rational Witt class as a sorted multiset of square-free integers.
-
-    ``entries`` is a tuple of ints.  A zero entry is refused: it has no
-    square class, and the residue maps could not take its valuation.
-    """
+class WittClassQ(_Checked, namedtuple("WittClassQ", "entries")):
+    """A rational Witt class as a diagonal ``entries``, a tuple of nonzero
+    ints or Fractions; the factories give sorted square-free ints.  A zero
+    entry is refused: it has no square class, and the residue maps could
+    not take its valuation."""
 
     __slots__ = ()
 
@@ -201,10 +200,6 @@ class WittClassQ(namedtuple("WittClassQ", "entries")):
         if 0 in entries:
             raise ZeroEntryError("Witt class entries must be nonzero")
         return super().__new__(cls, entries)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make: check it too
-        return cls(*iterable)
 
     def signature(self) -> int:
         return sum(1 if e > 0 else -1 for e in self.entries)

@@ -10,16 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import A8_NEG, NINE_ONE_SEIFERT
+from conftest import A8_NEG, NINE_ONE_SEIFERT, TREFOIL_SEIFERT
+
+A2 = [[2, 1], [1, 2]]
 from wittlink import (PretzelKnot, SearchWindow, WittClassQ, analyze_knot,
                       diagonalize, discriminant_form, factorize,
                       finite_witt_zero, form_from_rows, gauss_sum,
                       rational_witt_class, search, seifert_from_rows,
                       symmetric_window, verify_main_theorem)
 from wittlink import diophantine, discriminant, forms, knots, witt
-from wittlink.errors import (DegenerateParameterError, NotIntegerError,
-                             ZeroEntryError)
-from wittlink.forms import report
+from wittlink.errors import (DegenerateError, DegenerateParameterError,
+                             InvalidSeifertError, NotIntegerError,
+                             NotSquareError, NotSymmetricError, ZeroEntryError)
+from wittlink.forms import IntegerSymmetricForm, report
 
 
 def _one_of_each():
@@ -64,6 +67,16 @@ def test_every_record_is_covered_and_its_fields_are_read_only():
      NotIntegerError, "non-integer window bound True"),
     (SearchWindow((-3, 3), (-3, 3), (-2, 2), 5), {"r_range": (-2, "2")},
      NotIntegerError, "non-integer window bound '2'"),
+    (form_from_rows(A2), {"gram": ((2, 1), (5, 2))}, NotSymmetricError,
+     "gram[0][1] = 1 != gram[1][0] = 5"),
+    (form_from_rows(A2), {"gram": ((2, 1), (1, 2.0))}, NotIntegerError,
+     "non-integer Gram entry 2.0"),
+    (form_from_rows(A2), {"n": 5}, NotSquareError,
+     "n = 5 but there are 2 rows"),
+    (seifert_from_rows(TREFOIL_SEIFERT), {"entries": ((1, 0), (0, 1))},
+     InvalidSeifertError, "det(S - S^T) must be 1"),
+    (seifert_from_rows(TREFOIL_SEIFERT), {"entries": ((-1, True), (0, -1))},
+     InvalidSeifertError, "non-integer Seifert entry True"),
 ])
 def test_replace_checks_as_construction_does(good, change, error, message):
     with pytest.raises(error) as direct:
@@ -72,6 +85,12 @@ def test_replace_checks_as_construction_does(good, change, error, message):
         good._replace(**change)
     assert str(direct.value) == str(replaced.value) == message
     assert good._replace() == good
+    if isinstance(good, IntegerSymmetricForm):
+        # det != 0 is checked by the elimination, on the first read of minors
+        singular = good._replace(gram=((2, 2), (2, 2)))
+        with pytest.raises(DegenerateError,
+                           match="^Gram matrix has determinant 0$"):
+            singular.minors
 
 
 def test_records_compare_as_their_fields():
